@@ -18,8 +18,10 @@ from .data import FixtureSpec, make_fixture, write_csv
 from .errors import ConfigError, HeartlabError
 from .models import _check_fingerprint, load_model, save_model
 from .runner import (
+    METRIC_FIELDS,
     TRACK_REAL,
     TRACK_SYNTHETIC,
+    _rank,
     _run_explain,
     _write_explanations,
     compare_models,
@@ -120,38 +122,14 @@ def _cmd_explain(args) -> int:
 def _cmd_report(args) -> int:
     path = Path(args.bundle_dir) / "metrics.csv"
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        rows = [dict(zip(header, row)) for row in reader]
+        rows = list(csv.DictReader(fh))
     if not rows:
         raise ConfigError(f"no metric rows in {path}")
-
-    def num(row, key):
-        v = row.get(key, "")
-        return float(v) if v not in ("", None) else None
-
-    groups: dict = {}
-    for row in rows:
-        groups.setdefault((row["track"], row["task"]), []).append(row)
-    low = float("-inf")
-    for (track, task) in sorted(groups):
-        members = groups[(track, task)]
-        if task == "classification":
-            members.sort(key=lambda r: (
-                -(num(r, "accuracy") if num(r, "accuracy") is not None else low),
-                -(num(r, "mcc") if num(r, "mcc") is not None else low),
-                r["model"]))
-            keys = ("accuracy", "mcc")
-        else:
-            members.sort(key=lambda r: (
-                -(num(r, "r2") if num(r, "r2") is not None else low),
-                num(r, "mse") if num(r, "mse") is not None else float("inf"),
-                r["model"]))
-            keys = ("r2", "mse")
-        for rank, r in enumerate(members, start=1):
-            print(_rank_line({"track": track, "task": task, "rank": rank,
-                              "model": r["model"],
-                              **{k: num(r, k) for k in keys}}))
+    table = _rank((r["track"], r["task"], r["model"],
+                   {k: float(v) for k, v in r.items() if k in METRIC_FIELDS and v})
+                  for r in rows)
+    for row in table:
+        print(_rank_line(row))
     return 0
 
 

@@ -24,13 +24,13 @@ import numpy as np
 
 from .data import Dataset
 from .errors import ConfigError, ContractError, FitError
+from .linear import sigmoid
 from .trees import (
     CartConfig,
     FlatTree,
     TASK_CLASSIFICATION,
     TASK_REGRESSION,
     fit_cart_matrix,
-    flatten_tree,
 )
 
 LOSS_SQUARED = "squared"
@@ -41,7 +41,10 @@ LOSS_TASKS = {LOSS_SQUARED: TASK_REGRESSION, LOSS_LOGISTIC: TASK_CLASSIFICATION}
 def default_jobs() -> int:
     env = os.environ.get("HEARTLAB_N_JOBS", "").strip()
     if env:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise ConfigError(f"HEARTLAB_N_JOBS must be an integer, got {env!r}") from None
     return min(8, os.cpu_count() or 1)
 
 
@@ -66,7 +69,7 @@ class ForestConfig:
 
 @dataclass(frozen=True)
 class Forest:
-    trees: tuple
+    trees: tuple[FlatTree, ...]
     task: str
     n_classes: int
     config: ForestConfig
@@ -76,7 +79,7 @@ class Forest:
             raise ContractError("probabilities are defined for classification only")
         votes = np.zeros((X.shape[0], self.n_classes), dtype=np.float64)
         for tree in self.trees:
-            labels = np.argmax(tree.predict_value(X), axis=1)
+            labels = tree.predict(X)
             votes[np.arange(X.shape[0]), labels] += 1.0
         return votes / len(self.trees)
 
@@ -125,8 +128,7 @@ def fit_random_forest(ds: Dataset, config: ForestConfig = ForestConfig(),
             Xt, yt = X[take], y[take]
         else:
             Xt, yt = X, y
-        root = fit_cart_matrix(Xt, yt, cart, task, rng=rng, n_classes=n_classes or None)
-        return flatten_tree(root, task, n_classes)
+        return fit_cart_matrix(Xt, yt, cart, task, rng=rng, n_classes=n_classes or None)
 
     jobs = default_jobs() if n_jobs is None else max(1, n_jobs)
     if jobs == 1 or config.n_trees == 1:
@@ -158,7 +160,7 @@ class GbtConfig:
 @dataclass(frozen=True)
 class GbtModel:
     base_score: float
-    trees: tuple
+    trees: tuple[FlatTree, ...]
     config: GbtConfig
     train_losses: tuple  # length n_rounds + 1, loss before any round first
 
@@ -173,24 +175,15 @@ class GbtModel:
         if self.config.loss != LOSS_LOGISTIC:
             raise ContractError("probabilities are defined for the logistic loss only")
         X = np.ascontiguousarray(X, dtype=np.float64)
-        p = _sigmoid(self._raw(X))
+        p = sigmoid(self._raw(X))
         return np.column_stack([1.0 - p, p])
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         X = np.ascontiguousarray(X, dtype=np.float64)
         raw = self._raw(X)
         if self.config.loss == LOSS_LOGISTIC:
-            return (_sigmoid(raw) > 0.5).astype(np.int64)
+            return (sigmoid(raw) > 0.5).astype(np.int64)
         return raw
-
-
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
 
 
 def _squared_loss(y, raw) -> float:
@@ -240,10 +233,9 @@ def fit_gbt(ds: Dataset, config: GbtConfig = GbtConfig(),
     for m in range(config.n_rounds):
         rng = np.random.default_rng([config.seed, m])
         if config.loss == LOSS_LOGISTIC:
-            p = _sigmoid(raw)
+            p = sigmoid(raw)
             g = y - p
-            root = fit_cart_matrix(X, g, cart, TASK_REGRESSION, rng=rng)
-            flat = flatten_tree(root, TASK_REGRESSION)
+            flat = fit_cart_matrix(X, g, cart, TASK_REGRESSION, rng=rng)
             ids = flat.route(X)
             num = np.zeros(flat.leaf_value.shape[0])
             den = np.zeros(flat.leaf_value.shape[0])
@@ -254,8 +246,7 @@ def fit_gbt(ds: Dataset, config: GbtConfig = GbtConfig(),
             raw = raw + config.learning_rate * newton[ids]
         else:
             g = y - raw
-            root = fit_cart_matrix(X, g, cart, TASK_REGRESSION, rng=rng)
-            flat = flatten_tree(root, TASK_REGRESSION)
+            flat = fit_cart_matrix(X, g, cart, TASK_REGRESSION, rng=rng)
             raw = raw + config.learning_rate * flat.predict_value(X)
         trees.append(flat)
         losses.append(loss_fn(y, raw))
@@ -272,5 +263,5 @@ def staged_predict(model: GbtModel, X: np.ndarray, m: int) -> np.ndarray:
     X = np.ascontiguousarray(X, dtype=np.float64)
     raw = model._raw(X, m)
     if model.config.loss == LOSS_LOGISTIC:
-        return _sigmoid(raw)
+        return sigmoid(raw)
     return raw

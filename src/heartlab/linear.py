@@ -84,11 +84,13 @@ class LinearModel:
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         if self.family != FAMILY_LOGISTIC:
             raise ConfigError(f"{self.family} does not produce probabilities")
-        p = _sigmoid(self.decision_function(X))
+        p = sigmoid(self.decision_function(X))
         return np.column_stack([1.0 - p, p])
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
+def sigmoid(z: np.ndarray) -> np.ndarray:
+    """Logistic function, evaluated as e^z/(1+e^z) for negative z so that
+    neither branch overflows."""
     out = np.empty_like(z)
     pos = z >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
@@ -245,7 +247,7 @@ def fit_logistic(X, labels, config: PenaltyConfig = PenaltyConfig(lam=0.0)) -> L
     max_newton = min(200, config.max_iter)
     for it in range(1, max_newton + 1):
         raw = A @ beta
-        p = _sigmoid(raw)
+        p = sigmoid(raw)
         grad = A.T @ (y - p) - ridge_vec * beta
         if np.max(np.abs(grad)) / n < config.tol:
             converged = True

@@ -1,5 +1,6 @@
-"""Uniform estimator layer: named specs, fit/predict/proba dispatch over
-all eleven families, and versioned JSON persistence.
+"""Uniform estimator layer over all eleven families: one registry record
+per family (supported tasks, typed hyperparameter defaults, fit, predict,
+probabilities, persistence), named specs, and versioned JSON persistence.
 
 A TrainedModel carries a fingerprint of the training columns; predict
 refuses datasets whose feature columns differ. predict_proba returns the
@@ -10,8 +11,11 @@ logistic link, which is monotone but uncalibrated.
 from __future__ import annotations
 
 import hashlib
+import inspect
 import json
-from dataclasses import dataclass, field, asdict
+import typing
+from dataclasses import dataclass, field, fields, is_dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -40,7 +44,6 @@ from .linear import (
 from .neighbors import (
     GaussianNbModel,
     KnnModel,
-    WEIGHT_UNIFORM,
     fit_gnb,
     fit_knn,
     gnb_proba,
@@ -53,55 +56,158 @@ from .trees import (
     TASK_CLASSIFICATION,
     TASK_REGRESSION,
     fit_cart_matrix,
-    flatten_tree,
 )
 
 FORMAT_TAG = "heartlab-model"
 FORMAT_VERSION = 1
 
-CLASSIFICATION_FAMILIES = ("cart", "random_forest", "gbt", "knn", "gaussian_nb",
-                           "linear_svm", "logistic")
-REGRESSION_FAMILIES = ("cart", "random_forest", "gbt", "knn", "ols", "ridge",
-                       "lasso", "linear_svr")
-ALL_FAMILIES = ("cart", "random_forest", "gbt", "ols", "ridge", "lasso",
-                "linear_svm", "linear_svr", "knn", "gaussian_nb", "logistic")
 
-_HYPERPARAM_KEYS = {
-    "cart": {"max_depth", "min_samples_split", "min_samples_leaf", "feature_subsample"},
-    "random_forest": {"n_trees", "bootstrap", "feature_subsample", "max_depth",
-                      "min_samples_split", "min_samples_leaf"},
-    "gbt": {"n_rounds", "learning_rate", "max_depth", "lambda_leaf"},
-    "ols": set(),
-    "ridge": {"lam"},
-    "lasso": {"lam", "tol", "max_iter"},
-    "linear_svm": {"lam_svm", "epochs"},
-    "linear_svr": {"lam_svm", "eps", "epochs"},
-    "knn": {"k", "weighting"},
-    "gaussian_nb": set(),
-    "logistic": {"tol", "max_iter", "ridge"},
+@dataclass(frozen=True)
+class Family:
+    """Everything the estimator layer knows about one model family.
+
+    fit(spec, ds, y, hp) gets the hyperparameters with defaults filled in;
+    predict(params, X) and proba(params, X) take a float64 matrix, and
+    proba (classification families only) returns the positive-class
+    probability. Fitted parameters are saved field by field, nested under
+    payload_key when one is set.
+    """
+
+    tasks: tuple
+    defaults: dict               # hyperparameter -> default; its type is the key's type
+    fit: Callable
+    params_type: type
+    predict: Callable = lambda p, X: p.predict(X)
+    proba: Callable | None = None
+    payload_key: str | None = None
+
+
+def _defaults(owner, *names, **own) -> dict:
+    """Defaults of the named hyperparameters, read from the signature of the
+    config class or fit function that owns them; `own` are set here."""
+    params = inspect.signature(owner).parameters
+    return {**{k: params[k].default for k in names}, **own}
+
+
+def _positive(mat: np.ndarray) -> np.ndarray:
+    if mat.shape[1] < 2:
+        return np.zeros(mat.shape[0])
+    return mat[:, 1]
+
+
+def _knn_predict(p: KnnModel, X: np.ndarray) -> np.ndarray:
+    out = predict_knn_batch(p, X)
+    return out[0] if p.task == TASK_CLASSIFICATION else out
+
+
+_BOTH = (TASK_CLASSIFICATION, TASK_REGRESSION)
+_CLS = (TASK_CLASSIFICATION,)
+_REG = (TASK_REGRESSION,)
+_TREE_KEYS = ("max_depth", "min_samples_split", "min_samples_leaf")
+
+
+def _fit_forest(spec, ds, y, hp):
+    cart = CartConfig(seed=spec.seed, **{k: hp[k] for k in _TREE_KEYS})
+    cfg = ForestConfig(n_trees=hp["n_trees"], cart=cart, bootstrap=hp["bootstrap"],
+                       feature_subsample=hp["feature_subsample"], seed=spec.seed)
+    return fit_random_forest(ds, cfg, spec.task)
+
+
+def _fit_gbt(spec, ds, y, hp):
+    loss = LOSS_LOGISTIC if spec.task == TASK_CLASSIFICATION else LOSS_SQUARED
+    return fit_gbt(ds, GbtConfig(loss=loss, seed=spec.seed, **hp))
+
+
+# The fit lambdas name the fit routines so that they are looked up in this
+# module at call time, not bound when the table is built: a wrapper set on
+# the module attribute (perfbench/tracer.py does this) then sees every fit.
+FAMILIES = {
+    "cart": Family(
+        _BOTH, _defaults(CartConfig, *_TREE_KEYS, "feature_subsample"),
+        lambda spec, ds, y, hp: fit_cart_matrix(
+            ds.rows, y, CartConfig(seed=spec.seed, **hp), spec.task),
+        FlatTree, proba=lambda p, X: _positive(p.predict_value(X)), payload_key="tree"),
+    "random_forest": Family(
+        _BOTH, {**_defaults(ForestConfig, "n_trees", "bootstrap", "feature_subsample"),
+                **_defaults(CartConfig, *_TREE_KEYS)},
+        _fit_forest, Forest, proba=lambda p, X: _positive(p.predict_proba(X))),
+    "gbt": Family(
+        _BOTH, _defaults(GbtConfig, "n_rounds", "learning_rate", "max_depth", "lambda_leaf"),
+        _fit_gbt, GbtModel, proba=lambda p, X: _positive(p.predict_proba(X))),
+    "ols": Family(_REG, {}, lambda spec, ds, y, hp: fit_ols(ds.rows, y), LinearModel),
+    "ridge": Family(
+        _REG, _defaults(fit_ridge, "lam"),
+        lambda spec, ds, y, hp: fit_ridge(ds.rows, y, hp["lam"]), LinearModel),
+    "lasso": Family(
+        _REG, _defaults(PenaltyConfig, "tol", "max_iter", lam=0.01),
+        lambda spec, ds, y, hp: fit_lasso(ds.rows, y, PenaltyConfig(seed=spec.seed, **hp)),
+        LinearModel),
+    "linear_svm": Family(
+        _CLS, _defaults(PenaltyConfig, "lam_svm", "epochs"),
+        lambda spec, ds, y, hp: fit_linear_svm(ds.rows, y,
+                                               PenaltyConfig(seed=spec.seed, **hp)),
+        LinearModel,
+        # fixed logistic link of the margin: monotone, not calibrated
+        proba=lambda p, X: 1.0 / (1.0 + np.exp(-np.clip(p.decision_function(X), -500, 500)))),
+    "linear_svr": Family(
+        _REG, _defaults(PenaltyConfig, "lam_svm", "eps", "epochs"),
+        lambda spec, ds, y, hp: fit_linear_svr(ds.rows, y,
+                                               PenaltyConfig(seed=spec.seed, **hp)),
+        LinearModel),
+    "knn": Family(
+        _BOTH, _defaults(fit_knn, "k", "weighting"),
+        lambda spec, ds, y, hp: fit_knn(ds, task=spec.task, **hp), KnnModel,
+        predict=_knn_predict, proba=lambda p, X: _positive(predict_knn_batch(p, X)[1])),
+    "gaussian_nb": Family(
+        _CLS, {}, lambda spec, ds, y, hp: fit_gnb(ds), GaussianNbModel,
+        predict=predict_gnb_batch, proba=lambda p, X: _positive(gnb_proba(p, X))),
+    "logistic": Family(
+        _CLS, _defaults(PenaltyConfig, "tol", "max_iter", "ridge"),
+        lambda spec, ds, y, hp: fit_logistic(ds.rows, y,
+                                             PenaltyConfig(lam=0.0, seed=spec.seed, **hp)),
+        LinearModel, proba=lambda p, X: _positive(p.predict_proba(X))),
 }
+ALL_FAMILIES = tuple(FAMILIES)
 
 
 @dataclass(frozen=True)
 class EstimatorSpec:
     family: str
     task: str
-    hyperparams: dict = field(default_factory=dict)
+    hyperparams: dict = field(default_factory=dict)  # as given; defaults are not written in
     seed: int = 0
 
     def __post_init__(self):
-        if self.family not in ALL_FAMILIES:
+        if self.family not in FAMILIES:
             raise ModelSpecError(f"unknown model family {self.family!r}")
         if self.task not in (TASK_CLASSIFICATION, TASK_REGRESSION):
             raise ModelSpecError(f"unknown task {self.task!r}")
-        allowed = (CLASSIFICATION_FAMILIES if self.task == TASK_CLASSIFICATION
-                   else REGRESSION_FAMILIES)
-        if self.family not in allowed:
+        if self.task not in FAMILIES[self.family].tasks:
             raise ModelSpecError(f"family {self.family!r} does not support task {self.task!r}")
-        unknown = set(self.hyperparams) - _HYPERPARAM_KEYS[self.family]
-        if unknown:
-            raise ModelSpecError(
-                f"unknown hyperparameter {sorted(unknown)[0]!r} for family {self.family!r}")
+        _resolve(self)
+
+
+def _resolve(spec: EstimatorSpec) -> dict:
+    """The family defaults overlaid with the spec's hyperparameters, each
+    converted to the type of its default (ints, floats and bools; other
+    values pass as given)."""
+    defaults = FAMILIES[spec.family].defaults
+    unknown = set(spec.hyperparams) - set(defaults)
+    if unknown:
+        raise ModelSpecError(
+            f"unknown hyperparameter {sorted(unknown)[0]!r} for family {spec.family!r}")
+    hp = dict(defaults)
+    for key, value in spec.hyperparams.items():
+        kind = type(defaults[key])
+        if kind in (bool, int, float):
+            try:
+                value = kind(value)
+            except (TypeError, ValueError, OverflowError):
+                raise ModelSpecError(
+                    f"hyperparameter {key!r} for family {spec.family!r} must be "
+                    f"{kind.__name__}, got {value!r}") from None
+        hp[key] = value
+    return hp
 
 
 @dataclass(frozen=True)
@@ -130,16 +236,6 @@ def _check_fingerprint(model: TrainedModel, ds: Dataset) -> None:
             "dataset columns differ from the columns the model was fitted on")
 
 
-def _cart_config(hp: dict, seed: int) -> CartConfig:
-    return CartConfig(
-        max_depth=int(hp.get("max_depth", 12)),
-        min_samples_split=int(hp.get("min_samples_split", 2)),
-        min_samples_leaf=int(hp.get("min_samples_leaf", 1)),
-        feature_subsample=hp.get("feature_subsample", "all"),
-        seed=seed,
-    )
-
-
 def _labels_or_targets(spec: EstimatorSpec, ds: Dataset):
     if spec.task == TASK_CLASSIFICATION:
         if ds.labels is None:
@@ -151,115 +247,20 @@ def _labels_or_targets(spec: EstimatorSpec, ds: Dataset):
 
 
 def fit(spec: EstimatorSpec, ds: Dataset) -> TrainedModel:
-    """Dispatch to the family fit routine; deterministic given spec.seed."""
-    hp = spec.hyperparams
+    """Fit with the family's routine; deterministic given spec.seed."""
     y = _labels_or_targets(spec, ds)
-    n_classes = int(ds.labels.max()) + 1 if spec.task == TASK_CLASSIFICATION else 0
-
-    if spec.family == "cart":
-        root = fit_cart_matrix(ds.rows, y, _cart_config(hp, spec.seed), spec.task,
-                               n_classes=n_classes or None)
-        params = flatten_tree(root, spec.task, n_classes)
-    elif spec.family == "random_forest":
-        cfg = ForestConfig(
-            n_trees=int(hp.get("n_trees", 100)),
-            cart=_cart_config({k: hp[k] for k in hp if k in
-                               ("max_depth", "min_samples_split", "min_samples_leaf")},
-                              spec.seed),
-            bootstrap=bool(hp.get("bootstrap", True)),
-            feature_subsample=hp.get("feature_subsample", "auto"),
-            seed=spec.seed,
-        )
-        params = fit_random_forest(ds, cfg, spec.task)
-    elif spec.family == "gbt":
-        loss = LOSS_LOGISTIC if spec.task == TASK_CLASSIFICATION else LOSS_SQUARED
-        cfg = GbtConfig(
-            n_rounds=int(hp.get("n_rounds", 100)),
-            learning_rate=float(hp.get("learning_rate", 0.1)),
-            max_depth=int(hp.get("max_depth", 3)),
-            loss=loss,
-            lambda_leaf=float(hp.get("lambda_leaf", 1.0)),
-            seed=spec.seed,
-        )
-        params = fit_gbt(ds, cfg)
-    elif spec.family == "ols":
-        params = fit_ols(ds.rows, y)
-    elif spec.family == "ridge":
-        params = fit_ridge(ds.rows, y, float(hp.get("lam", 1.0)))
-    elif spec.family == "lasso":
-        cfg = PenaltyConfig(lam=float(hp.get("lam", 0.01)),
-                            tol=float(hp.get("tol", 1e-6)),
-                            max_iter=int(hp.get("max_iter", 10000)),
-                            seed=spec.seed)
-        params = fit_lasso(ds.rows, y, cfg)
-    elif spec.family == "logistic":
-        cfg = PenaltyConfig(lam=0.0, tol=float(hp.get("tol", 1e-6)),
-                            max_iter=int(hp.get("max_iter", 10000)),
-                            ridge=float(hp.get("ridge", 0.0)), seed=spec.seed)
-        params = fit_logistic(ds.rows, y, cfg)
-    elif spec.family == "linear_svm":
-        cfg = PenaltyConfig(lam_svm=float(hp.get("lam_svm", 0.01)),
-                            epochs=int(hp.get("epochs", 30)), seed=spec.seed)
-        params = fit_linear_svm(ds.rows, y, cfg)
-    elif spec.family == "linear_svr":
-        cfg = PenaltyConfig(lam_svm=float(hp.get("lam_svm", 0.01)),
-                            eps=float(hp.get("eps", 0.1)),
-                            epochs=int(hp.get("epochs", 30)), seed=spec.seed)
-        params = fit_linear_svr(ds.rows, y, cfg)
-    elif spec.family == "knn":
-        params = fit_knn(ds, k=int(hp.get("k", 5)),
-                         weighting=hp.get("weighting", WEIGHT_UNIFORM), task=spec.task)
-    elif spec.family == "gaussian_nb":
-        params = fit_gnb(ds)
-    else:  # unreachable, __post_init__ validates
-        raise ModelSpecError(f"unknown model family {spec.family!r}")
-
+    params = FAMILIES[spec.family].fit(spec, ds, y, _resolve(spec))
     return TrainedModel(spec=spec, params=params, fingerprint=_fingerprint(ds))
 
 
 def _predict_matrix(model: TrainedModel, X: np.ndarray) -> np.ndarray:
-    X = np.ascontiguousarray(X, dtype=np.float64)
-    p = model.params
-    fam = model.spec.family
-    if fam == "cart":
-        vals = p.predict_value(X)
-        if model.spec.task == TASK_CLASSIFICATION:
-            return np.argmax(vals, axis=1).astype(np.int64)
-        return vals
-    if fam in ("random_forest", "gbt"):
-        return p.predict(X)
-    if fam in ("ols", "ridge", "lasso", "logistic", "linear_svm", "linear_svr"):
-        return p.predict(X)
-    if fam == "knn":
-        out = predict_knn_batch(p, X)
-        return out[0] if model.spec.task == TASK_CLASSIFICATION else out
-    if fam == "gaussian_nb":
-        return predict_gnb_batch(p, X)
-    raise ModelSpecError(f"unknown model family {fam!r}")
+    return FAMILIES[model.spec.family].predict(
+        model.params, np.ascontiguousarray(X, dtype=np.float64))
 
 
 def _proba_matrix(model: TrainedModel, X: np.ndarray) -> np.ndarray:
-    X = np.ascontiguousarray(X, dtype=np.float64)
-    p = model.params
-    fam = model.spec.family
-
-    def _pick(mat: np.ndarray) -> np.ndarray:
-        if mat.shape[1] < 2:
-            return np.zeros(mat.shape[0])
-        return mat[:, 1]
-
-    if fam == "cart":
-        return _pick(p.predict_value(X))
-    if fam in ("random_forest", "gbt", "logistic"):
-        return _pick(p.predict_proba(X))
-    if fam == "linear_svm":
-        margin = p.decision_function(X)
-        return 1.0 / (1.0 + np.exp(-np.clip(margin, -500, 500)))
-    if fam == "knn":
-        return _pick(predict_knn_batch(p, X)[1])
-    if fam == "gaussian_nb":
-        return _pick(gnb_proba(p, X))
-    raise ContractError(f"family {fam!r} does not produce probabilities")
+    return FAMILIES[model.spec.family].proba(
+        model.params, np.ascontiguousarray(X, dtype=np.float64))
 
 
 def predict(model: TrainedModel, ds: Dataset) -> np.ndarray:
@@ -287,106 +288,44 @@ def scalar_output(model: TrainedModel):
 
 # ---------------------------------------------------------------------------
 # Persistence: versioned JSON, exact float round-trip via repr semantics.
+# Parameters are written as their dataclass fields and read back by the
+# field annotations.
 # ---------------------------------------------------------------------------
 
 
-def _arr(a: np.ndarray) -> list:
-    return np.asarray(a).tolist()
+def _encode(value):
+    if is_dataclass(value):
+        return {f.name: _encode(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, (np.ndarray, np.generic)):
+        return value.tolist()
+    if isinstance(value, (tuple, list)):
+        return [_encode(v) for v in value]
+    return value
 
 
-def _flat_tree_payload(t: FlatTree) -> dict:
-    return {
-        "feature": _arr(t.feature), "threshold": _arr(t.threshold),
-        "left": _arr(t.left), "right": _arr(t.right),
-        "leaf_value": _arr(t.leaf_value), "n_samples": _arr(t.n_samples),
-        "task": t.task,
-    }
+def _decode(kind, value):
+    if is_dataclass(kind):
+        hints = typing.get_type_hints(kind)
+        return kind(**{f.name: _decode(hints[f.name], value[f.name]) for f in fields(kind)})
+    if kind is np.ndarray:
+        arr = np.asarray(value)
+        return arr.astype(np.int64 if arr.dtype.kind in "iu" else np.float64)
+    if typing.get_origin(kind) is tuple:
+        return tuple(_decode(typing.get_args(kind)[0], v) for v in value)
+    if kind in (tuple, int, float, bool):
+        return kind(value)
+    return value
 
 
-def _flat_tree_restore(d: dict) -> FlatTree:
-    leaf = np.asarray(d["leaf_value"], dtype=np.float64)
-    return FlatTree(
-        feature=np.asarray(d["feature"], dtype=np.int64),
-        threshold=np.asarray(d["threshold"], dtype=np.float64),
-        left=np.asarray(d["left"], dtype=np.int64),
-        right=np.asarray(d["right"], dtype=np.int64),
-        leaf_value=leaf,
-        n_samples=np.asarray(d["n_samples"], dtype=np.int64),
-        task=d["task"],
-    )
+def _save_params(model: TrainedModel) -> dict:
+    key = FAMILIES[model.spec.family].payload_key
+    payload = _encode(model.params)
+    return {key: payload} if key else payload
 
 
-def _linear_payload(m: LinearModel) -> dict:
-    return {"weights": _arr(m.weights), "intercept": m.intercept, "family": m.family,
-            "converged": bool(m.converged), "rank_deficient": bool(m.rank_deficient),
-            "n_iter": m.n_iter, "objective_trace": list(m.objective_trace)}
-
-
-def _linear_restore(d: dict) -> LinearModel:
-    return LinearModel(weights=np.asarray(d["weights"], dtype=np.float64),
-                       intercept=float(d["intercept"]), family=d["family"],
-                       converged=bool(d["converged"]),
-                       rank_deficient=bool(d["rank_deficient"]),
-                       n_iter=int(d["n_iter"]),
-                       objective_trace=tuple(d["objective_trace"]))
-
-
-def _params_payload(model: TrainedModel) -> dict:
-    p = model.params
-    fam = model.spec.family
-    if fam == "cart":
-        return {"tree": _flat_tree_payload(p)}
-    if fam == "random_forest":
-        return {"trees": [_flat_tree_payload(t) for t in p.trees], "task": p.task,
-                "n_classes": p.n_classes,
-                "config": {"n_trees": p.config.n_trees, "bootstrap": p.config.bootstrap,
-                           "feature_subsample": p.config.feature_subsample,
-                           "seed": p.config.seed,
-                           "cart": asdict(p.config.cart)}}
-    if fam == "gbt":
-        return {"base_score": p.base_score, "trees": [_flat_tree_payload(t) for t in p.trees],
-                "train_losses": list(p.train_losses), "config": asdict(p.config)}
-    if fam in ("ols", "ridge", "lasso", "logistic", "linear_svm", "linear_svr"):
-        return _linear_payload(p)
-    if fam == "knn":
-        return {"X": _arr(p.X), "y": _arr(p.y), "k": p.k, "weighting": p.weighting,
-                "task": p.task, "n_classes": p.n_classes}
-    if fam == "gaussian_nb":
-        return {"priors": _arr(p.priors), "means": _arr(p.means),
-                "variances": _arr(p.variances), "floor": p.floor}
-    raise ModelSpecError(f"unknown model family {fam!r}")
-
-
-def _params_restore(fam: str, task: str, d: dict) -> object:
-    if fam == "cart":
-        return _flat_tree_restore(d["tree"])
-    if fam == "random_forest":
-        cfg = d["config"]
-        return Forest(trees=tuple(_flat_tree_restore(t) for t in d["trees"]),
-                      task=d["task"], n_classes=int(d["n_classes"]),
-                      config=ForestConfig(n_trees=cfg["n_trees"], bootstrap=cfg["bootstrap"],
-                                          feature_subsample=cfg["feature_subsample"],
-                                          seed=cfg["seed"], cart=CartConfig(**cfg["cart"])))
-    if fam == "gbt":
-        return GbtModel(base_score=float(d["base_score"]),
-                        trees=tuple(_flat_tree_restore(t) for t in d["trees"]),
-                        config=GbtConfig(**d["config"]),
-                        train_losses=tuple(d["train_losses"]))
-    if fam in ("ols", "ridge", "lasso", "logistic", "linear_svm", "linear_svr"):
-        return _linear_restore(d)
-    if fam == "knn":
-        return KnnModel(X=np.asarray(d["X"], dtype=np.float64),
-                        y=np.asarray(d["y"],
-                                     dtype=np.int64 if d["task"] == TASK_CLASSIFICATION
-                                     else np.float64),
-                        k=int(d["k"]), weighting=d["weighting"], task=d["task"],
-                        n_classes=int(d["n_classes"]))
-    if fam == "gaussian_nb":
-        return GaussianNbModel(priors=np.asarray(d["priors"], dtype=np.float64),
-                               means=np.asarray(d["means"], dtype=np.float64),
-                               variances=np.asarray(d["variances"], dtype=np.float64),
-                               floor=float(d["floor"]))
-    raise ModelLoadError(f"unknown model family {fam!r}")
+def _load_params(family: str, payload: dict):
+    fam = FAMILIES[family]
+    return _decode(fam.params_type, payload[fam.payload_key] if fam.payload_key else payload)
 
 
 def save_model(model: TrainedModel) -> bytes:
@@ -396,7 +335,7 @@ def save_model(model: TrainedModel) -> bytes:
         "spec": {"family": model.spec.family, "task": model.spec.task,
                  "hyperparams": model.spec.hyperparams, "seed": model.spec.seed},
         "fingerprint": model.fingerprint,
-        "params": _params_payload(model),
+        "params": _save_params(model),
     }
     return json.dumps(doc, sort_keys=True).encode()
 
@@ -415,7 +354,7 @@ def load_model(payload: bytes) -> TrainedModel:
         spec = EstimatorSpec(family=s["family"], task=s["task"],
                              hyperparams=dict(s.get("hyperparams", {})),
                              seed=int(s.get("seed", 0)))
-        params = _params_restore(spec.family, spec.task, doc["params"])
+        params = _load_params(spec.family, doc["params"])
         fingerprint = dict(doc["fingerprint"])
     except (KeyError, TypeError, ValueError, ModelSpecError) as exc:
         raise ModelLoadError(f"malformed model payload: {exc}") from None

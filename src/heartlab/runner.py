@@ -24,6 +24,7 @@ import io
 import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from itertools import groupby
 from pathlib import Path
 
 import numpy as np
@@ -596,25 +597,32 @@ def _write_explanations(explanations: dict, tracks: dict, out_dir: Path) -> None
 def compare_models(bundle: ReportBundle) -> list:
     """Ranked rows per (track, task): classification by accuracy then MCC,
     regression by R2 then mean squared error; names break ties."""
-    groups: dict = {}
-    for (track_name, name), r in bundle.results.items():
-        groups.setdefault((track_name, r.spec.task), []).append(r)
+    return _rank((track_name, r.spec.task, name, r.metrics)
+                 for (track_name, name), r in bundle.results.items())
+
+
+def _ranking(task: str) -> tuple:
+    """(metric, sign) pairs that order one task's models, best first: the
+    sort key is sign * value, and a missing value sorts last."""
+    if task == TASK_CLASSIFICATION:
+        return (("accuracy", -1.0), ("mcc", -1.0))
+    return (("r2", -1.0), ("mse", 1.0))
+
+
+def _rank(rows) -> list:
+    """Rank (track, task, model name, metrics) rows within each (track, task)
+    group, groups in sorted order, as compare_models describes. The CLI's
+    report ranks metrics.csv rows with it too."""
+    def order(row):
+        track_name, task, name, metrics = row
+        return (track_name, task,
+                *(float("inf") if metrics.get(k) is None else sign * metrics[k]
+                  for k, sign in _ranking(task)),
+                name)
+
     table = []
-    low = float("-inf")
-    for (track_name, task) in sorted(groups):
-        rs = groups[(track_name, task)]
-        if task == TASK_CLASSIFICATION:
-            rs.sort(key=lambda r: (-(r.metrics["accuracy"] if r.metrics["accuracy"] is not None else low),
-                                   -(r.metrics["mcc"] if r.metrics["mcc"] is not None else low),
-                                   r.name))
-            keys = ("accuracy", "mcc")
-        else:
-            rs.sort(key=lambda r: (-(r.metrics["r2"] if r.metrics["r2"] is not None else low),
-                                   (r.metrics["mse"] if r.metrics["mse"] is not None else float("inf")),
-                                   r.name))
-            keys = ("r2", "mse")
-        for rank, r in enumerate(rs, start=1):
-            table.append({"track": track_name, "task": task, "rank": rank,
-                          "model": r.name,
-                          **{k: r.metrics[k] for k in keys}})
+    for (track_name, task), group in groupby(sorted(rows, key=order), key=lambda r: r[:2]):
+        for rank, (_, _, name, metrics) in enumerate(group, start=1):
+            table.append({"track": track_name, "task": task, "rank": rank, "model": name,
+                          **{k: metrics.get(k) for k, _ in _ranking(task)}})
     return table

@@ -43,133 +43,12 @@ class CartConfig:
                 raise ConfigError("feature_subsample must be a positive count or 'all'")
 
 
-@dataclass
-class TreeNode:
-    """Internal node (feature_index/threshold/left/right) or leaf (value).
-
-    Leaf value is the class-proportion vector for classification and the
-    mean target for regression; n_samples is the training rows routed here.
-    """
-
-    n_samples: int
-    feature_index: int = -1
-    threshold: float = 0.0
-    left: "TreeNode | None" = None
-    right: "TreeNode | None" = None
-    value: object = None
-    gain: float = 0.0
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.feature_index < 0
-
-
-def gini(counts) -> float:
-    """1 - sum(p_c^2) impurity of a count vector."""
-    counts = np.asarray(counts, dtype=np.float64)
-    if (counts < 0).any():
-        raise ContractError("class counts must be nonnegative")
-    total = counts.sum()
-    if total <= 0:
-        raise ContractError("gini of an empty count vector")
-    p = counts / total
-    return float(1.0 - np.sum(p * p))
-
-
-def _leaf(y, idx, task, n_classes) -> TreeNode:
-    if task == TASK_CLASSIFICATION:
-        counts = np.bincount(y[idx], minlength=n_classes)
-        value = counts / idx.size
-    else:
-        value = float(y[idx].mean())
-    return TreeNode(n_samples=int(idx.size), value=value)
-
-
-def _grow(X, y, idx, depth, config, task, n_classes, rng, n_features):
-    n = idx.size
-    if (
-        depth >= config.max_depth
-        or n < config.min_samples_split
-        or n < 2 * config.min_samples_leaf
-        or np.all(y[idx] == y[idx[0]])
-    ):
-        return _leaf(y, idx, task, n_classes)
-
-    if config.feature_subsample == "all" or int(config.feature_subsample) >= n_features:
-        feats = np.arange(n_features, dtype=np.int64)
-    else:
-        feats = np.sort(rng.choice(n_features, size=int(config.feature_subsample),
-                                   replace=False)).astype(np.int64)
-
-    if task == TASK_CLASSIFICATION:
-        f, thr, gain = _kernels.split_classification(
-            X, y, idx, feats, n_classes, config.min_samples_leaf)
-    else:
-        f, thr, gain = _kernels.split_regression(
-            X, y, idx, feats, config.min_samples_leaf)
-    if f < 0 or gain <= 0.0:
-        return _leaf(y, idx, task, n_classes)
-
-    mask = X[idx, f] <= thr
-    left_idx = idx[mask]
-    right_idx = idx[~mask]
-    node = TreeNode(n_samples=int(n), feature_index=int(f), threshold=float(thr),
-                    gain=float(gain))
-    node.left = _grow(X, y, left_idx, depth + 1, config, task, n_classes, rng, n_features)
-    node.right = _grow(X, y, right_idx, depth + 1, config, task, n_classes, rng, n_features)
-    return node
-
-
-def fit_cart_matrix(X: np.ndarray, y: np.ndarray, config: CartConfig, task: str,
-                    rng: np.random.Generator | None = None,
-                    n_classes: int | None = None) -> TreeNode:
-    """Array-level fit used by the ensembles; fit_cart wraps it for Datasets."""
-    if X.shape[0] == 0:
-        raise FitError("cannot fit a tree on empty data")
-    if task not in (TASK_CLASSIFICATION, TASK_REGRESSION):
-        raise ConfigError(f"unknown task {task!r}")
-    if rng is None:
-        rng = np.random.default_rng(config.seed)
-    X = np.ascontiguousarray(X, dtype=np.float64)
-    if task == TASK_CLASSIFICATION:
-        y = np.ascontiguousarray(y, dtype=np.int64)
-        if n_classes is None:
-            n_classes = int(y.max()) + 1
-    else:
-        y = np.ascontiguousarray(y, dtype=np.float64)
-        n_classes = 0
-    idx = np.arange(X.shape[0], dtype=np.int64)
-    return _grow(X, y, idx, 0, config, task, n_classes, rng, X.shape[1])
-
-
-def fit_cart(ds: Dataset, config: CartConfig = CartConfig(),
-             task: str = TASK_CLASSIFICATION) -> TreeNode:
-    if task == TASK_CLASSIFICATION:
-        if ds.labels is None:
-            raise FitError("classification tree requires labels")
-        y = ds.labels
-    else:
-        if ds.targets is None:
-            raise FitError("regression tree requires targets")
-        y = ds.targets
-    return fit_cart_matrix(ds.rows, y, config, task)
-
-
-def predict_tree(tree: TreeNode, x) -> object:
-    """Route one row to its leaf; classification returns the majority class
-    (tie toward the lower code), regression the leaf mean."""
-    node = tree
-    x = np.asarray(x, dtype=np.float64)
-    while not node.is_leaf:
-        node = node.left if x[node.feature_index] <= node.threshold else node.right
-    if isinstance(node.value, np.ndarray):
-        return int(np.argmax(node.value))
-    return node.value
-
-
 @dataclass(frozen=True)
 class FlatTree:
-    """Array form of a fitted tree for batch routing through the kernels."""
+    """A fitted tree as node arrays in preorder (node, left subtree, right
+    subtree); node 0 is the root. Leaves have feature -1 and hold the
+    class-proportion vector (classification) or the mean target
+    (regression); n_samples counts the training rows routed to each node."""
 
     feature: np.ndarray   # int64, -1 at leaves
     threshold: np.ndarray
@@ -188,58 +67,107 @@ class FlatTree:
         """Leaf payload per row: proportion matrix or mean vector."""
         return self.leaf_value[self.route(X)]
 
+    def predict(self, X: np.ndarray) -> np.ndarray:
+        """Majority class per row (ties toward the lower code), or the leaf mean."""
+        vals = self.predict_value(X)
+        if self.task == TASK_CLASSIFICATION:
+            return np.argmax(vals, axis=1).astype(np.int64)
+        return vals
 
-def flatten_tree(root: TreeNode, task: str, n_classes: int = 0) -> FlatTree:
-    nodes: list[TreeNode] = []
 
-    def collect(node):
-        nodes.append(node)
-        if not node.is_leaf:
-            collect(node.left)
-            collect(node.right)
+def gini(counts) -> float:
+    """1 - sum(p_c^2) impurity of a count vector."""
+    counts = np.asarray(counts, dtype=np.float64)
+    if (counts < 0).any():
+        raise ContractError("class counts must be nonnegative")
+    total = counts.sum()
+    if total <= 0:
+        raise ContractError("gini of an empty count vector")
+    p = counts / total
+    return float(1.0 - np.sum(p * p))
 
-    collect(root)
-    n = len(nodes)
-    pos = {id(node): i for i, node in enumerate(nodes)}
-    feature = np.full(n, -1, dtype=np.int64)
-    threshold = np.zeros(n, dtype=np.float64)
-    left = np.zeros(n, dtype=np.int64)
-    right = np.zeros(n, dtype=np.int64)
-    count = np.zeros(n, dtype=np.int64)
-    if task == TASK_CLASSIFICATION:
-        leaf_value = np.zeros((n, n_classes), dtype=np.float64)
-    else:
-        leaf_value = np.zeros(n, dtype=np.float64)
-    for i, node in enumerate(nodes):
-        count[i] = node.n_samples
-        if node.is_leaf:
-            leaf_value[i] = node.value
+
+def _grow(X, y, idx, depth, config, task, n_classes, rng, n_features, nodes) -> int:
+    """Append the subtree over rows idx to nodes in preorder and return the
+    position of its root. Each node is [feature, threshold, left, right,
+    leaf value, n_samples]."""
+    n = idx.size
+    pos = len(nodes)
+    f, gain = -1, 0.0
+    if not (
+        depth >= config.max_depth
+        or n < config.min_samples_split
+        or n < 2 * config.min_samples_leaf
+        or np.all(y[idx] == y[idx[0]])
+    ):
+        if config.feature_subsample == "all" or int(config.feature_subsample) >= n_features:
+            feats = np.arange(n_features, dtype=np.int64)
         else:
-            feature[i] = node.feature_index
-            threshold[i] = node.threshold
-            left[i] = pos[id(node.left)]
-            right[i] = pos[id(node.right)]
-    return FlatTree(feature=feature, threshold=threshold, left=left, right=right,
-                    leaf_value=leaf_value, n_samples=count, task=task)
+            feats = np.sort(rng.choice(n_features, size=int(config.feature_subsample),
+                                       replace=False)).astype(np.int64)
+        if task == TASK_CLASSIFICATION:
+            f, thr, gain = _kernels.split_classification(
+                X, y, idx, feats, n_classes, config.min_samples_leaf)
+        else:
+            f, thr, gain = _kernels.split_regression(
+                X, y, idx, feats, config.min_samples_leaf)
+
+    if f < 0 or gain <= 0.0:
+        if task == TASK_CLASSIFICATION:
+            value = np.bincount(y[idx], minlength=n_classes) / n
+        else:
+            value = float(y[idx].mean())
+        nodes.append([-1, 0.0, 0, 0, value, n])
+        return pos
+
+    mask = X[idx, f] <= thr
+    node = [int(f), float(thr), pos + 1, 0,
+            np.zeros(n_classes) if task == TASK_CLASSIFICATION else 0.0, n]
+    nodes.append(node)
+    _grow(X, y, idx[mask], depth + 1, config, task, n_classes, rng, n_features, nodes)
+    node[3] = _grow(X, y, idx[~mask], depth + 1, config, task, n_classes, rng,
+                    n_features, nodes)
+    return pos
 
 
-def predict_batch(root: TreeNode, X: np.ndarray, task: str,
-                  n_classes: int = 0) -> np.ndarray:
-    """Vectorized prediction over rows; labels (classification) or means."""
-    flat = flatten_tree(root, task, n_classes)
-    vals = flat.predict_value(X)
+def fit_cart_matrix(X: np.ndarray, y: np.ndarray, config: CartConfig, task: str,
+                    rng: np.random.Generator | None = None,
+                    n_classes: int | None = None) -> FlatTree:
+    """Array-level fit used by the ensembles; fit_cart wraps it for Datasets."""
+    if X.shape[0] == 0:
+        raise FitError("cannot fit a tree on empty data")
+    if task not in (TASK_CLASSIFICATION, TASK_REGRESSION):
+        raise ConfigError(f"unknown task {task!r}")
+    if rng is None:
+        rng = np.random.default_rng(config.seed)
+    X = np.ascontiguousarray(X, dtype=np.float64)
     if task == TASK_CLASSIFICATION:
-        return np.argmax(vals, axis=1).astype(np.int64)
-    return vals
+        y = np.ascontiguousarray(y, dtype=np.int64)
+        if n_classes is None:
+            n_classes = int(y.max()) + 1
+    else:
+        y = np.ascontiguousarray(y, dtype=np.float64)
+        n_classes = 0
+    nodes: list = []
+    _grow(X, y, np.arange(X.shape[0], dtype=np.int64), 0, config, task, n_classes,
+          rng, X.shape[1], nodes)
+    feature, threshold, left, right, leaf_value, n_samples = zip(*nodes)
+    return FlatTree(feature=np.array(feature, dtype=np.int64),
+                    threshold=np.array(threshold, dtype=np.float64),
+                    left=np.array(left, dtype=np.int64),
+                    right=np.array(right, dtype=np.int64),
+                    leaf_value=np.array(leaf_value, dtype=np.float64),
+                    n_samples=np.array(n_samples, dtype=np.int64), task=task)
 
 
-def leaf_count(root: TreeNode) -> int:
-    if root.is_leaf:
-        return 1
-    return leaf_count(root.left) + leaf_count(root.right)
-
-
-def tree_depth(root: TreeNode) -> int:
-    if root.is_leaf:
-        return 0
-    return 1 + max(tree_depth(root.left), tree_depth(root.right))
+def fit_cart(ds: Dataset, config: CartConfig = CartConfig(),
+             task: str = TASK_CLASSIFICATION) -> FlatTree:
+    if task == TASK_CLASSIFICATION:
+        if ds.labels is None:
+            raise FitError("classification tree requires labels")
+        y = ds.labels
+    else:
+        if ds.targets is None:
+            raise FitError("regression tree requires targets")
+        y = ds.targets
+    return fit_cart_matrix(ds.rows, y, config, task)

@@ -11,6 +11,7 @@ from heartlab.data import (
     ROLE_FEATURE,
     ROLE_REGRESSION_TARGET,
 )
+from heartlab.trees import TASK_CLASSIFICATION
 
 
 def make_ds(rows, labels=None, targets=None, kinds=None, names=None):
@@ -34,6 +35,24 @@ def make_ds(rows, labels=None, targets=None, kinds=None, names=None):
     return Dataset(schema=list(cols), rows=rows, labels=labels, targets=targets)
 
 
+def tree_leaf(tree, x) -> int:
+    """Node position of the leaf that one row reaches, walking the node
+    arrays in Python: x[feature] <= threshold goes left."""
+    x = np.asarray(x, dtype=np.float64)
+    i = 0
+    while tree.feature[i] >= 0:
+        i = tree.left[i] if x[tree.feature[i]] <= tree.threshold[i] else tree.right[i]
+    return int(i)
+
+
+def tree_predict_row(tree, x):
+    """Majority class of one row's leaf (ties to the lower code), or its mean."""
+    value = tree.leaf_value[tree_leaf(tree, x)]
+    if tree.task == TASK_CLASSIFICATION:
+        return int(np.argmax(value))
+    return float(value)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
@@ -50,5 +69,5 @@ def two_blob_ds():
     return make_ds(rows, labels=labels)
 
 
-__all__ = ["make_ds", "KIND_CATEGORICAL", "KIND_CONTINUOUS", "KIND_BINARY",
+__all__ = ["make_ds", "tree_leaf", "tree_predict_row", "KIND_CATEGORICAL", "KIND_CONTINUOUS", "KIND_BINARY",
            "ROLE_FEATURE", "ROLE_CLASS_LABEL", "ROLE_REGRESSION_TARGET"]

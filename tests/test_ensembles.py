@@ -17,10 +17,9 @@ from heartlab.trees import (
     TASK_CLASSIFICATION,
     TASK_REGRESSION,
     fit_cart,
-    predict_tree,
 )
 
-from conftest import make_ds
+from conftest import make_ds, tree_predict_row
 
 
 # -- random forest -----------------------------------------------------------
@@ -31,7 +30,7 @@ def test_degenerate_forest_equals_single_cart(two_blob_ds):
                        cart=CartConfig(max_depth=5))
     forest = fit_random_forest(two_blob_ds, cfg, TASK_CLASSIFICATION)
     tree = fit_cart(two_blob_ds, CartConfig(max_depth=5), TASK_CLASSIFICATION)
-    want = np.array([predict_tree(tree, r) for r in two_blob_ds.rows])
+    want = np.array([tree_predict_row(tree, r) for r in two_blob_ds.rows])
     got = forest.predict(two_blob_ds.rows)
     assert np.array_equal(got, want)
 
@@ -236,5 +235,8 @@ def test_gbt_config_validation():
 def test_default_jobs_env(monkeypatch):
     monkeypatch.setenv("HEARTLAB_N_JOBS", "3")
     assert default_jobs() == 3
+    monkeypatch.setenv("HEARTLAB_N_JOBS", "abc")
+    with pytest.raises(ConfigError, match="HEARTLAB_N_JOBS"):
+        default_jobs()
     monkeypatch.delenv("HEARTLAB_N_JOBS")
     assert default_jobs() >= 1

@@ -80,6 +80,30 @@ def test_spec_rejects_unknown_hyperparam():
         EstimatorSpec("ols", TASK_REGRESSION, {"lam": 1.0})
 
 
+@pytest.mark.parametrize("family,task,key,value", [
+    ("cart", TASK_CLASSIFICATION, "max_depth", "deep"),
+    ("random_forest", TASK_REGRESSION, "n_trees", None),
+    ("gbt", TASK_CLASSIFICATION, "learning_rate", "fast"),
+    ("knn", TASK_REGRESSION, "k", [3]),
+    ("lasso", TASK_REGRESSION, "max_iter", float("inf")),
+])
+def test_spec_rejects_mistyped_hyperparam(family, task, key, value):
+    with pytest.raises(ModelSpecError, match=f"{key!r} for family {family!r}"):
+        EstimatorSpec(family, task, {key: value})
+
+
+def test_spec_keeps_coercible_hyperparams_as_given(two_blob_ds):
+    given = {"max_depth": "3", "min_samples_leaf": 2.0}
+    spec = EstimatorSpec("cart", TASK_CLASSIFICATION, given)
+    assert spec.hyperparams == given  # defaults and conversions are not written back
+    m = fit(spec, two_blob_ds)
+    typed = fit(EstimatorSpec("cart", TASK_CLASSIFICATION,
+                              {"max_depth": 3, "min_samples_leaf": 2}), two_blob_ds)
+    assert (json.loads(save_model(m))["params"]
+            == json.loads(save_model(typed))["params"])
+    assert json.loads(save_model(m))["spec"]["hyperparams"] == given
+
+
 def test_cart_separates_four_points():
     rows = np.array([[0.0, 0.5], [1.0, -0.5], [5.0, 0.5], [6.0, -0.5]])
     labels = np.array([0, 0, 1, 1])
@@ -211,6 +235,7 @@ def test_save_load_round_trip_all_families(two_blob_ds, reg_ds):
         m = fit(spec, ds)
         m2 = load_model(save_model(m))
         assert np.array_equal(predict(m, ds), predict(m2, ds)), spec.family
+        assert save_model(m2) == save_model(m), spec.family
         assert m2.spec == spec
         assert m2.fingerprint == m.fingerprint
         seen.add(spec.family)

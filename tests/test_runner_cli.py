@@ -399,6 +399,15 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert main(["report", str(tmp_path / "never-ran")]) == 2
 
 
+def test_cli_rejects_mistyped_hyperparam_before_fitting(tmp_path, capsys):
+    doc = _doc(tmp_path)
+    doc["models"][1]["hyperparams"] = {"max_depth": "deep"}
+    assert main(["run", str(_write_cfg(tmp_path, doc))]) == 2
+    err = capsys.readouterr().err
+    assert "'max_depth'" in err and "'cart'" in err
+    assert not (tmp_path / "out").exists()  # rejected while parsing the config
+
+
 def test_cli_seed_override(tmp_path):
     cfg_path = _write_cfg(tmp_path, _doc(tmp_path))
     assert main(["run", str(cfg_path), "--seed", "321"]) == 0

@@ -4,6 +4,7 @@ structural invariants (strict impurity decrease, leaf sizes, depth)."""
 import numpy as np
 import pytest
 
+from heartlab import _kernels
 from heartlab.errors import ConfigError, ContractError
 from heartlab.trees import (
     CartConfig,
@@ -11,15 +12,10 @@ from heartlab.trees import (
     TASK_REGRESSION,
     fit_cart,
     fit_cart_matrix,
-    flatten_tree,
     gini,
-    leaf_count,
-    predict_batch,
-    predict_tree,
-    tree_depth,
 )
 
-from conftest import make_ds
+from conftest import tree_leaf, tree_predict_row
 
 
 # -- oracle ------------------------------------------------------------------
@@ -41,6 +37,25 @@ def _var_of(ys):
         return 0.0
     m = sum(ys) / n
     return sum((v - m) ** 2 for v in ys) / n
+
+
+def _depths(tree):
+    """Depth of every node; preorder puts each parent before its children."""
+    depth = np.zeros(tree.feature.size, dtype=np.int64)
+    for i in np.flatnonzero(tree.feature >= 0):
+        depth[tree.left[i]] = depth[tree.right[i]] = depth[i] + 1
+    return depth
+
+
+def _node_rows(tree, X):
+    """Training rows that reach each node, routed from the root."""
+    rows = {0: np.arange(X.shape[0])}
+    for i in np.flatnonzero(tree.feature >= 0):
+        here = rows[i]
+        go_left = X[here, tree.feature[i]] <= tree.threshold[i]
+        rows[tree.left[i]] = here[go_left]
+        rows[tree.right[i]] = here[~go_left]
+    return rows
 
 
 def brute_best_split(X, y, n_classes=None, min_leaf=1):
@@ -80,11 +95,14 @@ def test_root_split_matches_exhaustive_search_classification(seed):
                            TASK_CLASSIFICATION, n_classes=3)
     f, thr, gain = brute_best_split(X, y, n_classes=3)
     if f < 0:
-        assert tree.is_leaf
+        assert tree.feature.tolist() == [-1]
     else:
-        assert tree.feature_index == f
-        assert tree.threshold == thr
-        assert abs(tree.gain - gain) < 1e-12
+        assert tree.feature[0] == f
+        assert tree.threshold[0] == thr
+        kf, kthr, kgain = _kernels.split_classification(
+            X, y, np.arange(n, dtype=np.int64), np.arange(4, dtype=np.int64), 3, 1)
+        assert (kf, kthr) == (f, thr)
+        assert abs(kgain - gain) < 1e-12
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -96,9 +114,12 @@ def test_root_split_matches_exhaustive_search_regression(seed):
     tree = fit_cart_matrix(np.ascontiguousarray(X), y, CartConfig(max_depth=1),
                            TASK_REGRESSION)
     f, thr, gain = brute_best_split(X, y, n_classes=None)
-    assert tree.feature_index == f
-    assert tree.threshold == thr
-    assert abs(tree.gain - gain) < 1e-10
+    assert tree.feature[0] == f
+    assert tree.threshold[0] == thr
+    kf, kthr, kgain = _kernels.split_regression(
+        X, y, np.arange(n, dtype=np.int64), np.arange(3, dtype=np.int64), 1)
+    assert (kf, kthr) == (f, thr)
+    assert abs(kgain - gain) < 1e-10
 
 
 def test_min_leaf_respected_in_split_choice(rng):
@@ -108,9 +129,9 @@ def test_min_leaf_respected_in_split_choice(rng):
                            TASK_CLASSIFICATION, n_classes=2)
     f, thr, gain = brute_best_split(X, y, n_classes=2, min_leaf=10)
     if f < 0:
-        assert tree.is_leaf
+        assert tree.feature.tolist() == [-1]
     else:
-        assert (tree.feature_index, tree.threshold) == (f, thr)
+        assert (tree.feature[0], tree.threshold[0]) == (f, thr)
 
 
 # -- pinned values -----------------------------------------------------------
@@ -128,11 +149,12 @@ def test_two_point_split_at_midpoint():
     X = np.ascontiguousarray([[0.0], [1.0]])
     y = np.array([0, 1], dtype=np.int64)
     tree = fit_cart_matrix(X, y, CartConfig(), TASK_CLASSIFICATION, n_classes=2)
-    assert tree.feature_index == 0
-    assert tree.threshold == 0.5
-    assert predict_tree(tree, np.array([0.2])) == 0
-    assert predict_tree(tree, np.array([0.8])) == 1
-    assert predict_tree(tree, np.array([0.5])) == 0  # boundary goes left
+    assert tree.feature.tolist() == [0, -1, -1]
+    assert tree.threshold[0] == 0.5
+    assert tree_predict_row(tree, np.array([0.2])) == 0
+    assert tree_predict_row(tree, np.array([0.8])) == 1
+    assert tree_predict_row(tree, np.array([0.5])) == 0  # boundary goes left
+    assert tree.predict(np.array([[0.2], [0.8], [0.5]])).tolist() == [0, 1, 0]
 
 
 def test_and_function_learned_exactly():
@@ -148,19 +170,12 @@ def test_and_function_learned_exactly():
     y = np.array(ys, dtype=np.int64)
     tree = fit_cart_matrix(X, y, CartConfig(max_depth=2), TASK_CLASSIFICATION,
                            n_classes=2)
-    pred = [predict_tree(tree, X[i]) for i in range(len(ys))]
+    pred = [tree_predict_row(tree, X[i]) for i in range(len(ys))]
     assert pred == ys
-    assert tree_depth(tree) == 2
+    assert _depths(tree).max() == 2
 
 
 # -- invariants --------------------------------------------------------------
-
-
-def _walk(node, visit):
-    visit(node)
-    if not node.is_leaf:
-        _walk(node.left, visit)
-        _walk(node.right, visit)
 
 
 def _grow_tree(seed, task, max_depth=6, min_leaf=2):
@@ -181,27 +196,36 @@ def _grow_tree(seed, task, max_depth=6, min_leaf=2):
 @pytest.mark.parametrize("task", [TASK_CLASSIFICATION, TASK_REGRESSION])
 def test_structural_invariants(task):
     tree, X, y = _grow_tree(42, task)
-    seen = []
-
-    def visit(n):
-        seen.append(n)
-        if not n.is_leaf:
-            assert n.gain > 0.0  # strict impurity decrease at every split
-            assert n.left.n_samples + n.right.n_samples == n.n_samples
-        else:
-            assert n.n_samples >= 2
-
-    _walk(tree, visit)
-    assert tree_depth(tree) <= 6
-    assert leaf_count(tree) == sum(1 for n in seen if n.is_leaf)
-    assert tree.n_samples == 120
+    if task == TASK_CLASSIFICATION:
+        impurity = lambda ys: _gini_of(list(ys), 2)
+    else:
+        impurity = lambda ys: _var_of(list(ys))
+    rows = _node_rows(tree, X)
+    assert sorted(rows) == list(range(tree.feature.size))  # every node reached once
+    for i in range(tree.feature.size):
+        assert tree.n_samples[i] == rows[i].size
+        if tree.feature[i] < 0:
+            assert tree.n_samples[i] >= 2
+            continue
+        left, right = tree.left[i], tree.right[i]
+        assert left == i + 1 and right > left  # preorder layout
+        assert tree.n_samples[left] + tree.n_samples[right] == tree.n_samples[i]
+        # strict impurity decrease at every split
+        child = (rows[left].size * impurity(y[rows[left]])
+                 + rows[right].size * impurity(y[rows[right]])) / rows[i].size
+        assert impurity(y[rows[i]]) - child > 0.0
+    n_leaves = int(np.sum(tree.feature < 0))
+    assert n_leaves == tree.feature.size - n_leaves + 1
+    assert _depths(tree).max() <= 6
+    assert tree.n_samples[0] == 120
 
 
 def test_pure_node_becomes_leaf():
     X = np.ascontiguousarray(np.random.default_rng(0).normal(size=(20, 2)))
     y = np.zeros(20, dtype=np.int64)
     tree = fit_cart_matrix(X, y, CartConfig(), TASK_CLASSIFICATION, n_classes=2)
-    assert tree.is_leaf
+    assert tree.feature.tolist() == [-1]
+    assert tree.leaf_value.tolist() == [[1.0, 0.0]]
 
 
 def test_monotone_transform_invariance():
@@ -210,7 +234,7 @@ def test_monotone_transform_invariance():
     tree_t = fit_cart_matrix(Xt, y, CartConfig(max_depth=6, min_samples_leaf=2),
                              TASK_CLASSIFICATION, n_classes=2)
     for i in range(X.shape[0]):
-        assert predict_tree(tree, X[i]) == predict_tree(tree_t, Xt[i])
+        assert tree_predict_row(tree, X[i]) == tree_predict_row(tree_t, Xt[i])
 
 
 def test_affine_scaling_invariance():
@@ -221,37 +245,36 @@ def test_affine_scaling_invariance():
     tree_s = fit_cart_matrix(Xs, y, CartConfig(max_depth=6, min_samples_leaf=2),
                              TASK_REGRESSION)
     for i in range(X.shape[0]):
-        a = predict_tree(tree, X[i])
-        b = predict_tree(tree_s, Xs[i])
+        a = tree_predict_row(tree, X[i])
+        b = tree_predict_row(tree_s, Xs[i])
         assert abs(a - b) < 1e-9
 
 
-# -- flattened form ----------------------------------------------------------
+# -- batch routing ------------------------------------------------------------
 
 
 @pytest.mark.parametrize("task", [TASK_CLASSIFICATION, TASK_REGRESSION])
 def test_flat_tree_equals_recursive(task):
     tree, X, y = _grow_tree(9, task)
-    n_classes = 2 if task == TASK_CLASSIFICATION else 0
-    flat = flatten_tree(tree, task, n_classes=n_classes)
     g = np.random.default_rng(1)
     Q = np.ascontiguousarray(g.normal(size=(300, 5)))
-    got = predict_batch(tree, Q, task, n_classes=n_classes)
-    want = np.array([predict_tree(tree, Q[i]) for i in range(300)])
+    got = tree.predict(Q)
+    want = np.array([tree_predict_row(tree, Q[i]) for i in range(300)])
+    vals = tree.predict_value(Q)
     if task == TASK_CLASSIFICATION:
-        assert np.array_equal(got.astype(np.int64), want.astype(np.int64))
-        # flat leaf values are the class-proportion vectors
-        vals = flat.predict_value(Q)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, want.astype(np.int64))
+        # leaf values are the class-proportion vectors
         assert vals.shape == (300, 2)
         assert np.allclose(vals.sum(axis=1), 1.0, atol=1e-12)
         assert np.array_equal(np.argmax(vals, axis=1), got)
     else:
-        vals = flat.predict_value(Q)
         assert np.array_equal(vals, got)
-        assert np.allclose(got, want, atol=0)
-    # routed leaves are real leaves
-    slots = flat.route(Q)
-    assert np.all(flat.feature[slots] == -1)
+        assert np.array_equal(got, want)
+    # the kernel reaches the same leaves as the Python walk, and they are leaves
+    slots = tree.route(Q)
+    assert slots.tolist() == [tree_leaf(tree, Q[i]) for i in range(300)]
+    assert np.all(tree.feature[slots] == -1)
 
 
 # -- dataset front end and config --------------------------------------------
@@ -260,7 +283,7 @@ def test_flat_tree_equals_recursive(task):
 def test_fit_cart_from_dataset(two_blob_ds):
     tree = fit_cart(two_blob_ds, CartConfig(max_depth=4), TASK_CLASSIFICATION)
     right = sum(
-        predict_tree(tree, two_blob_ds.rows[i]) == two_blob_ds.labels[i]
+        tree_predict_row(tree, two_blob_ds.rows[i]) == two_blob_ds.labels[i]
         for i in range(two_blob_ds.n_rows))
     assert right >= 118  # blobs are separable
 
@@ -270,7 +293,7 @@ def test_feature_subsample_deterministic(two_blob_ds):
     t1 = fit_cart(two_blob_ds, cfg, TASK_CLASSIFICATION)
     t2 = fit_cart(two_blob_ds, cfg, TASK_CLASSIFICATION)
     q = two_blob_ds.rows
-    assert all(predict_tree(t1, q[i]) == predict_tree(t2, q[i])
+    assert all(tree_predict_row(t1, q[i]) == tree_predict_row(t2, q[i])
                for i in range(len(q)))
 
 
@@ -293,5 +316,5 @@ def test_n_classes_inferred_from_labels(rng):
     implicit = fit_cart_matrix(X, y, CartConfig(max_depth=3), TASK_CLASSIFICATION)
     explicit = fit_cart_matrix(X, y, CartConfig(max_depth=3), TASK_CLASSIFICATION,
                                n_classes=2)
-    assert all(predict_tree(implicit, X[i]) == predict_tree(explicit, X[i])
+    assert all(tree_predict_row(implicit, X[i]) == tree_predict_row(explicit, X[i])
                for i in range(40))
