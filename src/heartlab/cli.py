@@ -19,8 +19,7 @@ from .errors import ConfigError, HeartlabError
 from .models import _check_fingerprint, load_model, save_model
 from .runner import (
     METRIC_FIELDS,
-    TRACK_REAL,
-    TRACK_SYNTHETIC,
+    _explain_tracks,
     _rank,
     _run_explain,
     _write_explanations,
@@ -107,9 +106,7 @@ def _cmd_explain(args) -> int:
     # model names: the requests only specify where and what to explain.
     stem = Path(args.model_file).stem
     explanations: dict = {}
-    for req in cfg.explain:
-        default_track = TRACK_SYNTHETIC if cfg.smote is not None else TRACK_REAL
-        track = req.track or default_track
+    for req, track in _explain_tracks(cfg, tracks):
         _check_fingerprint(model, tracks[track].test)
         got = _run_explain(cfg, req, model, tracks[track])
         slot = explanations.setdefault((track, stem, req.method), {"rows": {}})

@@ -2,11 +2,14 @@
 interventional coalition value, and LIME local linear surrogates.
 
 The coalition value v(S) is the mean model output over a background set
-with the explained row's values spliced in on S. Exact mode enumerates
-all 2^M subsets with memoized values; sampled mode averages marginal
-contributions over antithetic permutation pairs and distributes the
-(tiny) efficiency residual uniformly. Models are passed either as a
-TrainedModel or as any callable mapping a row matrix to a real vector.
+with the explained row's values spliced in on S. One coalition table
+computes v for both SHAP modes, from one boolean membership row per
+coalition, running the model on at most _BLOCK_ROWS spliced rows a call.
+Exact mode tables all 2^M subsets; sampled mode averages marginal
+contributions over antithetic permutation pairs, tabling each distinct
+coalition of their chains once, and distributes the (tiny) efficiency
+residual uniformly. Models are passed either as a TrainedModel or as any
+callable mapping a row matrix to a real vector.
 """
 
 from __future__ import annotations
@@ -44,6 +47,11 @@ class Attribution:
     standard_errors: np.ndarray | None = None
 
 
+# Most background-expanded rows per model call in _coalition_table; this
+# bounds the spliced matrix to _BLOCK_ROWS * M floats for any M and mode.
+_BLOCK_ROWS = 1 << 14
+
+
 def _as_fn(model):
     if isinstance(model, TrainedModel):
         return scalar_output(model)
@@ -66,42 +74,39 @@ def sample_background(rows: np.ndarray, size: int = 32, seed: int = 0) -> np.nda
     return rows[take]
 
 
-def coalition_value(model, x, S, background) -> float:
-    """Mean model output over background rows with x's values on S."""
-    fn = _as_fn(model)
+def _inputs(model, x, background):
+    """The model as a row-matrix function; x and a non-empty background as floats."""
     background = np.asarray(background, dtype=np.float64)
     if background.ndim != 2 or background.shape[0] == 0:
         raise ConfigError("background must be a non-empty row matrix")
-    x = np.asarray(x, dtype=np.float64)
-    z = background.copy()
-    S = np.asarray(list(S), dtype=np.int64)
-    if S.size:
-        z[:, S] = x[S]
-    return float(np.mean(fn(z)))
+    return _as_fn(model), np.asarray(x, dtype=np.float64), background
 
 
-def _coalition_table(fn, x, background, masks: np.ndarray, M: int) -> np.ndarray:
-    """v(mask) for every bitmask in one batched model call."""
+def coalition_value(model, x, S, background) -> float:
+    """Mean model output over background rows with x's values on S."""
+    fn, x, background = _inputs(model, x, background)
+    member = np.zeros((1, x.size), dtype=bool)
+    member[0, list(S)] = True
+    return float(_coalition_table(fn, x, background, member)[0])
+
+
+def _coalition_table(fn, x, background, member: np.ndarray) -> np.ndarray:
+    """v(S) for each row S of a (k, M) boolean membership matrix. Row r of
+    the k * bg spliced rows is background row r % bg with x's values on
+    coalition r // bg; the model sees them in calls of at most _BLOCK_ROWS
+    rows, and each coalition's outputs are averaged over the background."""
     bg = background.shape[0]
-    blocks = np.empty((masks.size, bg, M), dtype=np.float64)
-    for i, mask in enumerate(masks):
-        z = background.copy()
-        for j in range(M):
-            if mask >> j & 1:
-                z[:, j] = x[j]
-        blocks[i] = z
-    flat = fn(blocks.reshape(masks.size * bg, M))
-    return flat.reshape(masks.size, bg).mean(axis=1)
+    out = np.empty(member.shape[0] * bg)
+    for start in range(0, out.size, _BLOCK_ROWS):
+        rows = np.arange(start, min(start + _BLOCK_ROWS, out.size))
+        out[rows] = fn(np.where(member[rows // bg], x, background[rows % bg]))
+    return out.reshape(member.shape[0], bg).mean(axis=1)
 
 
 def shap_exact(model, x, background, config: ShapConfig = ShapConfig()) -> Attribution:
     """Full 2^M subset enumeration of phi_j = sum_S w(|S|) (v(S+j) - v(S))
     with w(s) = s!(M-1-s)!/M!."""
-    fn = _as_fn(model)
-    x = np.asarray(x, dtype=np.float64)
-    background = np.asarray(background, dtype=np.float64)
-    if background.ndim != 2 or background.shape[0] == 0:
-        raise ConfigError("background must be a non-empty row matrix")
+    fn, x, background = _inputs(model, x, background)
     M = x.size
     if M > config.exact_feature_cap:
         raise ConfigError(
@@ -109,17 +114,17 @@ def shap_exact(model, x, background, config: ShapConfig = ShapConfig()) -> Attri
             "use sampled mode or raise exact_feature_cap")
 
     masks = np.arange(1 << M, dtype=np.int64)
-    v = _coalition_table(fn, x, background, masks, M)
+    member = ((masks[:, None] >> np.arange(M)) & 1).astype(bool)
+    v = _coalition_table(fn, x, background, member)
 
     fact = [math.factorial(i) for i in range(M + 1)]
     wgt = np.array([fact[s] * fact[M - 1 - s] / fact[M] for s in range(M)])
-    sizes = np.array([int(m).bit_count() for m in masks])
+    sizes = member.sum(axis=1)
 
     phi = np.zeros(M)
     for j in range(M):
-        bit = 1 << j
-        without = masks[(masks & bit) == 0]
-        phi[j] = float(np.sum(wgt[sizes[without]] * (v[without | bit] - v[without])))
+        without = masks[~member[:, j]]
+        phi[j] = float(np.sum(wgt[sizes[without]] * (v[without | 1 << j] - v[without])))
     return Attribution(phi=phi, base_value=float(v[0]), fx=float(v[-1]), mode="exact")
 
 
@@ -127,13 +132,8 @@ def shap_sampled(model, x, background, config: ShapConfig = ShapConfig(mode="sam
     """Antithetic permutation sampling of marginal contributions; the
     efficiency residual is spread uniformly and per-feature standard
     errors are reported."""
-    fn = _as_fn(model)
-    x = np.asarray(x, dtype=np.float64)
-    background = np.asarray(background, dtype=np.float64)
-    if background.ndim != 2 or background.shape[0] == 0:
-        raise ConfigError("background must be a non-empty row matrix")
+    fn, x, background = _inputs(model, x, background)
     M = x.size
-    bg = background.shape[0]
     n_perm = config.n_permutations
 
     perms = []
@@ -145,23 +145,16 @@ def shap_sampled(model, x, background, config: ShapConfig = ShapConfig(mode="sam
         if len(perms) < n_perm:
             perms.append(p[::-1].copy())
         pair += 1
+    perms = np.array(perms)
 
-    samples = np.empty((n_perm, M))
-    base = None
-    fx = None
-    for pi, perm in enumerate(perms):
-        blocks = np.empty((M + 1, bg, M), dtype=np.float64)
-        z = background.copy()
-        blocks[0] = z
-        for step, j in enumerate(perm):
-            z = z.copy()
-            z[:, j] = x[j]
-            blocks[step + 1] = z
-        means = fn(blocks.reshape((M + 1) * bg, M)).reshape(M + 1, bg).mean(axis=1)
-        if base is None:
-            base = float(means[0])
-            fx = float(means[-1])
-        samples[pi, perm] = np.diff(means)
+    # chains[p, s] holds the first s features of permutation p (rank[p, j]
+    # is the step that adds j); each distinct coalition is evaluated once
+    rank = np.argsort(perms, axis=1)
+    chains = rank[:, None, :] < np.arange(M + 1)[:, None]
+    distinct, inverse = np.unique(chains.reshape(-1, M), axis=0, return_inverse=True)
+    means = _coalition_table(fn, x, background, distinct)[inverse].reshape(n_perm, M + 1)
+    base, fx = float(means[0, 0]), float(means[0, -1])
+    samples = np.take_along_axis(np.diff(means, axis=1), rank, axis=1)
 
     phi = samples.mean(axis=0)
     if n_perm > 1:

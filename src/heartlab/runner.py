@@ -23,7 +23,7 @@ import hashlib
 import io
 import json
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import groupby
 from pathlib import Path
 
@@ -104,67 +104,84 @@ def _want(d: dict, allowed: set, where: str) -> None:
         raise ConfigError(f"unknown key {sorted(unknown)[0]!r} in {where}")
 
 
+def _conv(kind, value, path: str):
+    """kind(value), or a ConfigError naming the key path."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{path} must be {kind.__name__}, got {value!r}") from None
+
+
+def _maybe(kind):
+    """kind, letting null through."""
+    def convert(value):
+        return None if value is None else kind(value)
+    convert.__name__ = f"{kind.__name__} or null"
+    return convert
+
+
+def _section(d, where: str, schema: dict) -> dict:
+    """A config object's values by schema, key -> (type, default): an
+    unknown key or a value its type cannot take raises a ConfigError
+    naming the key path."""
+    d = _conv(dict, d, where)
+    _want(d, set(schema), where)
+    return {k: _conv(kind, d.get(k, default), f"{where}.{k}")
+            for k, (kind, default) in schema.items()}
+
+
+# Explain options, typed with defaults: parse_config checks them and keeps
+# them as given, and a request converts them when it runs. A null mode picks
+# exact SHAP up to exact_feature_cap features, a null sigma LIME's default width.
+_EXPLAIN_OPTIONS = {
+    "mode": (_maybe(str), None), "n_permutations": (int, 2000), "background_size": (int, 32),
+    "exact_feature_cap": (int, 12), "n_samples": (int, 5000), "sigma": (_maybe(float), None),
+    "n_features": (int, 10), "ridge": (float, 1e-3)}
+
+
 def parse_config(doc: dict, seed_override: int | None = None) -> RunConfig:
     """Validate a JSON config document and materialize every default."""
     if not isinstance(doc, dict):
         raise ConfigError("config root must be a JSON object")
     _want(doc, {"dataset", "models", "output_dir", "seed", "split", "preprocess",
                 "smote", "metrics", "explain"}, "config")
-    master = int(doc.get("seed", 0)) if seed_override is None else int(seed_override)
+    master = _conv(int, doc.get("seed", 0) if seed_override is None else seed_override,
+                   "seed")
 
     ds = doc.get("dataset")
     if not isinstance(ds, dict) or not ({"path", "fixture"} & set(ds)):
         raise ConfigError("dataset section needs a 'path' or a 'fixture'")
     _want(ds, {"path", "schema", "fixture"}, "dataset")
     if "path" in ds:
-        schema = ds.get("schema", "heart16")
+        schema = str(ds.get("schema", "heart16"))
         if schema not in SCHEMAS:
             raise ConfigError(f"unknown schema {schema!r}")
         dataset = {"path": str(ds["path"]), "schema": schema}
     else:
-        fx = dict(ds["fixture"])
-        _want(fx, {"n", "noise_sigma", "logistic_steepness", "seed"}, "dataset.fixture")
-        dataset = {"fixture": {
-            "n": int(fx.get("n", 2000)),
-            "noise_sigma": float(fx.get("noise_sigma", 0.1)),
-            "logistic_steepness": float(fx.get("logistic_steepness", 6.0)),
-            "seed": int(fx["seed"]) if "seed" in fx else derive_seed(master, "fixture"),
-        }}
+        dataset = {"fixture": _section(ds["fixture"], "dataset.fixture", {
+            "n": (int, 2000), "noise_sigma": (float, 0.1),
+            "logistic_steepness": (float, 6.0), "seed": (int, derive_seed(master, "fixture"))})}
 
-    sp = dict(doc.get("split", {}))
-    _want(sp, {"train_fraction", "stratified"}, "split")
-    split = SplitSpec(train_fraction=float(sp.get("train_fraction", 0.8)),
-                      stratified=bool(sp.get("stratified", True)),
-                      seed=derive_seed(master, "split"))
+    split = SplitSpec(seed=derive_seed(master, "split"), **_section(
+        doc.get("split", {}), "split", {"train_fraction": (float, 0.8),
+                                        "stratified": (bool, True)}))
+    preprocess = PreprocessConfig(**_section(
+        doc.get("preprocess", {}), "preprocess",
+        {"iqr_columns": (_maybe(list), None), "iqr_factor": (float, 1.5), "scale": (bool, True)}))
 
-    pp = dict(doc.get("preprocess", {}))
-    _want(pp, {"iqr_columns", "iqr_factor", "scale"}, "preprocess")
-    preprocess = PreprocessConfig(
-        iqr_columns=pp.get("iqr_columns"),
-        iqr_factor=float(pp.get("iqr_factor", 1.5)),
-        scale=bool(pp.get("scale", True)),
-    )
-
-    sm = doc.get("smote")
     smote_cfg = None
-    if sm is not None:
-        sm = dict(sm)
-        _want(sm, {"k", "mode", "target_total", "leak_free", "seed"}, "smote")
-        smote_cfg = SmoteConfig(
-            k=int(sm.get("k", 5)),
-            mode=sm.get("mode", "balance"),
-            target_total=int(sm["target_total"]) if sm.get("target_total") is not None else None,
-            leak_free=bool(sm.get("leak_free", False)),
-            seed=int(sm["seed"]) if "seed" in sm else derive_seed(master, "smote"),
-        )
+    if doc.get("smote") is not None:
+        smote_cfg = SmoteConfig(**_section(doc["smote"], "smote", {
+            "k": (int, 5), "mode": (str, "balance"), "target_total": (_maybe(int), None),
+            "leak_free": (bool, False), "seed": (int, derive_seed(master, "smote"))}))
 
     raw_models = doc.get("models")
-    if not raw_models:
-        raise ConfigError("config needs at least one model")
+    if not raw_models or not isinstance(raw_models, list):
+        raise ConfigError(f"models must be a list of at least one model, got {raw_models!r}")
     models = []
     seen = set()
     for i, m in enumerate(raw_models):
-        m = dict(m)
+        m = _conv(dict, m, f"models[{i}]")
         _want(m, {"name", "family", "task", "hyperparams", "seed"}, f"models[{i}]")
         if "family" not in m or "task" not in m:
             raise ConfigError(f"models[{i}] needs 'family' and 'task'")
@@ -173,25 +190,24 @@ def parse_config(doc: dict, seed_override: int | None = None) -> RunConfig:
             raise ConfigError(f"duplicate model name {name!r}; give explicit names")
         seen.add(name)
         spec = EstimatorSpec(
-            family=m["family"], task=m["task"],
-            hyperparams=dict(m.get("hyperparams", {})),
-            seed=int(m["seed"]) if "seed" in m else derive_seed(master, f"model:{name}"),
+            family=str(m["family"]), task=m["task"],
+            hyperparams=_conv(dict, m.get("hyperparams", {}), f"models[{i}].hyperparams"),
+            seed=_conv(int, m["seed"], f"models[{i}].seed") if "seed" in m
+            else derive_seed(master, f"model:{name}"),
         )
         models.append((name, spec))
 
-    mf = doc.get("metrics", list(METRIC_FIELDS))
-    bad = [x for x in mf if x not in METRIC_FIELDS]
+    metric_sel = tuple(_conv(list, doc.get("metrics", METRIC_FIELDS), "metrics"))
+    bad = [x for x in metric_sel if x not in METRIC_FIELDS]
     if bad:
         raise ConfigError(f"unknown metric {bad[0]!r}")
-    metric_sel = tuple(mf)
 
     ex_reqs = []
-    for i, e in enumerate(doc.get("explain", []) or []):
-        e = dict(e)
-        _want(e, {"model", "method", "rows", "track", "mode", "n_permutations",
-                  "background_size", "exact_feature_cap", "n_samples", "sigma",
-                  "n_features", "ridge"}, f"explain[{i}]")
-        if e.get("model") not in seen:
+    for i, e in enumerate(_conv(list, doc.get("explain") or [], "explain")):
+        e = _conv(dict, e, f"explain[{i}]")
+        _want(e, {"model", "method", "rows", "track", *_EXPLAIN_OPTIONS}, f"explain[{i}]")
+        model = str(e.get("model"))
+        if model not in seen:
             raise ConfigError(f"explain[{i}] references unknown model {e.get('model')!r}")
         method = e.get("method", "shap")
         if method not in ("shap", "lime"):
@@ -199,11 +215,11 @@ def parse_config(doc: dict, seed_override: int | None = None) -> RunConfig:
         track = e.get("track")
         if track is not None and track not in (TRACK_REAL, TRACK_SYNTHETIC):
             raise ConfigError(f"explain[{i}] track must be real or synthetic")
-        rows = tuple(int(r) for r in e.get("rows", [0]))
-        opts = {k: e[k] for k in e if k in ("mode", "n_permutations", "background_size",
-                                            "exact_feature_cap", "n_samples", "sigma",
-                                            "n_features", "ridge")}
-        ex_reqs.append(ExplainRequest(model=e["model"], method=method, rows=rows,
+        rows = tuple(_conv(int, r, f"explain[{i}].rows")
+                     for r in _conv(list, e.get("rows", [0]), f"explain[{i}].rows"))
+        opts = {k: e[k] for k in e if k in _EXPLAIN_OPTIONS}
+        _section(opts, f"explain[{i}]", _EXPLAIN_OPTIONS)
+        ex_reqs.append(ExplainRequest(model=model, method=method, rows=rows,
                                       track=track, options=opts))
         if track == TRACK_SYNTHETIC and smote_cfg is None:
             raise ConfigError(f"explain[{i}] asks for the synthetic track but smote is off")
@@ -247,29 +263,18 @@ class ReportBundle:
 
 
 def _effective_config_dict(cfg: RunConfig) -> dict:
-    models = []
-    for name, spec in cfg.models:
-        models.append({"name": name, "family": spec.family, "task": spec.task,
-                       "hyperparams": spec.hyperparams, "seed": spec.seed})
-    doc = {
+    return {
         "seed": cfg.seed,
         "output_dir": cfg.output_dir,
         "dataset": cfg.dataset,
-        "split": {"train_fraction": cfg.split.train_fraction,
-                  "stratified": cfg.split.stratified, "seed": cfg.split.seed},
-        "preprocess": {"iqr_columns": cfg.preprocess.iqr_columns,
-                       "iqr_factor": cfg.preprocess.iqr_factor,
-                       "scale": cfg.preprocess.scale},
-        "smote": None if cfg.smote is None else {
-            "k": cfg.smote.k, "mode": cfg.smote.mode,
-            "target_total": cfg.smote.target_total,
-            "leak_free": cfg.smote.leak_free, "seed": cfg.smote.seed},
-        "models": models,
+        "split": asdict(cfg.split),
+        "preprocess": asdict(cfg.preprocess),
+        "smote": None if cfg.smote is None else asdict(cfg.smote),
+        "models": [{"name": name, **asdict(spec)} for name, spec in cfg.models],
         "metrics": list(cfg.metrics),
         "explain": [{"model": e.model, "method": e.method, "rows": list(e.rows),
                      "track": e.track, **e.options} for e in cfg.explain],
     }
-    return doc
 
 
 def _load_stage(cfg: RunConfig) -> Dataset:
@@ -395,6 +400,8 @@ def run_experiment(cfg: RunConfig) -> ReportBundle:
 
     try:
         tracks, counts, caveats = prepare_tracks(cfg, stage_box)
+        stage_box[0] = "explain"
+        requests = _explain_tracks(cfg, tracks)
 
         stage_box[0] = "fit"
         jobs = default_jobs()
@@ -416,13 +423,9 @@ def run_experiment(cfg: RunConfig) -> ReportBundle:
 
         stage_box[0] = "explain"
         explanations = {}
-        for req in cfg.explain:
-            default_track = TRACK_SYNTHETIC if cfg.smote is not None else TRACK_REAL
-            track_name = req.track or default_track
-            td = tracks[track_name]
-            result = results[(track_name, req.model)]
+        for req, track_name in requests:
             explanations[(track_name, req.model, req.method)] = _run_explain(
-                cfg, req, result.model, td)
+                cfg, req, results[(track_name, req.model)].model, tracks[track_name])
 
         stage_box[0] = "write"
         manifest["status"] = "ok"
@@ -470,21 +473,32 @@ def _conventions() -> list:
     ]
 
 
+def _explain_tracks(cfg: RunConfig, tracks: dict) -> list:
+    """(request, track name) for each explain request, its rows checked
+    against that track's test partition, so a bad row fails before any fit."""
+    default_track = TRACK_SYNTHETIC if cfg.smote is not None else TRACK_REAL
+    out = []
+    for i, req in enumerate(cfg.explain):
+        track_name = req.track or default_track
+        n = tracks[track_name].test.n_rows
+        for row in req.rows:
+            if not 0 <= row < n:
+                raise ConfigError(f"explain[{i}] row {row} out of range for the "
+                                  f"{track_name} test partition ({n} rows)")
+        out.append((req, track_name))
+    return out
+
+
 def _run_explain(cfg: RunConfig, req: ExplainRequest, model: TrainedModel,
                  td: TrackData) -> dict:
-    opts = req.options
+    opts = _section(req.options, "explain", _EXPLAIN_OPTIONS)
     out = {"rows": {}, "request": req}
-    for row in req.rows:
-        if not 0 <= row < td.test.n_rows:
-            raise ConfigError(f"explain row {row} out of range for the test partition")
     if req.method == "shap":
-        M = td.train.rows.shape[1]
-        cap = int(opts.get("exact_feature_cap", 12))
-        mode = opts.get("mode") or ("exact" if M <= cap else "sampled")
+        cap = opts["exact_feature_cap"]
         shap_cfg = ShapConfig(
-            background_size=int(opts.get("background_size", 32)),
-            mode=mode,
-            n_permutations=int(opts.get("n_permutations", 2000)),
+            background_size=opts["background_size"],
+            mode=opts["mode"] or ("exact" if td.train.rows.shape[1] <= cap else "sampled"),
+            n_permutations=opts["n_permutations"],
             exact_feature_cap=cap,
             seed=derive_seed(cfg.seed, f"shap:{req.model}"),
         )
@@ -494,12 +508,8 @@ def _run_explain(cfg: RunConfig, req: ExplainRequest, model: TrainedModel,
             out["rows"][row] = shap_values(model, td.test.rows[row], background, shap_cfg)
     else:
         lime_cfg = LimeConfig(
-            n_samples=int(opts.get("n_samples", 5000)),
-            sigma=opts.get("sigma"),
-            n_features=int(opts.get("n_features", 10)),
-            ridge=float(opts.get("ridge", 1e-3)),
-            seed=derive_seed(cfg.seed, f"lime:{req.model}"),
-        )
+            n_samples=opts["n_samples"], sigma=opts["sigma"], n_features=opts["n_features"],
+            ridge=opts["ridge"], seed=derive_seed(cfg.seed, f"lime:{req.model}"))
         for row in req.rows:
             out["rows"][row] = lime_explain(model, td.test.rows[row], lime_cfg)
     return out

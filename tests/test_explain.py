@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from heartlab import explain
 from heartlab.errors import ConfigError, ExplainError
 from heartlab.explain import (
     Attribution,
@@ -16,8 +17,8 @@ from heartlab.explain import (
     shap_sampled,
     shap_values,
 )
-from heartlab.models import EstimatorSpec, fit
-from heartlab.trees import TASK_CLASSIFICATION
+from heartlab.models import EstimatorSpec, fit, scalar_output
+from heartlab.trees import TASK_CLASSIFICATION, TASK_REGRESSION
 
 from conftest import make_ds
 
@@ -293,3 +294,132 @@ def test_lime_on_trained_model(two_blob_ds):
     assert len(exp.feature_indices) == 2
     assert 0.0 <= exp.fidelity_r2 <= 1.0
     assert 0.0 <= exp.fx <= 1.0
+
+
+# ---------------------------------------------------------------------------
+# Oracle for the coalition table: sampled SHAP with one model call per
+# permutation, splicing the chain's coalitions in one feature at a time.
+# The explainer evaluates each distinct coalition once, in row blocks; its
+# output must match this reference bit for bit.
+# ---------------------------------------------------------------------------
+
+
+def _reference_perms(M, n_perm, seed):
+    perms = []
+    pair = 0
+    while len(perms) < n_perm:
+        p = np.random.default_rng([seed, pair]).permutation(M)
+        perms.append(p)
+        if len(perms) < n_perm:
+            perms.append(p[::-1].copy())
+        pair += 1
+    return perms
+
+
+def _reference_sampled(fn, x, background, n_perm, seed):
+    M = x.size
+    bg = background.shape[0]
+    samples = np.empty((n_perm, M))
+    base = fx = None
+    for pi, perm in enumerate(_reference_perms(M, n_perm, seed)):
+        blocks = np.empty((M + 1, bg, M), dtype=np.float64)
+        z = background.copy()
+        blocks[0] = z
+        for step, j in enumerate(perm):
+            z = z.copy()
+            z[:, j] = x[j]
+            blocks[step + 1] = z
+        means = fn(blocks.reshape((M + 1) * bg, M)).reshape(M + 1, bg).mean(axis=1)
+        if base is None:
+            base = float(means[0])
+            fx = float(means[-1])
+        samples[pi, perm] = np.diff(means)
+    phi = samples.mean(axis=0)
+    se = samples.std(axis=0, ddof=1) / math.sqrt(n_perm) if n_perm > 1 else np.zeros(M)
+    phi = phi + ((fx - base) - float(phi.sum())) / M
+    return Attribution(phi=phi, base_value=base, fx=fx, mode="sampled", standard_errors=se)
+
+
+def _assert_same_bytes(a, b):
+    assert a.phi.tobytes() == b.phi.tobytes()
+    assert a.standard_errors.tobytes() == b.standard_errors.tobytes()
+    assert a.base_value == b.base_value
+    assert a.fx == b.fx
+
+
+@pytest.fixture(scope="module")
+def oracle_models():
+    g = np.random.default_rng(11)
+    rows = g.normal(size=(160, 6))
+    labels = (rows[:, 0] + rows[:, 1] * rows[:, 2] + 0.3 * g.normal(size=160) > 0).astype(int)
+    targets = 2.0 * rows[:, 0] + np.sin(rows[:, 3]) + 0.1 * g.normal(size=160)
+    ds = make_ds(rows, labels=labels, targets=targets)
+    specs = [("random_forest", TASK_CLASSIFICATION, {"n_trees": 8}),
+             ("gbt", TASK_REGRESSION, {"n_rounds": 8}),
+             ("logistic", TASK_CLASSIFICATION, {}),
+             ("ols", TASK_REGRESSION, {}),
+             ("knn", TASK_CLASSIFICATION, {})]
+    models = {fam: fit(EstimatorSpec(fam, task, hp, seed=1), ds) for fam, task, hp in specs}
+    return rows, models
+
+
+# BLAS matrix-vector products round a row by its position within the
+# call's groups of four rows, so linear models give call-independent
+# outputs only when blocks and backgrounds are multiples of four rows;
+# 12-row blocks over an 8-row background still split coalitions across calls.
+@pytest.mark.parametrize("family", ["random_forest", "gbt", "logistic", "ols", "knn"])
+@pytest.mark.parametrize("n_perm", [1, 2, 7, 200])
+def test_sampled_matches_per_permutation_reference(oracle_models, monkeypatch, family, n_perm):
+    rows, models = oracle_models
+    bg = sample_background(rows, size=8, seed=2)
+    fn = scalar_output(models[family])
+    want = _reference_sampled(fn, rows[5], bg, n_perm, seed=3)
+    for block in (1 << 14, 12):
+        monkeypatch.setattr(explain, "_BLOCK_ROWS", block)
+        got = shap_sampled(models[family], rows[5], bg,
+                           ShapConfig(mode="sampled", n_permutations=n_perm, seed=3))
+        _assert_same_bytes(got, want)
+
+
+@pytest.mark.parametrize("family", ["random_forest", "logistic"])
+def test_exact_same_bytes_at_two_block_sizes(oracle_models, monkeypatch, family):
+    rows, models = oracle_models
+    bg = sample_background(rows, size=8, seed=2)
+    got = []
+    for block in (1 << 14, 24):
+        monkeypatch.setattr(explain, "_BLOCK_ROWS", block)
+        got.append(shap_exact(models[family], rows[9], bg))
+    assert got[0].phi.tobytes() == got[1].phi.tobytes()
+    assert (got[0].base_value, got[0].fx) == (got[1].base_value, got[1].fx)
+
+
+def test_sampled_past_int64_mask_width(rng, monkeypatch):
+    # 70 features: coalitions no longer fit one int64 bitmask
+    M = 70
+    fn = lambda Z: np.sin(Z[:, :35]).sum(axis=1) * np.tanh(Z[:, 35:]).sum(axis=1)
+    bg = rng.normal(size=(4, M))
+    x = rng.normal(size=M)
+    monkeypatch.setattr(explain, "_BLOCK_ROWS", 64)
+    got = shap_sampled(fn, x, bg, ShapConfig(mode="sampled", n_permutations=6, seed=1))
+    _assert_same_bytes(got, _reference_sampled(fn, x, bg, 6, seed=1))
+    assert got.phi.sum() == pytest.approx(got.fx - got.base_value, abs=1e-9)
+
+
+@pytest.mark.parametrize("block", [1 << 14, 40, 7])
+def test_each_distinct_coalition_evaluated_once(rng, monkeypatch, block):
+    M, n_perm = 5, 30
+    bg = rng.normal(size=(6, M))
+    x = rng.normal(size=M)
+    calls = []
+
+    def fn(Z):
+        calls.append(Z.shape[0])
+        return Z[:, 0] * Z[:, 1] + Z[:, 2:].sum(axis=1)
+
+    monkeypatch.setattr(explain, "_BLOCK_ROWS", block)
+    shap_sampled(fn, x, bg, ShapConfig(mode="sampled", n_permutations=n_perm, seed=2))
+    distinct = {frozenset(p[:s].tolist())
+                for p in _reference_perms(M, n_perm, 2) for s in range(M + 1)}
+    assert sum(calls) == len(distinct) * bg.shape[0]
+    assert max(calls) <= block
+    assert len(calls) <= math.ceil(len(distinct) * bg.shape[0] / block)

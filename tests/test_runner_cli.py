@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from heartlab import runner
 from heartlab.cli import main
 from heartlab.errors import ConfigError, ParseError
 from heartlab.runner import (
@@ -405,6 +406,39 @@ def test_cli_rejects_mistyped_hyperparam_before_fitting(tmp_path, capsys):
     assert main(["run", str(_write_cfg(tmp_path, doc))]) == 2
     err = capsys.readouterr().err
     assert "'max_depth'" in err and "'cart'" in err
+    assert not (tmp_path / "out").exists()  # rejected while parsing the config
+
+
+def test_cli_rejects_explain_row_before_fitting(tmp_path, capsys, monkeypatch):
+    def no_fit(*args, **kwargs):
+        raise AssertionError("fit called before the explain rows were checked")
+
+    monkeypatch.setattr(runner, "fit", no_fit)
+    doc = _doc(tmp_path, explain=[{"model": "logit", "method": "lime", "rows": [999]}])
+    assert main(["run", str(_write_cfg(tmp_path, doc))]) == 2
+    assert "explain[0] row 999 out of range" in capsys.readouterr().err
+    man = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert (man["status"], man["stage"]) == ("failed", "explain")
+
+
+@pytest.mark.parametrize("mutate, path", [
+    (lambda d: d.update(seed="abc"), "seed"),
+    (lambda d: d.update(models="cart"), "models"),
+    (lambda d: d.update(dataset={"fixture": 5}), "dataset.fixture"),
+    (lambda d: d["dataset"]["fixture"].update(n="many"), "dataset.fixture.n"),
+    (lambda d: d["models"][0].update(hyperparams=[1]), "models[0].hyperparams"),
+    (lambda d: d.update(explain=[{"model": "rf", "rows": ["first"]}]), "explain[0].rows"),
+    (lambda d: d.update(explain=[{"model": "rf", "n_permutations": "many"}]),
+     "explain[0].n_permutations"),
+    (lambda d: d["models"][0].update(family=["cart"]), "model family"),
+    (lambda d: d.update(explain=[{"model": ["rf"]}]), "explain[0]"),
+])
+def test_cli_mistyped_config_value_exits_2(tmp_path, capsys, mutate, path):
+    doc = _doc(tmp_path)
+    mutate(doc)
+    assert main(["run", str(_write_cfg(tmp_path, doc))]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("heartlab: error: ") and path in err
     assert not (tmp_path / "out").exists()  # rejected while parsing the config
 
 
