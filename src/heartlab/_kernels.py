@@ -7,9 +7,15 @@ at import time: numba when importable, unless HEARTLAB_NO_NUMBA=1 (or
 floating-point accumulation happens in the same order, which makes their
 outputs bit-identical; tests and benchmarks/bench_kernels.py exercise both.
 
-Sorting inside the split kernels is stable (mergesort) on purpose: prefix
-sums over tied feature values must visit rows in the same order on both
-backends or tie-breaking between equal-gain splits would diverge.
+The split kernels read each feature's rows from sorted lists that the
+caller keeps (trees.py sorts once per tree and partitions the lists stably
+down the tree), so no node sorts. Equal feature values are listed in row
+order, so prefix sums over ties visit rows in the same order on both
+backends and tie-breaking between equal-gain splits cannot diverge.
+
+The numpy kNN search selects each query's k nearest with argpartition and
+orders only those by (distance, index); a query whose k-th distance is
+tied by more rows than fit falls back to a stable argsort of its row.
 """
 
 from __future__ import annotations
@@ -43,10 +49,31 @@ def backend_name() -> str:
 # midpoints between consecutive distinct sorted values; ties broken by
 # highest gain, then lowest feature index, then lowest threshold (features
 # must be passed in ascending order).
+#
+# sorted_rows, the optional last argument, is an (n_features, n) integer
+# array whose row f lists the rows of idx by ascending X[:, f], equal values
+# in their idx order; only the rows named in feats are read. Omitted, it is
+# made with one stable argsort.
 # ---------------------------------------------------------------------------
 
+_SPLIT_BLOCK = 2 ** 13  # elements of one (features, n - 1) score block
 
-def _split_classification_py(X, y, idx, feats, n_classes, min_leaf):
+
+def _sorted_rows_py(X, idx, feats):
+    out = np.empty((X.shape[1], idx.shape[0]), np.int32)
+    vals = np.empty(idx.shape[0], np.float64)
+    for f in feats:
+        for i in range(idx.shape[0]):
+            vals[i] = X[idx[i], f]
+        order = np.argsort(vals, kind="mergesort")
+        for i in range(idx.shape[0]):
+            out[f, i] = idx[order[i]]
+    return out
+
+
+def _split_classification_py(X, y, idx, feats, n_classes, min_leaf, sorted_rows=None):
+    if sorted_rows is None:
+        sorted_rows = _sorted_rows_py(X, idx, feats)
     n = idx.shape[0]
     parent = np.zeros(n_classes, np.int64)
     for i in range(n):
@@ -58,23 +85,20 @@ def _split_classification_py(X, y, idx, feats, n_classes, min_leaf):
     best_gain = 0.0
     best_feat = -1
     best_thr = 0.0
-    vals = np.empty(n, np.float64)
     left = np.zeros(n_classes, np.int64)
     for fi in range(feats.shape[0]):
         f = feats[fi]
-        for i in range(n):
-            vals[i] = X[idx[i], f]
-        order = np.argsort(vals, kind="mergesort")
+        rows = sorted_rows[f]
         for c in range(n_classes):
             left[c] = 0
         ssq_l = 0.0
         for pos in range(n - 1):
-            j = order[pos]
-            c = y[idx[j]]
+            j = rows[pos]
+            c = y[j]
             ssq_l += 2.0 * left[c] + 1.0
             left[c] += 1
-            v = vals[j]
-            v_next = vals[order[pos + 1]]
+            v = X[j, f]
+            v_next = X[rows[pos + 1], f]
             if v == v_next:
                 continue
             nl = pos + 1
@@ -93,47 +117,9 @@ def _split_classification_py(X, y, idx, feats, n_classes, min_leaf):
     return best_feat, best_thr, best_gain
 
 
-def split_classification_numpy(X, y, idx, feats, n_classes, min_leaf):
-    n = idx.shape[0]
-    yv = y[idx]
-    parent = np.bincount(yv, minlength=n_classes).astype(np.int64)
-    psq = float((parent * parent).sum())
-    parent_score = psq / n
-    best_gain = 0.0
-    best_feat = -1
-    best_thr = 0.0
-    if n < 2:
-        return best_feat, best_thr, best_gain
-    nl = np.arange(1, n, dtype=np.float64)
-    nr = n - nl
-    for f in feats:
-        v = X[idx, f]
-        order = np.argsort(v, kind="stable")
-        vs = v[order]
-        if vs[0] == vs[-1]:
-            continue
-        ys = yv[order]
-        ssq_l = np.zeros(n - 1, np.float64)
-        ssq_r = np.zeros(n - 1, np.float64)
-        for c in range(n_classes):
-            lc = np.cumsum(ys[:-1] == c)
-            ssq_l += (lc * lc).astype(np.float64)
-            rc = parent[c] - lc
-            ssq_r += (rc * rc).astype(np.float64)
-        gains = (ssq_l / nl + ssq_r / nr - parent_score) / n
-        valid = vs[:-1] != vs[1:]
-        if min_leaf > 1:
-            valid &= (nl >= min_leaf) & (nr >= min_leaf)
-        gains = np.where(valid, gains, -np.inf)
-        pos = int(np.argmax(gains))
-        if gains[pos] > best_gain:
-            best_gain = float(gains[pos])
-            best_feat = int(f)
-            best_thr = 0.5 * (vs[pos] + vs[pos + 1])
-    return best_feat, best_thr, best_gain
-
-
-def _split_regression_py(X, y, idx, feats, min_leaf):
+def _split_regression_py(X, y, idx, feats, min_leaf, sorted_rows=None):
+    if sorted_rows is None:
+        sorted_rows = _sorted_rows_py(X, idx, feats)
     n = idx.shape[0]
     total = 0.0
     for i in range(n):
@@ -142,18 +128,15 @@ def _split_regression_py(X, y, idx, feats, min_leaf):
     best_gain = 0.0
     best_feat = -1
     best_thr = 0.0
-    vals = np.empty(n, np.float64)
     for fi in range(feats.shape[0]):
         f = feats[fi]
-        for i in range(n):
-            vals[i] = X[idx[i], f]
-        order = np.argsort(vals, kind="mergesort")
+        rows = sorted_rows[f]
         sl = 0.0
         for pos in range(n - 1):
-            j = order[pos]
-            sl += y[idx[j]]
-            v = vals[j]
-            v_next = vals[order[pos + 1]]
+            j = rows[pos]
+            sl += y[j]
+            v = X[j, f]
+            v_next = X[rows[pos + 1], f]
             if v == v_next:
                 continue
             nl = pos + 1
@@ -169,38 +152,70 @@ def _split_regression_py(X, y, idx, feats, min_leaf):
     return best_feat, best_thr, best_gain
 
 
-def split_regression_numpy(X, y, idx, feats, min_leaf):
+def _best_split(X, idx, feats, min_leaf, sorted_rows, score):
+    """The numpy split search of both tasks, over blocks of at most
+    _SPLIT_BLOCK elements (or one feature): score(rows, nl, nr) maps a
+    (features, n - 1) block of sorted row ids to gains. A block's first
+    maximum in row-major order is its lowest feature and threshold with the
+    top gain; it replaces the best of earlier blocks only if strictly greater."""
     n = idx.shape[0]
-    yv = y[idx]
-    if n < 2:
-        return -1, 0.0, 0.0
-    cs_all = np.cumsum(yv)
-    total = float(cs_all[-1])
-    parent_score = total * total / n
-    best_gain = 0.0
-    best_feat = -1
-    best_thr = 0.0
+    if sorted_rows is None:
+        sorted_rows = np.empty((X.shape[1], n), np.int32)
+        sorted_rows[feats] = idx[np.argsort(X[np.ix_(idx, feats)], axis=0, kind="stable")].T
     nl = np.arange(1, n, dtype=np.float64)
     nr = n - nl
-    for f in feats:
-        v = X[idx, f]
-        order = np.argsort(v, kind="stable")
-        vs = v[order]
-        if vs[0] == vs[-1]:
-            continue
-        sl = np.cumsum(yv[order])[:-1]
-        sr = total - sl
-        gains = (sl * sl / nl + sr * sr / nr - parent_score) / n
-        valid = vs[:-1] != vs[1:]
-        if min_leaf > 1:
-            valid &= (nl >= min_leaf) & (nr >= min_leaf)
-        gains = np.where(valid, gains, -np.inf)
-        pos = int(np.argmax(gains))
-        if gains[pos] > best_gain:
-            best_gain = float(gains[pos])
-            best_feat = int(f)
-            best_thr = 0.5 * (vs[pos] + vs[pos + 1])
+    short = (nl < min_leaf) | (nr < min_leaf) if min_leaf > 1 else None
+    best_feat, best_thr, best_gain = -1, 0.0, 0.0
+    per = max(1, _SPLIT_BLOCK // (n - 1))
+    for start in range(0, feats.shape[0], per):
+        fb = feats[start:start + per]
+        rows = sorted_rows.take(fb, axis=0)
+        vs = X.take(rows * np.int64(X.shape[1]) + fb[:, None])
+        gains = score(rows[:, :-1], nl, nr)
+        gains[vs[:, :-1] == vs[:, 1:]] = -np.inf
+        if short is not None:
+            gains[:, short] = -np.inf
+        i, pos = divmod(int(np.argmax(gains)), n - 1)
+        if gains[i, pos] > best_gain:
+            best_feat, best_gain = int(fb[i]), float(gains[i, pos])
+            best_thr = 0.5 * (vs[i, pos] + vs[i, pos + 1])
     return best_feat, best_thr, best_gain
+
+
+def split_classification_numpy(X, y, idx, feats, n_classes, min_leaf, sorted_rows=None):
+    n = idx.shape[0]
+    parent = np.bincount(y[idx], minlength=n_classes).astype(np.int64)
+    parent_score = float((parent * parent).sum()) / n
+    if n < 2:
+        return -1, 0.0, 0.0
+
+    def score(rows, nl, nr):
+        # class counts are exact integers, so their squares add up exactly
+        ys = y.take(rows)
+        ssq_l = ssq_r = 0
+        for c in range(n_classes):
+            lc = np.cumsum(ys == c, axis=1)
+            ssq_l = ssq_l + lc * lc
+            lc -= parent[c]
+            ssq_r = ssq_r + lc * lc
+        return (ssq_l / nl + ssq_r / nr - parent_score) / n
+
+    return _best_split(X, idx, feats, min_leaf, sorted_rows, score)
+
+
+def split_regression_numpy(X, y, idx, feats, min_leaf, sorted_rows=None):
+    n = idx.shape[0]
+    if n < 2:
+        return -1, 0.0, 0.0
+    total = float(np.cumsum(y[idx])[-1])
+    parent_score = total * total / n
+
+    def score(rows, nl, nr):
+        sl = np.cumsum(y.take(rows), axis=1)
+        sr = total - sl
+        return (sl * sl / nl + sr * sr / nr - parent_score) / n
+
+    return _best_split(X, idx, feats, min_leaf, sorted_rows, score)
 
 
 # ---------------------------------------------------------------------------
@@ -268,24 +283,39 @@ def _knn_search_py(train, queries, k):
     return out_idx, out_d
 
 
+_KNN_BLOCK = 2 ** 16  # elements of one (queries, training rows) distance block
+
+
 def knn_search_numpy(train, queries, k):
     nt = train.shape[0]
     nq = queries.shape[0]
     out_idx = np.empty((nq, k), np.int64)
     out_d = np.empty((nq, k), np.float64)
-    # chunk queries so the distance block stays ~32MB
-    chunk = max(1, int(4_000_000 // max(nt, 1)))
+    cols = np.ascontiguousarray(train.T)  # each feature's training values, contiguous
+    chunk = max(1, _KNN_BLOCK // max(nt, 1))
     for start in range(0, nq, chunk):
-        stop = min(start + chunk, nq)
-        block = queries[start:stop]
+        block = queries[start:start + chunk]
         d = np.zeros((block.shape[0], nt), np.float64)
+        diff = np.empty_like(d)
         for j in range(train.shape[1]):
-            diff = block[:, j, None] - train[None, :, j]
-            d += diff * diff
-        # stable sort on distance preserves ascending index among ties
-        order = np.argsort(d, axis=1, kind="stable")[:, :k]
-        out_idx[start:stop] = order
-        out_d[start:stop] = np.take_along_axis(d, order, axis=1)
+            np.subtract(block[:, j, None], cols[j], out=diff)
+            np.multiply(diff, diff, out=diff)
+            d += diff
+        del diff
+        near = np.argpartition(d, k - 1, axis=1)[:, :k]
+        near.sort(axis=1)
+        near_d = np.take_along_axis(d, near, axis=1)
+        by_d = np.argsort(near_d, axis=1, kind="stable")
+        near = np.take_along_axis(near, by_d, axis=1)
+        near_d = np.take_along_axis(near_d, by_d, axis=1)
+        # more than k rows at or below the k-th distance: which tied rows
+        # make the cut was up to argpartition, so take the stable order
+        tied = np.flatnonzero(np.count_nonzero(d <= near_d[:, -1:], axis=1) > k)
+        if tied.size:
+            near[tied] = np.argsort(d[tied], axis=1, kind="stable")[:, :k]
+            near_d[tied] = np.take_along_axis(d[tied], near[tied], axis=1)
+        out_idx[start:start + chunk] = near
+        out_d[start:start + chunk] = near_d
     return out_idx, out_d
 
 
@@ -356,21 +386,15 @@ def _svr_epoch_py(X, y, order, w, b, wavg, bavg, lam, eps, t0):
 # Backend wiring
 # ---------------------------------------------------------------------------
 
-if _HAVE_NUMBA:
-    _jit = njit(cache=True, nogil=True)
-    split_classification_jit = _jit(_split_classification_py)
-    split_regression_jit = _jit(_split_regression_py)
-    tree_route_jit = _jit(_tree_route_py)
-    knn_search_jit = _jit(_knn_search_py)
-    svm_epoch_jit = _jit(_svm_epoch_py)
-    svr_epoch_jit = _jit(_svr_epoch_py)
-else:  # pragma: no cover
-    split_classification_jit = None
-    split_regression_jit = None
-    tree_route_jit = None
-    knn_search_jit = None
-    svm_epoch_jit = None
-    svr_epoch_jit = None
+_jit = njit(cache=True, nogil=True) if _HAVE_NUMBA else (lambda fn: None)
+if _HAVE_NUMBA:  # rebound first: the compiled split kernels call it by this name
+    _sorted_rows_py = _jit(_sorted_rows_py)
+split_classification_jit = _jit(_split_classification_py)
+split_regression_jit = _jit(_split_regression_py)
+tree_route_jit = _jit(_tree_route_py)
+knn_search_jit = _jit(_knn_search_py)
+svm_epoch_jit = _jit(_svm_epoch_py)
+svr_epoch_jit = _jit(_svr_epoch_py)
 
 if NUMBA_ENABLED:
     split_classification = split_classification_jit

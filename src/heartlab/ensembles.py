@@ -31,6 +31,7 @@ from .trees import (
     TASK_CLASSIFICATION,
     TASK_REGRESSION,
     fit_cart_matrix,
+    presort,
 )
 
 LOSS_SQUARED = "squared"
@@ -229,13 +230,14 @@ def fit_gbt(ds: Dataset, config: GbtConfig = GbtConfig(),
 
     raw = np.full(X.shape[0], base, dtype=np.float64)
     losses = [loss_fn(y, raw)]
+    sorted_rows = presort(X)  # every round splits the same X
     trees = []
     for m in range(config.n_rounds):
         rng = np.random.default_rng([config.seed, m])
-        if config.loss == LOSS_LOGISTIC:
-            p = sigmoid(raw)
-            g = y - p
-            flat = fit_cart_matrix(X, g, cart, TASK_REGRESSION, rng=rng)
+        p = sigmoid(raw) if config.loss == LOSS_LOGISTIC else None
+        g = y - (raw if p is None else p)
+        flat = fit_cart_matrix(X, g, cart, TASK_REGRESSION, rng=rng, sorted_rows=sorted_rows)
+        if p is not None:
             ids = flat.route(X)
             num = np.zeros(flat.leaf_value.shape[0])
             den = np.zeros(flat.leaf_value.shape[0])
@@ -245,8 +247,6 @@ def fit_gbt(ds: Dataset, config: GbtConfig = GbtConfig(),
             flat = replace(flat, leaf_value=newton)
             raw = raw + config.learning_rate * newton[ids]
         else:
-            g = y - raw
-            flat = fit_cart_matrix(X, g, cart, TASK_REGRESSION, rng=rng)
             raw = raw + config.learning_rate * flat.predict_value(X)
         trees.append(flat)
         losses.append(loss_fn(y, raw))

@@ -69,8 +69,9 @@ class Family:
     fit(spec, ds, y, hp) gets the hyperparameters with defaults filled in;
     predict(params, X) and proba(params, X) take a float64 matrix, and
     proba (classification families only) returns the positive-class
-    probability. Fitted parameters are saved field by field, nested under
-    payload_key when one is set.
+    probability; scored(params, X), when set, returns both labels and
+    probabilities from one pass. Fitted parameters are saved field by
+    field, nested under payload_key when one is set.
     """
 
     tasks: tuple
@@ -79,6 +80,7 @@ class Family:
     params_type: type
     predict: Callable = lambda p, X: p.predict(X)
     proba: Callable | None = None
+    scored: Callable | None = None
     payload_key: str | None = None
 
 
@@ -98,6 +100,11 @@ def _positive(mat: np.ndarray) -> np.ndarray:
 def _knn_predict(p: KnnModel, X: np.ndarray) -> np.ndarray:
     out = predict_knn_batch(p, X)
     return out[0] if p.task == TASK_CLASSIFICATION else out
+
+
+def _knn_scored(p: KnnModel, X: np.ndarray):
+    labels, shares = predict_knn_batch(p, X)
+    return labels, _positive(shares)
 
 
 _BOTH = (TASK_CLASSIFICATION, TASK_REGRESSION)
@@ -157,7 +164,7 @@ FAMILIES = {
     "knn": Family(
         _BOTH, _defaults(fit_knn, "k", "weighting"),
         lambda spec, ds, y, hp: fit_knn(ds, task=spec.task, **hp), KnnModel,
-        predict=_knn_predict, proba=lambda p, X: _positive(predict_knn_batch(p, X)[1])),
+        predict=_knn_predict, proba=lambda p, X: _knn_scored(p, X)[1], scored=_knn_scored),
     "gaussian_nb": Family(
         _CLS, {}, lambda spec, ds, y, hp: fit_gnb(ds), GaussianNbModel,
         predict=predict_gnb_batch, proba=lambda p, X: _positive(gnb_proba(p, X))),
@@ -274,6 +281,17 @@ def predict_proba(model: TrainedModel, ds: Dataset) -> np.ndarray:
         raise ContractError("probabilities are defined for classification models only")
     _check_fingerprint(model, ds)
     return _proba_matrix(model, ds.rows)
+
+
+def predict_scored(model: TrainedModel, ds: Dataset):
+    """(labels, positive-class probabilities) of a classification model from
+    one pass over the rows when its family has one (knn: one neighbor
+    search for both), else None."""
+    scored = FAMILIES[model.spec.family].scored
+    if scored is None or model.spec.task != TASK_CLASSIFICATION:
+        return None
+    _check_fingerprint(model, ds)
+    return scored(model.params, np.ascontiguousarray(ds.rows, dtype=np.float64))
 
 
 def scalar_output(model: TrainedModel):

@@ -59,7 +59,7 @@ from .metrics import (
     residuals,
     roc_curve,
 )
-from .models import EstimatorSpec, TrainedModel, fit, predict, predict_proba
+from .models import EstimatorSpec, TrainedModel, fit, predict, predict_proba, predict_scored
 from .preprocess import PreprocessConfig, fit_preprocessor, transform, transform_filtered
 from .smote import MODE_AUGMENT, SmoteConfig, smote
 from .trees import TASK_CLASSIFICATION
@@ -104,18 +104,31 @@ def _want(d: dict, allowed: set, where: str) -> None:
         raise ConfigError(f"unknown key {sorted(unknown)[0]!r} in {where}")
 
 
+def _lossless(kind, value):
+    """kind(value), refusing what would lose or invent information: a
+    fractional int, a list made from a string or an object, a bool from
+    anything but true and false (or 1 and 0)."""
+    if (kind is bool and value not in (True, False)
+            or kind is list and not isinstance(value, (list, tuple))):
+        raise ValueError(value)
+    out = kind(value)
+    if kind is int and isinstance(value, float) and out != value:
+        raise ValueError(value)
+    return out
+
+
 def _conv(kind, value, path: str):
-    """kind(value), or a ConfigError naming the key path."""
+    """kind(value) without loss, or a ConfigError naming the key path."""
     try:
-        return kind(value)
-    except (TypeError, ValueError):
+        return _lossless(kind, value)
+    except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{path} must be {kind.__name__}, got {value!r}") from None
 
 
 def _maybe(kind):
     """kind, letting null through."""
     def convert(value):
-        return None if value is None else kind(value)
+        return None if value is None else _lossless(kind, value)
     convert.__name__ = f"{kind.__name__} or null"
     return convert
 
@@ -291,18 +304,18 @@ def _evaluate(name: str, spec: EstimatorSpec, model: TrainedModel,
     notes = []
     values = {k: None for k in METRIC_FIELDS}
     cm = roc = res = None
-    pred = predict(model, test)
     if spec.task == TASK_CLASSIFICATION:
+        both = predict_scored(model, test)  # knn: one neighbor search for both
+        pred, scores = both or (predict(model, test), predict_proba(model, test))
         cm = confusion_matrix(test.labels, pred, positive_class=1)
         values.update(classification_metrics(cm))
         try:
-            scores = predict_proba(model, test)
             roc = roc_curve(test.labels, scores, positive_class=1)
             values["auc"] = roc.auc
         except MetricError as exc:
             notes.append(f"roc skipped: {exc}")
     else:
-        pairs = EvaluationPairs(y=test.targets, y_hat=pred)
+        pairs = EvaluationPairs(y=test.targets, y_hat=predict(model, test))
         values.update(regression_metrics(pairs))
         res = residuals(pairs)
     inner = model.params

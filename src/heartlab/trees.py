@@ -87,53 +87,77 @@ def gini(counts) -> float:
     return float(1.0 - np.sum(p * p))
 
 
-def _grow(X, y, idx, depth, config, task, n_classes, rng, n_features, nodes) -> int:
-    """Append the subtree over rows idx to nodes in preorder and return the
-    position of its root. Each node is [feature, threshold, left, right,
-    leaf value, n_samples]."""
-    n = idx.size
-    pos = len(nodes)
-    f, gain = -1, 0.0
-    if not (
-        depth >= config.max_depth
-        or n < config.min_samples_split
-        or n < 2 * config.min_samples_leaf
-        or np.all(y[idx] == y[idx[0]])
-    ):
-        if config.feature_subsample == "all" or int(config.feature_subsample) >= n_features:
-            feats = np.arange(n_features, dtype=np.int64)
-        else:
-            feats = np.sort(rng.choice(n_features, size=int(config.feature_subsample),
-                                       replace=False)).astype(np.int64)
-        if task == TASK_CLASSIFICATION:
-            f, thr, gain = _kernels.split_classification(
-                X, y, idx, feats, n_classes, config.min_samples_leaf)
-        else:
-            f, thr, gain = _kernels.split_regression(
-                X, y, idx, feats, config.min_samples_leaf)
+def presort(X: np.ndarray) -> np.ndarray:
+    """(n_features, n_rows) int32 row ids: row f lists X's rows by ascending
+    X[:, f], equal values by row id (the order the split kernels expect)."""
+    return np.argsort(X.T, axis=1, kind="stable").astype(np.int32)
 
-    if f < 0 or gain <= 0.0:
-        if task == TASK_CLASSIFICATION:
-            value = np.bincount(y[idx], minlength=n_classes) / n
-        else:
-            value = float(y[idx].mean())
-        nodes.append([-1, 0.0, 0, 0, value, n])
-        return pos
 
-    mask = X[idx, f] <= thr
-    node = [int(f), float(thr), pos + 1, 0,
-            np.zeros(n_classes) if task == TASK_CLASSIFICATION else 0.0, n]
-    nodes.append(node)
-    _grow(X, y, idx[mask], depth + 1, config, task, n_classes, rng, n_features, nodes)
-    node[3] = _grow(X, y, idx[~mask], depth + 1, config, task, n_classes, rng,
-                    n_features, nodes)
-    return pos
+def _grow(X, y, sorted_rows, config, task, n_classes, rng) -> list:
+    """The tree's nodes in preorder (node, left subtree, right subtree), each
+    [feature, threshold, left, right, leaf value, n_samples].
+
+    A pending node holds its rows in ascending order and, when it may split,
+    its per-feature sorted lists; a split partitions the lists stably by a
+    row flag, so each child's lists stay sorted and no node sorts again."""
+    n_features = X.shape[1]
+    flag = np.zeros(X.shape[0], dtype=bool)
+
+    def may_split(idx, depth):
+        n = idx.size
+        return not (depth >= config.max_depth or n < config.min_samples_split
+                    or n < 2 * config.min_samples_leaf or np.all(y[idx] == y[idx[0]]))
+
+    nodes: list = []
+    root = np.arange(X.shape[0], dtype=np.int64)
+    # (rows, their lists or None for a leaf, depth, parent whose right child it is);
+    # popping a node drops its parent's lists
+    stack = [(root, sorted_rows if may_split(root, 0) else None, 0, None)]
+    while stack:
+        idx, lists, depth, parent = stack.pop()
+        n = idx.size
+        if parent is not None:
+            parent[3] = len(nodes)
+        f, gain = -1, 0.0
+        if lists is not None:
+            if config.feature_subsample == "all" or int(config.feature_subsample) >= n_features:
+                feats = np.arange(n_features, dtype=np.int64)
+            else:
+                feats = np.sort(rng.choice(n_features, size=int(config.feature_subsample),
+                                           replace=False)).astype(np.int64)
+            if task == TASK_CLASSIFICATION:
+                f, thr, gain = _kernels.split_classification(
+                    X, y, idx, feats, n_classes, config.min_samples_leaf, lists)
+            else:
+                f, thr, gain = _kernels.split_regression(
+                    X, y, idx, feats, config.min_samples_leaf, lists)
+
+        if f < 0 or gain <= 0.0:
+            if task == TASK_CLASSIFICATION:
+                value = np.bincount(y[idx], minlength=n_classes) / n
+            else:
+                value = float(y[idx].mean())
+            nodes.append([-1, 0.0, 0, 0, value, n])
+            continue
+
+        node = [int(f), float(thr), len(nodes) + 1, 0,
+                np.zeros(n_classes) if task == TASK_CLASSIFICATION else 0.0, n]
+        nodes.append(node)
+        go_left = X[:, f].take(idx) <= thr
+        flag[idx] = go_left
+        goes = flag.take(lists).ravel()
+        for rows, keep, parent in ((idx[~go_left], ~goes, node), (idx[go_left], goes, None)):
+            stack.append((rows, lists.ravel().compress(keep).reshape(n_features, rows.size)
+                          if may_split(rows, depth + 1) else None, depth + 1, parent))
+    return nodes
 
 
 def fit_cart_matrix(X: np.ndarray, y: np.ndarray, config: CartConfig, task: str,
                     rng: np.random.Generator | None = None,
-                    n_classes: int | None = None) -> FlatTree:
-    """Array-level fit used by the ensembles; fit_cart wraps it for Datasets."""
+                    n_classes: int | None = None,
+                    sorted_rows: np.ndarray | None = None) -> FlatTree:
+    """Array-level fit used by the ensembles; fit_cart wraps it for Datasets.
+    sorted_rows is presort(X), passed by callers that fit many trees on one X."""
     if X.shape[0] == 0:
         raise FitError("cannot fit a tree on empty data")
     if task not in (TASK_CLASSIFICATION, TASK_REGRESSION):
@@ -148,9 +172,8 @@ def fit_cart_matrix(X: np.ndarray, y: np.ndarray, config: CartConfig, task: str,
     else:
         y = np.ascontiguousarray(y, dtype=np.float64)
         n_classes = 0
-    nodes: list = []
-    _grow(X, y, np.arange(X.shape[0], dtype=np.int64), 0, config, task, n_classes,
-          rng, X.shape[1], nodes)
+    nodes = _grow(X, y, presort(X) if sorted_rows is None else sorted_rows,
+                  config, task, n_classes, rng)
     feature, threshold, left, right, leaf_value, n_samples = zip(*nodes)
     return FlatTree(feature=np.array(feature, dtype=np.int64),
                     threshold=np.array(threshold, dtype=np.float64),

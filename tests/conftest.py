@@ -11,7 +11,8 @@ from heartlab.data import (
     ROLE_FEATURE,
     ROLE_REGRESSION_TARGET,
 )
-from heartlab.trees import TASK_CLASSIFICATION
+from heartlab import _kernels
+from heartlab.trees import TASK_CLASSIFICATION, FlatTree
 
 
 def make_ds(rows, labels=None, targets=None, kinds=None, names=None):
@@ -53,6 +54,75 @@ def tree_predict_row(tree, x):
     return float(value)
 
 
+def _reference_grow(X, y, idx, depth, config, task, n_classes, rng, n_features, nodes) -> int:
+    """CART growth as it was before presorting: each node hands the split
+    kernel only its rows, so the kernel argsorts every candidate feature
+    afresh. Appends the subtree over idx to nodes in preorder and returns
+    the position of its root."""
+    n = idx.size
+    pos = len(nodes)
+    f, gain = -1, 0.0
+    if not (
+        depth >= config.max_depth
+        or n < config.min_samples_split
+        or n < 2 * config.min_samples_leaf
+        or np.all(y[idx] == y[idx[0]])
+    ):
+        if config.feature_subsample == "all" or int(config.feature_subsample) >= n_features:
+            feats = np.arange(n_features, dtype=np.int64)
+        else:
+            feats = np.sort(rng.choice(n_features, size=int(config.feature_subsample),
+                                       replace=False)).astype(np.int64)
+        if task == TASK_CLASSIFICATION:
+            f, thr, gain = _kernels.split_classification(
+                X, y, idx, feats, n_classes, config.min_samples_leaf)
+        else:
+            f, thr, gain = _kernels.split_regression(
+                X, y, idx, feats, config.min_samples_leaf)
+
+    if f < 0 or gain <= 0.0:
+        if task == TASK_CLASSIFICATION:
+            value = np.bincount(y[idx], minlength=n_classes) / n
+        else:
+            value = float(y[idx].mean())
+        nodes.append([-1, 0.0, 0, 0, value, n])
+        return pos
+
+    mask = X[idx, f] <= thr
+    node = [int(f), float(thr), pos + 1, 0,
+            np.zeros(n_classes) if task == TASK_CLASSIFICATION else 0.0, n]
+    nodes.append(node)
+    _reference_grow(X, y, idx[mask], depth + 1, config, task, n_classes, rng, n_features,
+                    nodes)
+    node[3] = _reference_grow(X, y, idx[~mask], depth + 1, config, task, n_classes, rng,
+                              n_features, nodes)
+    return pos
+
+
+def reference_fit_cart_matrix(X, y, config, task, rng=None, n_classes=None,
+                              sorted_rows=None) -> FlatTree:
+    """trees.fit_cart_matrix over _reference_grow; sorted_rows is ignored."""
+    if rng is None:
+        rng = np.random.default_rng(config.seed)
+    X = np.ascontiguousarray(X, dtype=np.float64)
+    if task == TASK_CLASSIFICATION:
+        y = np.ascontiguousarray(y, dtype=np.int64)
+        n_classes = int(y.max()) + 1 if n_classes is None else n_classes
+    else:
+        y = np.ascontiguousarray(y, dtype=np.float64)
+        n_classes = 0
+    nodes: list = []
+    _reference_grow(X, y, np.arange(X.shape[0], dtype=np.int64), 0, config, task,
+                    n_classes, rng, X.shape[1], nodes)
+    feature, threshold, left, right, leaf_value, n_samples = zip(*nodes)
+    return FlatTree(feature=np.array(feature, dtype=np.int64),
+                    threshold=np.array(threshold, dtype=np.float64),
+                    left=np.array(left, dtype=np.int64),
+                    right=np.array(right, dtype=np.int64),
+                    leaf_value=np.array(leaf_value, dtype=np.float64),
+                    n_samples=np.array(n_samples, dtype=np.int64), task=task)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
@@ -69,5 +139,6 @@ def two_blob_ds():
     return make_ds(rows, labels=labels)
 
 
-__all__ = ["make_ds", "tree_leaf", "tree_predict_row", "KIND_CATEGORICAL", "KIND_CONTINUOUS", "KIND_BINARY",
+__all__ = ["make_ds", "tree_leaf", "tree_predict_row", "reference_fit_cart_matrix",
+           "KIND_CATEGORICAL", "KIND_CONTINUOUS", "KIND_BINARY",
            "ROLE_FEATURE", "ROLE_CLASS_LABEL", "ROLE_REGRESSION_TARGET"]

@@ -6,10 +6,19 @@ compiles, and the compiled function against both when numba is present.
 The SVM/SVR epochs have no separate numpy kernel (the fallback is the
 python source itself), so their cases need numba."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from heartlab import _kernels as K
+from heartlab import trees
 
 needs_numba = pytest.mark.skipif(not K._HAVE_NUMBA, reason="numba not importable")
 
@@ -164,3 +173,77 @@ def test_svr_epoch_backends_agree(seed):
 def test_backend_name_matches_flag():
     assert K.backend_name() in ("numba", "numpy")
     assert (K.backend_name() == "numba") == K.NUMBA_ENABLED
+
+
+# -- presorted split search and partial-selection kNN ---------------------------
+
+@st.composite
+def _tied_split_case(draw):
+    seed = draw(st.integers(0, 2 ** 16))
+    g = np.random.default_rng(seed)
+    n = draw(st.integers(2, 60))
+    m = draw(st.integers(1, 5))
+    X = np.ascontiguousarray(np.round(g.normal(size=(n, m)) * draw(st.sampled_from([1, 2, 4]))))
+    idx = np.sort(g.choice(n, size=draw(st.integers(2, n)), replace=False)).astype(np.int64)
+    feats = np.sort(g.choice(m, size=draw(st.integers(1, m)), replace=False)).astype(np.int64)
+    y_cls = g.integers(0, 3, size=n).astype(np.int64)
+    y_reg = np.round(g.normal(size=n), 1)
+    return X, y_cls, y_reg, idx, feats, draw(st.integers(2, 6)), draw(st.sampled_from([1, 7, 2 ** 14]))
+
+
+def _node_lists(X, idx):
+    """The node's sorted lists as trees._grow keeps them: the tree-wide
+    presort with rows outside idx dropped."""
+    lists = trees.presort(X)
+    inside = np.isin(lists, idx)
+    return lists[inside].reshape(X.shape[1], idx.size)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_tied_split_case())
+def test_split_kernels_with_and_without_lists_agree(case):
+    X, y_cls, y_reg, idx, feats, min_leaf, block = case
+    lists = _node_lists(X, idx)
+    with mock.patch.object(K, "_SPLIT_BLOCK", block):
+        cls = [fn(X, y_cls, idx, feats, 3, min_leaf, *extra)
+               for fn in (K.split_classification_numpy, K._split_classification_py)
+               for extra in ((), (lists,))]
+        reg = [fn(X, y_reg, idx, feats, min_leaf, *extra)
+               for fn in (K.split_regression_numpy, K._split_regression_py)
+               for extra in ((), (lists,))]
+    assert cls[1:] == cls[:-1] and reg[1:] == reg[:-1]
+    if K._HAVE_NUMBA:
+        assert K.split_classification_jit(X, y_cls, idx, feats, 3, min_leaf, lists) == cls[0]
+        assert K.split_regression_jit(X, y_reg, idx, feats, min_leaf, lists) == reg[0]
+
+
+@st.composite
+def _tied_knn_case(draw):
+    g = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+    nt, nq, m = draw(st.integers(1, 40)), draw(st.integers(1, 15)), draw(st.integers(1, 3))
+    levels = draw(st.integers(1, 4))  # few distinct values, so distances tie a lot
+    train = np.ascontiguousarray(g.integers(0, levels, size=(nt, m)).astype(np.float64))
+    queries = np.ascontiguousarray(g.integers(0, levels, size=(nq, m)).astype(np.float64))
+    k = draw(st.sampled_from(sorted({1, max(1, nt - 1), nt})))
+    return train, queries, k, draw(st.sampled_from([1, nt, 3 * nt + 1, 2 ** 20]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_tied_knn_case())
+def test_knn_partial_selection_matches_python_loop(case):
+    train, queries, k, block = case
+    want_idx, want_d = K._knn_search_py(train, queries, k)
+    with mock.patch.object(K, "_KNN_BLOCK", block):  # 1 and nt: one query row per block
+        got_idx, got_d = K.knn_search_numpy(train, queries, k)
+    assert np.array_equal(got_idx, want_idx) and np.array_equal(got_d, want_d)
+
+
+def test_kernel_report_runs(tmp_path):
+    """perfbench/kernels.py calls the kernels positionally; it must run and
+    find every numpy kernel equal to its reference."""
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    out = subprocess.run([sys.executable, str(root / "perfbench" / "kernels.py"), "0.02"],
+                         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stdout + out.stderr
+    assert "DIFFER" not in out.stdout

@@ -442,6 +442,53 @@ def test_cli_mistyped_config_value_exits_2(tmp_path, capsys, mutate, path):
     assert not (tmp_path / "out").exists()  # rejected while parsing the config
 
 
+@pytest.mark.parametrize("mutate, path", [
+    (lambda d: d.update(seed=2.5), "seed"),
+    (lambda d: d.update(explain=[{"model": "rf", "rows": [1.7]}]), "explain[0].rows"),
+    (lambda d: d.update(explain=[{"model": "rf", "rows": "12"}]), "explain[0].rows"),
+    (lambda d: d.update(split={"stratified": "false"}), "split.stratified"),
+    (lambda d: d.update(preprocess={"scale": "no"}), "preprocess.scale"),
+])
+def test_cli_lossy_config_value_exits_2(tmp_path, capsys, mutate, path):
+    doc = _doc(tmp_path)
+    mutate(doc)
+    assert main(["run", str(_write_cfg(tmp_path, doc))]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("heartlab: error: ") and path in err
+    assert not (tmp_path / "out").exists()  # rejected while parsing the config
+
+
+def test_lossless_config_values_still_convert(tmp_path):
+    cfg = parse_config(_doc(tmp_path, seed="3", split={"stratified": 0, "train_fraction": "0.75"},
+                            preprocess={"scale": False, "iqr_columns": ("age",)},
+                            explain=[{"model": "rf", "rows": ["2", 4.0]}]))
+    assert cfg.seed == 3 and cfg.split.stratified is False and cfg.split.train_fraction == 0.75
+    assert cfg.preprocess.scale is False and cfg.preprocess.iqr_columns == ["age"]
+    assert cfg.explain[0].rows == (2, 4)
+
+
+def test_evaluate_searches_knn_neighbors_once(tmp_path, monkeypatch):
+    from heartlab import neighbors
+
+    calls = []
+    search = neighbors.knn_search
+
+    def counting(train, queries, k):
+        calls.append(queries.shape[0])
+        return search(train, queries, k)
+
+    monkeypatch.setattr(neighbors, "knn_search", counting)
+    doc = _doc(tmp_path, models=[
+        {"name": "knn", "family": "knn", "task": "classification"},
+        {"name": "knn_r", "family": "knn", "task": "regression", "hyperparams": {"k": 3}},
+    ])
+    bundle = run_experiment(parse_config(doc))
+    assert sorted(bundle.tracks) == [TRACK_REAL, TRACK_SYNTHETIC]
+    assert len(bundle.results) == 4
+    # one search per kNN model per track, each over that track's test rows
+    assert sorted(calls) == sorted(bundle.tracks[t].test.n_rows for t, _ in bundle.results)
+
+
 def test_cli_seed_override(tmp_path):
     cfg_path = _write_cfg(tmp_path, _doc(tmp_path))
     assert main(["run", str(cfg_path), "--seed", "321"]) == 0
