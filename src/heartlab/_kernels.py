@@ -1,11 +1,13 @@
 """Hot numeric kernels with two interchangeable backends.
 
-Every kernel exists twice: a loop implementation compiled with numba's
-@njit, and a vectorized pure-numpy fallback. The active backend is chosen
-at import time: numba when importable, unless HEARTLAB_NO_NUMBA=1 (or
-"true"/"yes") is set in the environment. Both backends are written so that
-floating-point accumulation happens in the same order, which makes their
-outputs bit-identical; tests and benchmarks/bench_kernels.py exercise both.
+Every kernel has a loop source `_<name>_py`, which numba's @njit compiles
+into `<name>_jit`, and a numpy twin `<name>_numpy`: vectorized for splits,
+routing and kNN; for the sequential SVM/SVR epochs, the same scalar loop on
+Python floats. The active backend is chosen at import time: numba when
+importable, unless HEARTLAB_NO_NUMBA=1 (or "true"/"yes") is set in the
+environment. Both backends accumulate floats in the same order, so their
+outputs are bit-identical; tests/test_kernels.py and `perfbench/run.py
+--kernels` check each pair.
 
 The split kernels read each feature's rows from sorted lists that the
 caller keeps (trees.py sorts once per tree and partitions the lists stably
@@ -322,9 +324,14 @@ def knn_search_numpy(train, queries, k):
 # ---------------------------------------------------------------------------
 # Pegasos-style primal subgradient epochs for the linear SVM / SVR.
 # Mutates w (and the running averages) in place; returns the step counter.
-# The numpy fallback is the uncompiled function itself: the loop is only hot
-# on large epoch budgets, and sharing the source guarantees identical floats.
+# The update is sequential, so the numpy backend runs the _py loop's scalar
+# arithmetic, in the same order, on Python floats: IEEE doubles rounded like
+# numpy's float64 scalars, but far cheaper to index. Rows become lists in
+# epoch order, at most _EPOCH_BLOCK at a time; w, b and the averages are
+# written back to the caller's arrays once, at the end.
 # ---------------------------------------------------------------------------
+
+_EPOCH_BLOCK = 2 ** 8  # rows of X converted to Python floats at a time
 
 
 def _svm_epoch_py(X, y, order, w, b, wavg, bavg, lam, t0):
@@ -382,6 +389,59 @@ def _svr_epoch_py(X, y, order, w, b, wavg, bavg, lam, eps, t0):
     return t
 
 
+def _epoch_rows(X, y, order):
+    """(row of X as a list, y value) pairs in epoch order, as Python floats."""
+    for start in range(0, order.shape[0], _EPOCH_BLOCK):
+        o = order[start:start + _EPOCH_BLOCK]
+        yield from zip(X.take(o, axis=0).tolist(), y.take(o).tolist())
+
+
+def svm_epoch_numpy(X, y, order, w, b, wavg, bavg, lam, t0):
+    w_, wavg_, b_, bavg_ = w.tolist(), wavg.tolist(), float(b[0]), float(bavg[0])
+    t = t0
+    for x, yi in _epoch_rows(X, y, order):
+        t += 1
+        eta = 1.0 / (lam * t)
+        margin = b_
+        for wj, xj in zip(w_, x):  # not sum(): it must add in this order, uncompensated
+            margin += wj * xj
+        scale = 1.0 - eta * lam
+        if yi * margin < 1.0:
+            c = eta * yi  # eta * y[i] * X[i, j] rounds left to right: same floats
+            w_ = [scale * wj + c * xj for wj, xj in zip(w_, x)]
+            b_ = b_ + c
+        else:
+            w_ = [scale * wj for wj in w_]
+        wavg_ = [a + (wj - a) / t for a, wj in zip(wavg_, w_)]
+        bavg_ += (b_ - bavg_) / t
+    w[:], wavg[:], b[0], bavg[0] = w_, wavg_, b_, bavg_
+    return t
+
+
+def svr_epoch_numpy(X, y, order, w, b, wavg, bavg, lam, eps, t0):
+    w_, wavg_, b_, bavg_ = w.tolist(), wavg.tolist(), float(b[0]), float(bavg[0])
+    t = t0
+    for x, yi in _epoch_rows(X, y, order):
+        t += 1
+        eta = 1.0 / (lam * t)
+        pred = b_
+        for wj, xj in zip(w_, x):
+            pred += wj * xj
+        resid = yi - pred
+        scale = 1.0 - eta * lam
+        g = 1.0 if resid > eps else -1.0 if resid < -eps else 0.0
+        if g != 0.0:
+            c = eta * g
+            w_ = [scale * wj + c * xj for wj, xj in zip(w_, x)]
+            b_ = b_ + c
+        else:
+            w_ = [scale * wj for wj in w_]
+        wavg_ = [a + (wj - a) / t for a, wj in zip(wavg_, w_)]
+        bavg_ += (b_ - bavg_) / t
+    w[:], wavg[:], b[0], bavg[0] = w_, wavg_, b_, bavg_
+    return t
+
+
 # ---------------------------------------------------------------------------
 # Backend wiring
 # ---------------------------------------------------------------------------
@@ -408,5 +468,5 @@ else:
     split_regression = split_regression_numpy
     tree_route = tree_route_numpy
     knn_search = knn_search_numpy
-    svm_epoch = _svm_epoch_py
-    svr_epoch = _svr_epoch_py
+    svm_epoch = svm_epoch_numpy
+    svr_epoch = svr_epoch_numpy

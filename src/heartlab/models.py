@@ -194,10 +194,23 @@ class EstimatorSpec:
         _resolve(self)
 
 
+def lossless(kind, value):
+    """kind(value), refusing what would lose or invent information: a
+    fractional int, a list made from a string or an object, a bool from
+    anything but true and false (or 1 and 0)."""
+    if (kind is bool and value not in (True, False)
+            or kind is list and not isinstance(value, (list, tuple))):
+        raise ValueError(value)
+    out = kind(value)
+    if kind is int and isinstance(value, float) and out != value:
+        raise ValueError(value)
+    return out
+
+
 def _resolve(spec: EstimatorSpec) -> dict:
     """The family defaults overlaid with the spec's hyperparameters, each
-    converted to the type of its default (ints, floats and bools; other
-    values pass as given)."""
+    converted without loss to the type of its default (ints, floats and
+    bools; other values pass as given)."""
     defaults = FAMILIES[spec.family].defaults
     unknown = set(spec.hyperparams) - set(defaults)
     if unknown:
@@ -208,7 +221,7 @@ def _resolve(spec: EstimatorSpec) -> dict:
         kind = type(defaults[key])
         if kind in (bool, int, float):
             try:
-                value = kind(value)
+                value = lossless(kind, value)
             except (TypeError, ValueError, OverflowError):
                 raise ModelSpecError(
                     f"hyperparameter {key!r} for family {spec.family!r} must be "

@@ -59,7 +59,7 @@ from .metrics import (
     residuals,
     roc_curve,
 )
-from .models import EstimatorSpec, TrainedModel, fit, predict, predict_proba, predict_scored
+from .models import EstimatorSpec, TrainedModel, fit, lossless, predict, predict_proba, predict_scored
 from .preprocess import PreprocessConfig, fit_preprocessor, transform, transform_filtered
 from .smote import MODE_AUGMENT, SmoteConfig, smote
 from .trees import TASK_CLASSIFICATION
@@ -104,23 +104,10 @@ def _want(d: dict, allowed: set, where: str) -> None:
         raise ConfigError(f"unknown key {sorted(unknown)[0]!r} in {where}")
 
 
-def _lossless(kind, value):
-    """kind(value), refusing what would lose or invent information: a
-    fractional int, a list made from a string or an object, a bool from
-    anything but true and false (or 1 and 0)."""
-    if (kind is bool and value not in (True, False)
-            or kind is list and not isinstance(value, (list, tuple))):
-        raise ValueError(value)
-    out = kind(value)
-    if kind is int and isinstance(value, float) and out != value:
-        raise ValueError(value)
-    return out
-
-
 def _conv(kind, value, path: str):
     """kind(value) without loss, or a ConfigError naming the key path."""
     try:
-        return _lossless(kind, value)
+        return lossless(kind, value)
     except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{path} must be {kind.__name__}, got {value!r}") from None
 
@@ -128,7 +115,7 @@ def _conv(kind, value, path: str):
 def _maybe(kind):
     """kind, letting null through."""
     def convert(value):
-        return None if value is None else _lossless(kind, value)
+        return None if value is None else lossless(kind, value)
     convert.__name__ = f"{kind.__name__} or null"
     return convert
 
@@ -406,6 +393,8 @@ def run_experiment(cfg: RunConfig) -> ReportBundle:
     def fail(exc: Exception):
         manifest["status"] = "failed"
         manifest["stage"] = stage_box[0]
+        if hasattr(exc, "heartlab_model"):
+            manifest["model"] = exc.heartlab_model
         manifest["error"] = str(exc)
         (out_dir / "manifest.json").write_text(
             json.dumps(manifest, sort_keys=True, indent=2) + "\n")
@@ -424,8 +413,11 @@ def run_experiment(cfg: RunConfig) -> ReportBundle:
         def fit_and_eval(item):
             track_name, name, spec = item
             td = tracks[track_name]
-            model = fit(spec, td.train)
-            return _evaluate(name, spec, model, td.test)
+            try:
+                return _evaluate(name, spec, fit(spec, td.train), td.test)
+            except Exception as exc:  # re-raised as is, tagged for the failed manifest
+                exc.heartlab_model = f"{track_name}:{name}"
+                raise
 
         if jobs == 1 or len(work) == 1:
             outcomes = [fit_and_eval(w) for w in work]

@@ -1,10 +1,10 @@
-"""Backend equality: the jit kernels and the numpy fallbacks must return
-bit-identical results, including on ties, constant columns, and NaN-free
-degenerate inputs. Each case compares the numpy implementation against
-the plain-python source of truth, which is the uncompiled source numba
-compiles, and the compiled function against both when numba is present.
-The SVM/SVR epochs have no separate numpy kernel (the fallback is the
-python source itself), so their cases need numba."""
+"""Backend equality: the jit kernels and the numpy-backend kernels must
+return bit-identical results, including on ties, constant columns, exact
+branch edges and NaN-free degenerate inputs. Each case compares the numpy
+implementation against the plain-python source of truth, which is the
+uncompiled source numba compiles, and the compiled function against both
+when numba is present. Every case runs without numba: each kernel,
+the SVM/SVR epochs included, has a numpy twin distinct from its source."""
 
 import os
 import subprocess
@@ -18,9 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from heartlab import _kernels as K
-from heartlab import trees
-
-needs_numba = pytest.mark.skipif(not K._HAVE_NUMBA, reason="numba not importable")
+from heartlab import linear, trees
 
 
 def _random_case(seed, n=80, m=5, n_classes=3, ties=True):
@@ -122,7 +120,18 @@ def test_knn_tie_break_lowest_index():
     assert d2[0].tolist() == [0.0, 0.0]
 
 
-@needs_numba
+def _run_epoch(fn, X, y, order, *params, t0=0):
+    """t and the four buffers after one epoch from zeroed buffers."""
+    m = X.shape[1]
+    buffers = (np.zeros(m), np.zeros(1), np.zeros(m), np.zeros(1))
+    t = fn(X, y, order, *buffers, *params, t0)
+    return (t, *buffers)
+
+
+def _same_epoch(a, b):
+    return a[0] == b[0] and all(np.array_equal(u, v) for u, v in zip(a[1:], b[1:]))
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_svm_epoch_backends_agree(seed):
     g = np.random.default_rng(seed)
@@ -130,23 +139,12 @@ def test_svm_epoch_backends_agree(seed):
     X = np.ascontiguousarray(g.normal(size=(n, m)))
     y = np.where(g.random(n) < 0.5, -1.0, 1.0)
     order = g.permutation(n).astype(np.int64)
-
-    def run(fn):
-        w = np.zeros(m)
-        b = np.zeros(1)
-        wavg = np.zeros(m)
-        bavg = np.zeros(1)
-        t = fn(X, y, order, w, b, wavg, bavg, 0.05, 0)
-        return t, w.copy(), b.copy(), wavg.copy(), bavg.copy()
-
-    ra = run(K.svm_epoch_jit)
-    rb = run(K._svm_epoch_py)
-    assert ra[0] == rb[0]
-    for a, b in zip(ra[1:], rb[1:]):
-        assert np.array_equal(a, b)
+    want = _run_epoch(K._svm_epoch_py, X, y, order, 0.05)
+    assert _same_epoch(_run_epoch(K.svm_epoch_numpy, X, y, order, 0.05), want)
+    if K._HAVE_NUMBA:
+        assert _same_epoch(_run_epoch(K.svm_epoch_jit, X, y, order, 0.05), want)
 
 
-@needs_numba
 @pytest.mark.parametrize("seed", range(6))
 def test_svr_epoch_backends_agree(seed):
     g = np.random.default_rng(seed)
@@ -154,20 +152,83 @@ def test_svr_epoch_backends_agree(seed):
     X = np.ascontiguousarray(g.normal(size=(n, m)))
     y = g.normal(size=n)
     order = g.permutation(n).astype(np.int64)
+    want = _run_epoch(K._svr_epoch_py, X, y, order, 0.05, 0.1)
+    assert _same_epoch(_run_epoch(K.svr_epoch_numpy, X, y, order, 0.05, 0.1), want)
+    if K._HAVE_NUMBA:
+        assert _same_epoch(_run_epoch(K.svr_epoch_jit, X, y, order, 0.05, 0.1), want)
 
-    def run(fn):
-        w = np.zeros(m)
-        b = np.zeros(1)
-        wavg = np.zeros(m)
-        bavg = np.zeros(1)
-        t = fn(X, y, order, w, b, wavg, bavg, 0.05, 0.1, 0)
-        return t, w.copy(), b.copy(), wavg.copy(), bavg.copy()
 
-    ra = run(K.svr_epoch_jit)
-    rb = run(K._svr_epoch_py)
-    assert ra[0] == rb[0]
-    for a, b in zip(ra[1:], rb[1:]):
-        assert np.array_equal(a, b)
+@st.composite
+def _tied_epoch_case(draw):
+    """Small-integer rows, lam = 1 and t0 = 0 (so eta = 1/t): margins land
+    exactly on 1 and SVR residuals exactly on +-eps for quarter-valued y."""
+    g = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+    n, m = draw(st.integers(1, 30)), draw(st.integers(1, 4))
+    X = np.ascontiguousarray(g.integers(-2, 3, size=(n, m)).astype(np.float64))
+    y_cls = np.where(g.random(n) < 0.5, -1.0, 1.0)
+    y_reg = g.integers(-8, 9, size=n) / 4.0
+    order = g.permutation(np.repeat(np.arange(n), 2)).astype(np.int64)[:n]  # repeats rows
+    return X, y_cls, y_reg, order, draw(st.sampled_from([0.0, 0.25]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_tied_epoch_case())
+def test_epoch_kernels_match_python_loop_on_ties(case):
+    X, y_cls, y_reg, order, eps = case
+    for fn, py, y, params in ((K.svm_epoch_numpy, K._svm_epoch_py, y_cls, (1.0,)),
+                              (K.svr_epoch_numpy, K._svr_epoch_py, y_reg, (1.0, eps))):
+        assert _same_epoch(_run_epoch(fn, X, y, order, *params),
+                           _run_epoch(py, X, y, order, *params))
+
+
+@pytest.mark.parametrize("x, w0, b0", [
+    ([1.0], [0.5], 0.5),  # lam = 1, t0 = 0: eta = 1, margin 0.5 + 0.5 * 1 == 1
+    # b first, then j ascending: 1 - 2**-54 rounds to 1, twice; adding the
+    # products first would give 1 - 2**-53 and cross the edge
+    ([-1.0, -1.0], [2.0 ** -54, 2.0 ** -54], 1.0),
+])
+def test_epoch_kernels_on_exact_branch_edges(x, w0, b0):
+    """margin == 1 and resid == eps take no step (scale 0 zeroes w), in
+    both loops."""
+    X, order = np.array([x]), np.array([0])
+    for fn, y, params in ((K.svm_epoch_numpy, 1.0, (1.0,)), (K._svm_epoch_py, 1.0, (1.0,)),
+                          (K.svr_epoch_numpy, 1.25, (1.0, 0.25)),
+                          (K._svr_epoch_py, 1.25, (1.0, 0.25))):
+        w, b = np.array(w0), np.array([b0])
+        assert fn(X, np.array([y]), order, w, b, np.zeros(len(x)), np.zeros(1), *params, 0) == 1
+        assert b[0] == b0 and not w.any()
+
+
+@pytest.mark.parametrize("block", [1, 7, 50])  # 50 rows: one block
+def test_epoch_kernels_block_size_does_not_matter(block):
+    g = np.random.default_rng(3)
+    n, m = 50, 4
+    X = np.ascontiguousarray(np.round(g.normal(size=(n, m)), 1))
+    y_cls = np.where(g.random(n) < 0.5, -1.0, 1.0)
+    y_reg = np.round(g.normal(size=n), 1)
+    order = g.permutation(n).astype(np.int64)
+    with mock.patch.object(K, "_EPOCH_BLOCK", block):
+        got = (_run_epoch(K.svm_epoch_numpy, X, y_cls, order, 0.05, t0=19),
+               _run_epoch(K.svr_epoch_numpy, X, y_reg, order, 0.05, 0.1, t0=19))
+    assert _same_epoch(got[0], _run_epoch(K._svm_epoch_py, X, y_cls, order, 0.05, t0=19))
+    assert _same_epoch(got[1], _run_epoch(K._svr_epoch_py, X, y_reg, order, 0.05, 0.1, t0=19))
+
+
+@pytest.mark.parametrize("fit_name, kernel", [("fit_linear_svm", "svm_epoch"),
+                                              ("fit_linear_svr", "svr_epoch")])
+def test_linear_fits_identical_with_python_loop_kernel(monkeypatch, fit_name, kernel):
+    g = np.random.default_rng(4)
+    X = np.ascontiguousarray(g.normal(size=(120, 5)))
+    y = (X[:, 0] + g.normal(size=120) > 0).astype(np.float64) if kernel == "svm_epoch" \
+        else X @ g.normal(size=5) + g.normal(size=120)
+    config = linear.PenaltyConfig(epochs=4, seed=2)
+    monkeypatch.setattr(linear, kernel, getattr(K, f"{kernel}_numpy"))
+    new = getattr(linear, fit_name)(X, y, config)
+    monkeypatch.setattr(linear, kernel, getattr(K, f"_{kernel}_py"))
+    old = getattr(linear, fit_name)(X, y, config)
+    assert np.array_equal(new.weights, old.weights)
+    assert new.intercept == old.intercept
+    assert new.objective_trace == old.objective_trace
 
 
 def test_backend_name_matches_flag():
@@ -240,10 +301,11 @@ def test_knn_partial_selection_matches_python_loop(case):
 
 def test_kernel_report_runs(tmp_path):
     """perfbench/kernels.py calls the kernels positionally; it must run and
-    find every numpy kernel equal to its reference."""
+    find every numpy kernel equal to a reference that is a different function."""
     root = Path(__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": str(root / "src")}
     out = subprocess.run([sys.executable, str(root / "perfbench" / "kernels.py"), "0.02"],
                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stdout + out.stderr
     assert "DIFFER" not in out.stdout
+    assert "exact (same function)" not in out.stdout

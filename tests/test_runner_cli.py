@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from heartlab import runner
+from heartlab import models, runner
 from heartlab.cli import main
 from heartlab.errors import ConfigError, ParseError
 from heartlab.runner import (
@@ -310,6 +310,7 @@ def test_partial_manifest_records_failing_stage(tmp_path):
     man = json.loads((Path(doc["output_dir"]) / "manifest.json").read_text())
     assert man["status"] == "failed"
     assert man["stage"] == "fit"
+    assert man["model"] == f"{TRACK_REAL}:rf"
 
 
 def test_explanation_files(tmp_path):
@@ -456,6 +457,28 @@ def test_cli_lossy_config_value_exits_2(tmp_path, capsys, mutate, path):
     err = capsys.readouterr().err
     assert err.startswith("heartlab: error: ") and path in err
     assert not (tmp_path / "out").exists()  # rejected while parsing the config
+
+
+@pytest.mark.parametrize("model, hyperparams, key", [
+    (0, {"bootstrap": "false"}, "'bootstrap' for family 'random_forest'"),
+    (1, {"max_depth": 2.7}, "'max_depth' for family 'cart'"),
+])
+def test_cli_lossy_hyperparameter_exits_2(tmp_path, capsys, model, hyperparams, key):
+    doc = _doc(tmp_path)
+    doc["models"][model]["hyperparams"] = hyperparams
+    assert main(["run", str(_write_cfg(tmp_path, doc))]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("heartlab: error: ") and key in err
+    assert not (tmp_path / "out").exists()  # rejected while parsing the config
+
+
+def test_lossless_hyperparameters_still_convert(tmp_path):
+    doc = _doc(tmp_path)
+    doc["models"][0]["hyperparams"] = {"n_trees": "3", "max_depth": 2.0, "bootstrap": 0}
+    spec = parse_config(doc).models[0][1]
+    hp = models._resolve(spec)
+    assert (hp["n_trees"], hp["max_depth"], hp["bootstrap"]) == (3, 2, False)
+    assert type(hp["max_depth"]) is int and type(hp["bootstrap"]) is bool
 
 
 def test_lossless_config_values_still_convert(tmp_path):
