@@ -71,9 +71,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _read_utf8(path) -> str:
+    """A file's text; bytes that are not UTF-8 are a ConfigError naming it."""
+    try:
+        return Path(path).read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start}") from None
+
+
+def _config(args):
+    return parse_config(json.loads(_read_utf8(args.config)), seed_override=args.seed)
+
+
 def _cmd_run(args) -> int:
-    doc = json.loads(Path(args.config).read_text())
-    cfg = parse_config(doc, seed_override=args.seed)
+    cfg = _config(args)
     bundle = run_experiment(cfg)
     if args.save_models:
         out = Path(cfg.output_dir)
@@ -95,8 +106,7 @@ def _cmd_fixture(args) -> int:
 
 def _cmd_explain(args) -> int:
     model = load_model(Path(args.model_file).read_bytes())
-    doc = json.loads(Path(args.config).read_text())
-    cfg = parse_config(doc, seed_override=args.seed)
+    cfg = _config(args)
     if not cfg.explain:
         raise ConfigError("config has no explain requests")
     tracks, _, _ = prepare_tracks(cfg)
@@ -118,16 +128,26 @@ def _cmd_explain(args) -> int:
 
 def _cmd_report(args) -> int:
     path = Path(args.bundle_dir) / "metrics.csv"
-    with open(path, newline="") as fh:
-        rows = list(csv.DictReader(fh))
+    reader = csv.DictReader(_read_utf8(path).splitlines(keepends=True))
+    rows = list(reader)
     if not rows:
         raise ConfigError(f"no metric rows in {path}")
+    for k in ("track", "task", "model"):
+        if k not in reader.fieldnames:
+            raise ConfigError(f"{path} has no {k!r} column")
     table = _rank((r["track"], r["task"], r["model"],
-                   {k: float(v) for k, v in r.items() if k in METRIC_FIELDS and v})
+                   {k: _number(path, k, v) for k, v in r.items() if k in METRIC_FIELDS and v})
                   for r in rows)
     for row in table:
         print(_rank_line(row))
     return 0
+
+
+def _number(path: Path, column: str, cell: str) -> float:
+    try:
+        return float(cell)
+    except ValueError:
+        raise ConfigError(f"{path}: {column} cell {cell!r} is not a number") from None
 
 
 def _rank_line(row: dict) -> str:

@@ -1,8 +1,8 @@
 """Bagged forests and gradient-boosted trees on the CART core.
 
 Forest: each tree t draws its bootstrap resample and per-split feature
-subsets from an independent stream seeded with (seed, t), so parallel
-and serial training produce identical models. Classification predicts
+subsets from an independent stream seeded with (seed, t), so a tree does
+not depend on the trees grown before it. Classification predicts
 by majority vote (ties to the lower class code) and reports vote
 fractions as probabilities; regression averages tree means.
 
@@ -16,8 +16,7 @@ log-odds. The per-round training loss is recorded.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor  # unused; perfbench/tracer.py patches it
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -39,14 +38,9 @@ LOSS_LOGISTIC = "logistic"
 LOSS_TASKS = {LOSS_SQUARED: TASK_REGRESSION, LOSS_LOGISTIC: TASK_CLASSIFICATION}
 
 
-def default_jobs() -> int:
-    env = os.environ.get("HEARTLAB_N_JOBS", "").strip()
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ConfigError(f"HEARTLAB_N_JOBS must be an integer, got {env!r}") from None
-    return min(8, os.cpu_count() or 1)
+def default_jobs() -> int:  # read by perfbench/child.py
+    """The number of threads heartlab fits in: one."""
+    return 1
 
 
 @dataclass(frozen=True)
@@ -103,8 +97,7 @@ def _resolve_subsample(spec, n_features: int, task: str):
 
 
 def fit_random_forest(ds: Dataset, config: ForestConfig = ForestConfig(),
-                      task: str = TASK_CLASSIFICATION,
-                      n_jobs: int | None = None) -> Forest:
+                      task: str = TASK_CLASSIFICATION) -> Forest:
     if task == TASK_CLASSIFICATION:
         if ds.labels is None:
             raise FitError("classification forest requires labels")
@@ -131,12 +124,7 @@ def fit_random_forest(ds: Dataset, config: ForestConfig = ForestConfig(),
             Xt, yt = X, y
         return fit_cart_matrix(Xt, yt, cart, task, rng=rng, n_classes=n_classes or None)
 
-    jobs = default_jobs() if n_jobs is None else max(1, n_jobs)
-    if jobs == 1 or config.n_trees == 1:
-        trees = [train_one(t) for t in range(config.n_trees)]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            trees = list(pool.map(train_one, range(config.n_trees)))
+    trees = [train_one(t) for t in range(config.n_trees)]
     return Forest(trees=tuple(trees), task=task, n_classes=n_classes, config=config)
 
 

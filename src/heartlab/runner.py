@@ -11,9 +11,9 @@ leak_free flag instead restricts SMOTE to training rows. The leaky
 variant always carries a printed and recorded caveat.
 
 Every random draw is derived from the master seed via labeled SHA-256
-streams, model training runs in a thread pool with per-model seeds, and
-report files render floats with repr, so identical configs produce
-byte-identical bundles regardless of parallelism.
+streams, models are fitted one after another in config order with
+per-model seeds, and report files render floats with repr, so identical
+configs produce byte-identical bundles.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import csv
 import hashlib
 import io
 import json
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor  # unused; perfbench/tracer.py patches it
 from dataclasses import asdict, dataclass, field
 from itertools import groupby
 from pathlib import Path
@@ -40,7 +40,6 @@ from .data import (
     make_fixture,
     train_test_split,
 )
-from .ensembles import default_jobs
 from .errors import ConfigError, HeartlabError, MetricError
 from .explain import (
     LimeConfig,
@@ -406,25 +405,15 @@ def run_experiment(cfg: RunConfig) -> ReportBundle:
         requests = _explain_tracks(cfg, tracks)
 
         stage_box[0] = "fit"
-        jobs = default_jobs()
-        work = [(track_name, name, spec) for track_name in tracks
-                for (name, spec) in cfg.models]
-
-        def fit_and_eval(item):
-            track_name, name, spec = item
-            td = tracks[track_name]
-            try:
-                return _evaluate(name, spec, fit(spec, td.train), td.test)
-            except Exception as exc:  # re-raised as is, tagged for the failed manifest
-                exc.heartlab_model = f"{track_name}:{name}"
-                raise
-
-        if jobs == 1 or len(work) == 1:
-            outcomes = [fit_and_eval(w) for w in work]
-        else:
-            with ThreadPoolExecutor(max_workers=jobs) as pool_ex:
-                outcomes = list(pool_ex.map(fit_and_eval, work))
-        results = {(w[0], w[1]): r for w, r in zip(work, outcomes)}
+        results = {}
+        for track_name, td in tracks.items():
+            for name, spec in cfg.models:
+                try:
+                    results[(track_name, name)] = _evaluate(
+                        name, spec, fit(spec, td.train), td.test)
+                except Exception as exc:  # re-raised as is, tagged for the failed manifest
+                    exc.heartlab_model = f"{track_name}:{name}"
+                    raise
 
         stage_box[0] = "explain"
         explanations = {}

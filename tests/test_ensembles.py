@@ -57,14 +57,6 @@ def test_forest_regression_is_mean_of_trees(rng):
     assert np.allclose(forest.predict(ds.rows), per_tree.mean(axis=0), atol=1e-12)
 
 
-def test_forest_parallel_matches_serial(two_blob_ds):
-    cfg = ForestConfig(n_trees=12, seed=9, cart=CartConfig(max_depth=4))
-    serial = fit_random_forest(two_blob_ds, cfg, TASK_CLASSIFICATION, n_jobs=1)
-    parallel = fit_random_forest(two_blob_ds, cfg, TASK_CLASSIFICATION, n_jobs=4)
-    q = np.random.default_rng(2).normal(size=(200, 2))
-    assert np.array_equal(serial.predict_proba(q), parallel.predict_proba(q))
-
-
 def test_forest_deterministic_and_seed_sensitive(rng):
     # noisy labels so bootstrap draws actually change the trees
     rows = rng.normal(size=(150, 4))
@@ -233,10 +225,8 @@ def test_gbt_config_validation():
 
 
 def test_default_jobs_env(monkeypatch):
-    monkeypatch.setenv("HEARTLAB_N_JOBS", "3")
-    assert default_jobs() == 3
-    monkeypatch.setenv("HEARTLAB_N_JOBS", "abc")
-    with pytest.raises(ConfigError, match="HEARTLAB_N_JOBS"):
-        default_jobs()
-    monkeypatch.delenv("HEARTLAB_N_JOBS")
-    assert default_jobs() >= 1
+    monkeypatch.delenv("HEARTLAB_N_JOBS", raising=False)
+    assert default_jobs() == 1
+    for value in ("3", "abc"):
+        monkeypatch.setenv("HEARTLAB_N_JOBS", value)
+        assert default_jobs() == 1

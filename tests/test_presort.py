@@ -82,9 +82,9 @@ def test_forest_matches_reference(monkeypatch, task, hp):
     X, labels, targets = _data(11, n=240)
     ds = make_ds(X, labels=labels, targets=targets)
     cfg = ForestConfig(n_trees=6, seed=5, **hp)
-    got = fit_random_forest(ds, cfg, task, n_jobs=1)
+    got = fit_random_forest(ds, cfg, task)
     monkeypatch.setattr(ensembles, "fit_cart_matrix", reference_fit_cart_matrix)
-    want = fit_random_forest(ds, cfg, task, n_jobs=1)
+    want = fit_random_forest(ds, cfg, task)
     assert_same_trees(got.trees, want.trees)
 
 

@@ -1,11 +1,12 @@
 import csv
 import json
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from heartlab import models, runner
+from heartlab import ensembles, models, runner
 from heartlab.cli import main
 from heartlab.errors import ConfigError, ParseError
 from heartlab.runner import (
@@ -276,8 +277,7 @@ def test_leak_free_mode_keeps_the_real_test(tmp_path):
     assert not any("re-splitting" in c for c in man["caveats"])
 
 
-def test_byte_identical_reruns_with_parallel_fit(tmp_path, monkeypatch):
-    monkeypatch.setenv("HEARTLAB_N_JOBS", "4")
+def test_byte_identical_reruns(tmp_path):
     doc = _doc(tmp_path, explain=[
         {"model": "logit", "method": "shap", "rows": [0],
          "mode": "sampled", "n_permutations": 20, "background_size": 8},
@@ -291,6 +291,26 @@ def test_byte_identical_reruns_with_parallel_fit(tmp_path, monkeypatch):
     second = {p.name: p.read_bytes() for p in out.iterdir()}
     assert first == second
     assert any(n.startswith("shap_synthetic_logit") for n in first)
+
+
+@pytest.mark.parametrize("jobs", ["4", "abc"])
+def test_fit_stage_runs_in_the_calling_thread(tmp_path, monkeypatch, jobs):
+    monkeypatch.setenv("HEARTLAB_N_JOBS", jobs)  # no longer read
+    calls = []
+
+    def recorded(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append((name, threading.get_ident()))
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(runner, "fit", recorded("fit", runner.fit))
+    monkeypatch.setattr(ensembles, "fit_cart_matrix",
+                        recorded("tree", ensembles.fit_cart_matrix))
+    run_experiment(parse_config(_doc(tmp_path)))
+    # 4 models and a 10-tree forest, on the real and the synthetic track
+    assert sorted(name for name, _ in calls) == ["fit"] * 8 + ["tree"] * 20
+    assert {ident for _, ident in calls} == {threading.get_ident()}
 
 
 def test_partial_manifest_records_failing_stage(tmp_path):
@@ -398,7 +418,25 @@ def test_cli_exit_codes(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert main(["run", str(bad)]) == 2
+    latin = tmp_path / "latin.json"
+    latin.write_bytes(b'\xff\xfe{"seed": 1}')
+    capsys.readouterr()
+    assert main(["run", str(latin)]) == 2
+    assert f"heartlab: error: {latin} is not UTF-8 text" in capsys.readouterr().err
     assert main(["report", str(tmp_path / "never-ran")]) == 2
+
+
+@pytest.mark.parametrize("text, message", [
+    (b"track,task,model,accuracy\nreal,classification,rf,abc\n", "accuracy cell 'abc' is not"),
+    (b"track,task,accuracy\nreal,classification,0.5\n", "has no 'model' column"),
+    (b"track,task,model,accuracy\nreal,classification,rf,\xff\n", "is not UTF-8 text"),
+], ids=["non-numeric-cell", "no-model-column", "not-utf8"])
+def test_cli_report_malformed_metrics_exits_2(tmp_path, capsys, text, message):
+    (tmp_path / "metrics.csv").write_bytes(text)
+    assert main(["report", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"heartlab: error: {tmp_path / 'metrics.csv'}")
+    assert message in err
 
 
 def test_cli_rejects_mistyped_hyperparam_before_fitting(tmp_path, capsys):
@@ -545,9 +583,14 @@ def test_cli_explain_saved_model(tmp_path, capsys):
         assert (tmp_path / "exp" / f"lime_synthetic_model_synthetic_logit_{row}.csv").exists()
 
 
-def test_cli_explain_requires_requests(tmp_path):
+def test_cli_explain_requires_requests(tmp_path, capsys):
     run_doc = _doc(tmp_path)
     cfg_path = _write_cfg(tmp_path, run_doc)
     assert main(["run", str(cfg_path), "--save-models"]) == 0
     model_file = tmp_path / "out" / "model_real_cart.json"
     assert main(["explain", str(model_file), str(cfg_path)]) == 2
+    latin = tmp_path / "latin.json"
+    latin.write_bytes(b"\xff\xfe{}")
+    capsys.readouterr()
+    assert main(["explain", str(model_file), str(latin)]) == 2
+    assert f"heartlab: error: {latin} is not UTF-8 text" in capsys.readouterr().err
