@@ -132,6 +132,9 @@ def _cmd_report(args) -> int:
     rows = list(reader)
     if not rows:
         raise ConfigError(f"no metric rows in {path}")
+    for i, r in enumerate(rows, start=1):
+        if None in r or None in r.values():  # a cell short of or past the header
+            raise ConfigError(f"{path}: row {i} does not have one cell per column")
     for k in ("track", "task", "model"):
         if k not in reader.fieldnames:
             raise ConfigError(f"{path} has no {k!r} column")

@@ -132,12 +132,6 @@ class Dataset:
     def feature_names(self) -> list[str]:
         return [c.name for c in self.feature_columns()]
 
-    def feature_index(self, name: str) -> int:
-        for i, c in enumerate(self.feature_columns()):
-            if c.name == name:
-                return i
-        raise ConfigError(f"unknown feature column {name!r}")
-
     def class_counts(self) -> dict[int, int]:
         if self.labels is None:
             return {}
@@ -165,6 +159,10 @@ class SplitSpec:
     stratified: bool = True
     seed: int = 0
 
+    def __post_init__(self):
+        if not 0.0 < self.train_fraction < 1.0:
+            raise ConfigError(f"train_fraction must be in (0,1), got {self.train_fraction}")
+
 
 def _parse_cell(text, row_i, col_name):
     try:
@@ -174,7 +172,7 @@ def _parse_cell(text, row_i, col_name):
 
 
 def load_csv(path, schema: list[ColumnSchema]) -> Dataset:
-    """Read a headered CSV into a Dataset.
+    """Read a headered UTF-8 CSV into a Dataset.
 
     The header must contain exactly the schema names, any order. Empty
     feature cells become NaN missing markers. Non-numeric cells are a
@@ -186,14 +184,16 @@ def load_csv(path, schema: list[ColumnSchema]) -> Dataset:
     path = Path(path)
     if not path.exists():
         raise ParseError(f"file not found: {path}")
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
+            raw = [row for row in reader if row]
         except StopIteration:
             raise SchemaError("file has no header row") from None
-        header = [h.strip() for h in header]
-        raw = [row for row in reader if row]
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path} is not UTF-8 text: {exc.reason}") from None
+    header = [h.strip() for h in header]
 
     names = [c.name for c in schema]
     missing = [n for n in names if n not in header]
@@ -307,8 +307,6 @@ def _round_half_up(x: float) -> int:
 def train_test_split(ds: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset]:
     """Deterministic seeded partition; stratified mode keeps per-class
     proportions within one row using largest-remainder allocation."""
-    if not (0.0 < spec.train_fraction < 1.0):
-        raise ConfigError(f"train_fraction must be in (0,1), got {spec.train_fraction}")
     n = ds.n_rows
     rng = np.random.default_rng(spec.seed)
     n_train = _round_half_up(spec.train_fraction * n)

@@ -142,6 +142,8 @@ class GbtConfig:
             raise ConfigError(f"learning_rate must be in (0,1], got {self.learning_rate}")
         if self.n_rounds < 1:
             raise ConfigError(f"n_rounds must be >= 1, got {self.n_rounds}")
+        if self.max_depth < 1:
+            raise ConfigError(f"max_depth must be >= 1, got {self.max_depth}")
         if self.loss not in (LOSS_SQUARED, LOSS_LOGISTIC):
             raise ConfigError(f"loss must be squared or logistic, got {self.loss!r}")
 
@@ -195,8 +197,7 @@ def fit_gbt(ds: Dataset, config: GbtConfig = GbtConfig(),
     X = np.ascontiguousarray(ds.rows, dtype=np.float64)
     if X.shape[0] == 0:
         raise FitError("cannot fit gbt on empty data")
-    cart = CartConfig(max_depth=config.max_depth, min_samples_split=2,
-                      min_samples_leaf=1, feature_subsample="all", seed=config.seed)
+    cart = CartConfig(max_depth=config.max_depth, seed=config.seed)
 
     if config.loss == LOSS_LOGISTIC:
         if ds.labels is None:

@@ -26,16 +26,18 @@ from .models import TrainedModel, scalar_output
 @dataclass(frozen=True)
 class ShapConfig:
     background_size: int = 32
-    mode: str = "exact"
+    mode: str | None = None      # None: exact up to exact_feature_cap features, else sampled
     n_permutations: int = 2000
     exact_feature_cap: int = 12
     seed: int = 0
 
     def __post_init__(self):
-        if self.mode not in ("exact", "sampled"):
+        if self.mode not in (None, "exact", "sampled"):
             raise ConfigError(f"shap mode must be exact or sampled, got {self.mode!r}")
         if self.n_permutations < 1:
-            raise ConfigError("n_permutations must be >= 1")
+            raise ConfigError(f"n_permutations must be >= 1, got {self.n_permutations}")
+        if self.background_size < 1:
+            raise ConfigError(f"background_size must be >= 1, got {self.background_size}")
 
 
 @dataclass(frozen=True)
@@ -168,8 +170,9 @@ def shap_sampled(model, x, background, config: ShapConfig = ShapConfig(mode="sam
 
 
 def shap_values(model, x, background, config: ShapConfig = ShapConfig()) -> Attribution:
-    """Mode dispatch used by the runner."""
-    if config.mode == "exact":
+    """Mode dispatch; a null mode is exact up to exact_feature_cap features, else sampled."""
+    mode = config.mode or ("exact" if np.size(x) <= config.exact_feature_cap else "sampled")
+    if mode == "exact":
         return shap_exact(model, x, background, config)
     return shap_sampled(model, x, background, config)
 

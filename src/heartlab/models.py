@@ -30,7 +30,7 @@ from .ensembles import (
     fit_gbt,
     fit_random_forest,
 )
-from .errors import ContractError, FitError, ModelLoadError, ModelSpecError
+from .errors import ConfigError, ContractError, FitError, ModelLoadError, ModelSpecError
 from .linear import (
     LinearModel,
     PenaltyConfig,
@@ -66,18 +66,19 @@ FORMAT_VERSION = 1
 class Family:
     """Everything the estimator layer knows about one model family.
 
-    fit(spec, ds, y, hp) gets the hyperparameters with defaults filled in;
-    predict(params, X) and proba(params, X) take a float64 matrix, and
-    proba (classification families only) returns the positive-class
-    probability; scored(params, X), when set, returns both labels and
-    probabilities from one pass. Fitted parameters are saved field by
-    field, nested under payload_key when one is set.
+    fit(spec, ds, y, config) gets config(spec, hp) of the hyperparameters
+    with defaults filled in: a config dataclass, or hp. predict(params, X)
+    and proba(params, X) take a float64 matrix, and proba (classification
+    families only) returns the positive-class probability; scored(params,
+    X), when set, returns both labels and probabilities from one pass.
+    Fitted parameters are saved field by field, under payload_key if set.
     """
 
     tasks: tuple
     defaults: dict               # hyperparameter -> default; its type is the key's type
     fit: Callable
     params_type: type
+    config: Callable = lambda spec, hp: hp
     predict: Callable = lambda p, X: p.predict(X)
     proba: Callable | None = None
     scored: Callable | None = None
@@ -113,16 +114,19 @@ _REG = (TASK_REGRESSION,)
 _TREE_KEYS = ("max_depth", "min_samples_split", "min_samples_leaf")
 
 
-def _fit_forest(spec, ds, y, hp):
+def _forest_config(spec, hp):
     cart = CartConfig(seed=spec.seed, **{k: hp[k] for k in _TREE_KEYS})
-    cfg = ForestConfig(n_trees=hp["n_trees"], cart=cart, bootstrap=hp["bootstrap"],
-                       feature_subsample=hp["feature_subsample"], seed=spec.seed)
-    return fit_random_forest(ds, cfg, spec.task)
+    return ForestConfig(n_trees=hp["n_trees"], cart=cart, bootstrap=hp["bootstrap"],
+                        feature_subsample=hp["feature_subsample"], seed=spec.seed)
 
 
-def _fit_gbt(spec, ds, y, hp):
+def _gbt_config(spec, hp):
     loss = LOSS_LOGISTIC if spec.task == TASK_CLASSIFICATION else LOSS_SQUARED
-    return fit_gbt(ds, GbtConfig(loss=loss, seed=spec.seed, **hp))
+    return GbtConfig(loss=loss, seed=spec.seed, **hp)
+
+
+def _penalty_config(spec, hp):
+    return PenaltyConfig(seed=spec.seed, **hp)
 
 
 # The fit lambdas name the fit routines so that they are looked up in this
@@ -131,54 +135,58 @@ def _fit_gbt(spec, ds, y, hp):
 FAMILIES = {
     "cart": Family(
         _BOTH, _defaults(CartConfig, *_TREE_KEYS, "feature_subsample"),
-        lambda spec, ds, y, hp: fit_cart_matrix(
-            ds.rows, y, CartConfig(seed=spec.seed, **hp), spec.task),
-        FlatTree, proba=lambda p, X: _positive(p.predict_value(X)), payload_key="tree"),
+        lambda spec, ds, y, cfg: fit_cart_matrix(ds.rows, y, cfg, spec.task),
+        FlatTree, config=lambda spec, hp: CartConfig(seed=spec.seed, **hp),
+        proba=lambda p, X: _positive(p.predict_value(X)), payload_key="tree"),
     "random_forest": Family(
         _BOTH, {**_defaults(ForestConfig, "n_trees", "bootstrap", "feature_subsample"),
                 **_defaults(CartConfig, *_TREE_KEYS)},
-        _fit_forest, Forest, proba=lambda p, X: _positive(p.predict_proba(X))),
+        lambda spec, ds, y, cfg: fit_random_forest(ds, cfg, spec.task), Forest,
+        config=_forest_config, proba=lambda p, X: _positive(p.predict_proba(X))),
     "gbt": Family(
         _BOTH, _defaults(GbtConfig, "n_rounds", "learning_rate", "max_depth", "lambda_leaf"),
-        _fit_gbt, GbtModel, proba=lambda p, X: _positive(p.predict_proba(X))),
-    "ols": Family(_REG, {}, lambda spec, ds, y, hp: fit_ols(ds.rows, y), LinearModel),
+        lambda spec, ds, y, cfg: fit_gbt(ds, cfg), GbtModel,
+        config=_gbt_config, proba=lambda p, X: _positive(p.predict_proba(X))),
+    "ols": Family(_REG, {}, lambda spec, ds, y, cfg: fit_ols(ds.rows, y), LinearModel),
     "ridge": Family(
         _REG, _defaults(fit_ridge, "lam"),
-        lambda spec, ds, y, hp: fit_ridge(ds.rows, y, hp["lam"]), LinearModel),
+        lambda spec, ds, y, cfg: fit_ridge(ds.rows, y, cfg.lam), LinearModel,
+        config=_penalty_config),
     "lasso": Family(
         _REG, _defaults(PenaltyConfig, "tol", "max_iter", lam=0.01),
-        lambda spec, ds, y, hp: fit_lasso(ds.rows, y, PenaltyConfig(seed=spec.seed, **hp)),
-        LinearModel),
+        lambda spec, ds, y, cfg: fit_lasso(ds.rows, y, cfg), LinearModel,
+        config=_penalty_config),
     "linear_svm": Family(
         _CLS, _defaults(PenaltyConfig, "lam_svm", "epochs"),
-        lambda spec, ds, y, hp: fit_linear_svm(ds.rows, y,
-                                               PenaltyConfig(seed=spec.seed, **hp)),
-        LinearModel,
+        lambda spec, ds, y, cfg: fit_linear_svm(ds.rows, y, cfg), LinearModel,
+        config=_penalty_config,
         # fixed logistic link of the margin: monotone, not calibrated
         proba=lambda p, X: 1.0 / (1.0 + np.exp(-np.clip(p.decision_function(X), -500, 500)))),
     "linear_svr": Family(
         _REG, _defaults(PenaltyConfig, "lam_svm", "eps", "epochs"),
-        lambda spec, ds, y, hp: fit_linear_svr(ds.rows, y,
-                                               PenaltyConfig(seed=spec.seed, **hp)),
-        LinearModel),
+        lambda spec, ds, y, cfg: fit_linear_svr(ds.rows, y, cfg), LinearModel,
+        config=_penalty_config),
     "knn": Family(
         _BOTH, _defaults(fit_knn, "k", "weighting"),
-        lambda spec, ds, y, hp: fit_knn(ds, task=spec.task, **hp), KnnModel,
+        lambda spec, ds, y, cfg: fit_knn(ds, task=spec.task, **cfg), KnnModel,
         predict=_knn_predict, proba=lambda p, X: _knn_scored(p, X)[1], scored=_knn_scored),
     "gaussian_nb": Family(
-        _CLS, {}, lambda spec, ds, y, hp: fit_gnb(ds), GaussianNbModel,
+        _CLS, {}, lambda spec, ds, y, cfg: fit_gnb(ds), GaussianNbModel,
         predict=predict_gnb_batch, proba=lambda p, X: _positive(gnb_proba(p, X))),
     "logistic": Family(
         _CLS, _defaults(PenaltyConfig, "tol", "max_iter", "ridge"),
-        lambda spec, ds, y, hp: fit_logistic(ds.rows, y,
-                                             PenaltyConfig(lam=0.0, seed=spec.seed, **hp)),
-        LinearModel, proba=lambda p, X: _positive(p.predict_proba(X))),
+        lambda spec, ds, y, cfg: fit_logistic(ds.rows, y, cfg), LinearModel,
+        config=lambda spec, hp: PenaltyConfig(lam=0.0, seed=spec.seed, **hp),
+        proba=lambda p, X: _positive(p.predict_proba(X))),
 }
 ALL_FAMILIES = tuple(FAMILIES)
 
 
 @dataclass(frozen=True)
 class EstimatorSpec:
+    """Making one builds `config`, the object the family's fit receives, so
+    a bad hyperparameter fails here; as no field, it stays out of asdict."""
+
     family: str
     task: str
     hyperparams: dict = field(default_factory=dict)  # as given; defaults are not written in
@@ -191,7 +199,7 @@ class EstimatorSpec:
             raise ModelSpecError(f"unknown task {self.task!r}")
         if self.task not in FAMILIES[self.family].tasks:
             raise ModelSpecError(f"family {self.family!r} does not support task {self.task!r}")
-        _resolve(self)
+        object.__setattr__(self, "config", FAMILIES[self.family].config(self, _resolve(self)))
 
 
 def lossless(kind, value):
@@ -269,7 +277,7 @@ def _labels_or_targets(spec: EstimatorSpec, ds: Dataset):
 def fit(spec: EstimatorSpec, ds: Dataset) -> TrainedModel:
     """Fit with the family's routine; deterministic given spec.seed."""
     y = _labels_or_targets(spec, ds)
-    params = FAMILIES[spec.family].fit(spec, ds, y, _resolve(spec))
+    params = FAMILIES[spec.family].fit(spec, ds, y, spec.config)
     return TrainedModel(spec=spec, params=params, fingerprint=_fingerprint(ds))
 
 
@@ -387,6 +395,6 @@ def load_model(payload: bytes) -> TrainedModel:
                              seed=int(s.get("seed", 0)))
         params = _load_params(spec.family, doc["params"])
         fingerprint = dict(doc["fingerprint"])
-    except (KeyError, TypeError, ValueError, ModelSpecError) as exc:
+    except (KeyError, TypeError, ValueError, ConfigError, ModelSpecError) as exc:
         raise ModelLoadError(f"malformed model payload: {exc}") from None
     return TrainedModel(spec=spec, params=params, fingerprint=fingerprint)

@@ -28,6 +28,10 @@ class PreprocessConfig:
     iqr_factor: float = 1.5
     scale: bool = True
 
+    def __post_init__(self):
+        if self.iqr_factor < 0:
+            raise ConfigError(f"iqr_factor must be >= 0, got {self.iqr_factor}")
+
 
 @dataclass(frozen=True)
 class IqrBounds:
@@ -103,6 +107,8 @@ def fit_preprocessor(train: Dataset, config: PreprocessConfig = PreprocessConfig
         iqr_names = [c.name for c in feat_cols if c.kind == KIND_CONTINUOUS]
     work = train.with_rows(imputed, labels=train.labels, targets=train.targets)
     filtered, bounds = iqr_filter(work, iqr_names, config.iqr_factor)
+    if filtered.n_rows == 0:
+        raise FitError(f"outlier filter (iqr_factor {config.iqr_factor}) left no training rows")
 
     means = filtered.rows.mean(axis=0)
     sds = np.sqrt(np.mean((filtered.rows - means) ** 2, axis=0))

@@ -22,8 +22,9 @@ import csv
 import hashlib
 import io
 import json
+import typing
 from concurrent.futures import ThreadPoolExecutor  # unused; perfbench/tracer.py patches it
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields, replace
 from itertools import groupby
 from pathlib import Path
 
@@ -79,9 +80,17 @@ def derive_seed(master: int, label: str) -> int:
 class ExplainRequest:
     model: str
     method: str                  # shap | lime
+    config: ShapConfig | LimeConfig
     rows: tuple = (0,)
     track: str | None = None     # default: synthetic when smote is on
-    options: dict = field(default_factory=dict)
+    options: dict = field(default_factory=dict)  # as given, for the effective config
+
+
+@dataclass(frozen=True)
+class _Fixture(FixtureSpec):
+    """The dataset.fixture section: a FixtureSpec and make_fixture's other arguments."""
+    n: int = 2000
+    seed: int = 0
 
 
 @dataclass(frozen=True)
@@ -103,39 +112,32 @@ def _want(d: dict, allowed: set, where: str) -> None:
         raise ConfigError(f"unknown key {sorted(unknown)[0]!r} in {where}")
 
 
-def _conv(kind, value, path: str):
-    """kind(value) without loss, or a ConfigError naming the key path."""
+def _conv(hint, value, path: str):
+    """value as type hint without loss (X | None lets null through), or a ConfigError."""
+    kinds = typing.get_args(hint) or (hint,)
+    if value is None and type(None) in kinds:
+        return None
     try:
-        return lossless(kind, value)
+        return lossless(kinds[0], value)
     except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"{path} must be {kind.__name__}, got {value!r}") from None
+        name = " or ".join("null" if k is type(None) else k.__name__ for k in kinds)
+        raise ConfigError(f"{path} must be {name}, got {value!r}") from None
 
 
-def _maybe(kind):
-    """kind, letting null through."""
-    def convert(value):
-        return None if value is None else lossless(kind, value)
-    convert.__name__ = f"{kind.__name__} or null"
-    return convert
-
-
-def _section(d, where: str, schema: dict) -> dict:
-    """A config object's values by schema, key -> (type, default): an
-    unknown key or a value its type cannot take raises a ConfigError
-    naming the key path."""
+def _section(d, where: str, cls, **own):
+    """cls from config object d, keyed, typed and defaulted by cls's fields;
+    a seed is a key only if own (key -> the runner's default) names it. A
+    bad key, type or value raises a ConfigError naming the key path."""
     d = _conv(dict, d, where)
-    _want(d, set(schema), where)
-    return {k: _conv(kind, d.get(k, default), f"{where}.{k}")
-            for k, (kind, default) in schema.items()}
-
-
-# Explain options, typed with defaults: parse_config checks them and keeps
-# them as given, and a request converts them when it runs. A null mode picks
-# exact SHAP up to exact_feature_cap features, a null sigma LIME's default width.
-_EXPLAIN_OPTIONS = {
-    "mode": (_maybe(str), None), "n_permutations": (int, 2000), "background_size": (int, 32),
-    "exact_feature_cap": (int, 12), "n_samples": (int, 5000), "sigma": (_maybe(float), None),
-    "n_features": (int, 10), "ridge": (float, 1e-3)}
+    hints = typing.get_type_hints(cls)
+    keys = {f.name: f.default for f in fields(cls) if f.name != "seed"} | own
+    _want(d, set(keys), where)
+    values = {k: _conv(hints[k], d.get(k, default), f"{where}.{k}")
+              for k, default in keys.items()}
+    try:
+        return cls(**values)
+    except ConfigError as exc:
+        raise ConfigError(f"{where}: {exc}") from None
 
 
 def parse_config(doc: dict, seed_override: int | None = None) -> RunConfig:
@@ -157,22 +159,14 @@ def parse_config(doc: dict, seed_override: int | None = None) -> RunConfig:
             raise ConfigError(f"unknown schema {schema!r}")
         dataset = {"path": str(ds["path"]), "schema": schema}
     else:
-        dataset = {"fixture": _section(ds["fixture"], "dataset.fixture", {
-            "n": (int, 2000), "noise_sigma": (float, 0.1),
-            "logistic_steepness": (float, 6.0), "seed": (int, derive_seed(master, "fixture"))})}
+        dataset = {"fixture": asdict(_section(ds["fixture"], "dataset.fixture", _Fixture,
+                                              seed=derive_seed(master, "fixture")))}
 
-    split = SplitSpec(seed=derive_seed(master, "split"), **_section(
-        doc.get("split", {}), "split", {"train_fraction": (float, 0.8),
-                                        "stratified": (bool, True)}))
-    preprocess = PreprocessConfig(**_section(
-        doc.get("preprocess", {}), "preprocess",
-        {"iqr_columns": (_maybe(list), None), "iqr_factor": (float, 1.5), "scale": (bool, True)}))
-
-    smote_cfg = None
-    if doc.get("smote") is not None:
-        smote_cfg = SmoteConfig(**_section(doc["smote"], "smote", {
-            "k": (int, 5), "mode": (str, "balance"), "target_total": (_maybe(int), None),
-            "leak_free": (bool, False), "seed": (int, derive_seed(master, "smote"))}))
+    split = replace(_section(doc.get("split", {}), "split", SplitSpec),
+                    seed=derive_seed(master, "split"))
+    preprocess = _section(doc.get("preprocess", {}), "preprocess", PreprocessConfig)
+    smote_cfg = None if doc.get("smote") is None else _section(
+        doc["smote"], "smote", SmoteConfig, seed=derive_seed(master, "smote"))
 
     raw_models = doc.get("models")
     if not raw_models or not isinstance(raw_models, list):
@@ -188,12 +182,14 @@ def parse_config(doc: dict, seed_override: int | None = None) -> RunConfig:
         if name in seen:
             raise ConfigError(f"duplicate model name {name!r}; give explicit names")
         seen.add(name)
-        spec = EstimatorSpec(
-            family=str(m["family"]), task=m["task"],
-            hyperparams=_conv(dict, m.get("hyperparams", {}), f"models[{i}].hyperparams"),
-            seed=_conv(int, m["seed"], f"models[{i}].seed") if "seed" in m
-            else derive_seed(master, f"model:{name}"),
-        )
+        hyperparams = _conv(dict, m.get("hyperparams", {}), f"models[{i}].hyperparams")
+        seed = (_conv(int, m["seed"], f"models[{i}].seed") if "seed" in m
+                else derive_seed(master, f"model:{name}"))
+        try:
+            spec = EstimatorSpec(family=str(m["family"]), task=m["task"],
+                                 hyperparams=hyperparams, seed=seed)
+        except HeartlabError as exc:
+            raise type(exc)(f"models[{i}]: {exc}") from None
         models.append((name, spec))
 
     metric_sel = tuple(_conv(list, doc.get("metrics", METRIC_FIELDS), "metrics"))
@@ -204,7 +200,6 @@ def parse_config(doc: dict, seed_override: int | None = None) -> RunConfig:
     ex_reqs = []
     for i, e in enumerate(_conv(list, doc.get("explain") or [], "explain")):
         e = _conv(dict, e, f"explain[{i}]")
-        _want(e, {"model", "method", "rows", "track", *_EXPLAIN_OPTIONS}, f"explain[{i}]")
         model = str(e.get("model"))
         if model not in seen:
             raise ConfigError(f"explain[{i}] references unknown model {e.get('model')!r}")
@@ -216,9 +211,10 @@ def parse_config(doc: dict, seed_override: int | None = None) -> RunConfig:
             raise ConfigError(f"explain[{i}] track must be real or synthetic")
         rows = tuple(_conv(int, r, f"explain[{i}].rows")
                      for r in _conv(list, e.get("rows", [0]), f"explain[{i}].rows"))
-        opts = {k: e[k] for k in e if k in _EXPLAIN_OPTIONS}
-        _section(opts, f"explain[{i}]", _EXPLAIN_OPTIONS)
-        ex_reqs.append(ExplainRequest(model=model, method=method, rows=rows,
+        opts = {k: v for k, v in e.items() if k not in ("model", "method", "rows", "track")}
+        config = replace(_section(opts, f"explain[{i}]", ShapConfig if method == "shap"
+                                  else LimeConfig), seed=derive_seed(master, f"{method}:{model}"))
+        ex_reqs.append(ExplainRequest(model=model, method=method, config=config, rows=rows,
                                       track=track, options=opts))
         if track == TRACK_SYNTHETIC and smote_cfg is None:
             raise ConfigError(f"explain[{i}] asks for the synthetic track but smote is off")
@@ -279,10 +275,8 @@ def _effective_config_dict(cfg: RunConfig) -> dict:
 def _load_stage(cfg: RunConfig) -> Dataset:
     if "path" in cfg.dataset:
         return load_csv(cfg.dataset["path"], SCHEMAS[cfg.dataset["schema"]])
-    fx = cfg.dataset["fixture"]
-    spec = FixtureSpec(noise_sigma=fx["noise_sigma"],
-                       logistic_steepness=fx["logistic_steepness"])
-    return make_fixture(fx["n"], spec, seed=fx["seed"])
+    fx = _Fixture(**cfg.dataset["fixture"])
+    return make_fixture(fx.n, fx, seed=fx.seed)
 
 
 def _evaluate(name: str, spec: EstimatorSpec, model: TrainedModel,
@@ -326,8 +320,7 @@ def prepare_tracks(cfg: RunConfig, stage_box: list | None = None):
     box[0] = "split"
     split = cfg.split
     if full.labels is None and split.stratified:
-        split = SplitSpec(train_fraction=split.train_fraction, stratified=False,
-                          seed=split.seed)
+        split = replace(split, stratified=False)
     train, test = train_test_split(full, split)
     counts["train_rows"] = train.n_rows
     counts["test_rows"] = test.n_rows
@@ -358,9 +351,7 @@ def prepare_tracks(cfg: RunConfig, stage_box: list | None = None):
             pool = _concat(train_real, test_real)
             pool_rows = pool.n_rows
             grown = smote(pool, cfg.smote)
-            resplit = SplitSpec(train_fraction=cfg.split.train_fraction,
-                                stratified=True,
-                                seed=derive_seed(cfg.seed, "resplit"))
+            resplit = replace(cfg.split, stratified=True, seed=derive_seed(cfg.seed, "resplit"))
             train_syn, test_syn = train_test_split(grown, resplit)
             caveats.append(
                 "synthetic track oversamples the pooled train+test data before "
@@ -485,27 +476,15 @@ def _explain_tracks(cfg: RunConfig, tracks: dict) -> list:
 
 def _run_explain(cfg: RunConfig, req: ExplainRequest, model: TrainedModel,
                  td: TrackData) -> dict:
-    opts = _section(req.options, "explain", _EXPLAIN_OPTIONS)
     out = {"rows": {}, "request": req}
     if req.method == "shap":
-        cap = opts["exact_feature_cap"]
-        shap_cfg = ShapConfig(
-            background_size=opts["background_size"],
-            mode=opts["mode"] or ("exact" if td.train.rows.shape[1] <= cap else "sampled"),
-            n_permutations=opts["n_permutations"],
-            exact_feature_cap=cap,
-            seed=derive_seed(cfg.seed, f"shap:{req.model}"),
-        )
-        background = sample_background(td.train.rows, shap_cfg.background_size,
+        background = sample_background(td.train.rows, req.config.background_size,
                                        seed=derive_seed(cfg.seed, f"shap-bg:{req.model}"))
         for row in req.rows:
-            out["rows"][row] = shap_values(model, td.test.rows[row], background, shap_cfg)
+            out["rows"][row] = shap_values(model, td.test.rows[row], background, req.config)
     else:
-        lime_cfg = LimeConfig(
-            n_samples=opts["n_samples"], sigma=opts["sigma"], n_features=opts["n_features"],
-            ridge=opts["ridge"], seed=derive_seed(cfg.seed, f"lime:{req.model}"))
         for row in req.rows:
-            out["rows"][row] = lime_explain(model, td.test.rows[row], lime_cfg)
+            out["rows"][row] = lime_explain(model, td.test.rows[row], req.config)
     return out
 
 

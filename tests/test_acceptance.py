@@ -21,8 +21,7 @@ The package promises ten verifiable properties before a release:
   9. optimizer certificates: lasso kkt gap <= 1e-4, ridge(lam=0) = ols
      at 1e-9, gbt staged loss non-increasing (1e-12 slack), logistic
      gradient norm < 1e-6 at exit
- 10. two identical `run` invocations with parallel training enabled
-     write byte-identical bundles
+ 10. two identical `run` invocations write byte-identical bundles
 
 Checks 1, 2, 4, and 6-10 are self-contained. Check 3 and the real leg
 of check 5 need the user-supplied table: set HEARTLAB_HEART_CSV to its
@@ -172,12 +171,11 @@ def test_criterion_02_confusion_count_regeneration():
     _ok(2, f"reference counts give accuracy {got['accuracy']:.4f}, mcc {got['mcc']:.4f}")
 
 
-def test_criterion_03_real_data_classification(monkeypatch, tmp_path):
+def test_criterion_03_real_data_classification(tmp_path):
     csv_path = os.environ.get("HEARTLAB_HEART_CSV")
     if not csv_path:
         pytest.skip("criterion 03 needs the real heart table; set "
                     "HEARTLAB_HEART_CSV=/path/to/heart.csv to enable it")
-    monkeypatch.setenv("HEARTLAB_N_JOBS", "1")
     doc = {
         "dataset": {"path": csv_path, "schema": "heart16"},
         "models": [{"family": "random_forest", "task": "classification"}],
@@ -466,8 +464,7 @@ def test_criterion_09_optimizer_certificates():
            f"logistic grad {float(np.max(np.abs(grad))):.2e}")
 
 
-def test_criterion_10_run_determinism(tmp_path, monkeypatch):
-    monkeypatch.setenv("HEARTLAB_N_JOBS", "4")
+def test_criterion_10_run_determinism(tmp_path):
     out = tmp_path / "bundle"
     doc = {
         "dataset": {"fixture": {"n": 400, "seed": 9}},
@@ -497,4 +494,4 @@ def test_criterion_10_run_determinism(tmp_path, monkeypatch):
     assert cli_main(["run", str(cfg_path), "--save-models"]) == 0
     second = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
     assert first == second
-    _ok(10, f"two parallel runs wrote byte-identical bundles ({len(first)} files)")
+    _ok(10, f"two identical runs wrote byte-identical bundles ({len(first)} files)")

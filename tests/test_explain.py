@@ -191,6 +191,9 @@ def test_shap_values_dispatch(rng):
     assert shap_values(fn, x, bg).standard_errors is None
     assert shap_values(fn, x, bg,
                        ShapConfig(mode="sampled", n_permutations=8)).standard_errors is not None
+    # a null mode is exact up to exact_feature_cap features, sampled above
+    assert shap_values(fn, x, bg, ShapConfig(exact_feature_cap=1)).mode == "sampled"
+    assert shap_values(fn, x, bg, ShapConfig(exact_feature_cap=2)).mode == "exact"
 
 
 def test_shap_config_validation():
@@ -198,6 +201,8 @@ def test_shap_config_validation():
         ShapConfig(mode="approximate")
     with pytest.raises(ConfigError):
         ShapConfig(mode="sampled", n_permutations=0)
+    with pytest.raises(ConfigError, match="background_size"):
+        ShapConfig(background_size=0)
 
 
 def test_shap_on_trained_model(two_blob_ds):

@@ -122,6 +122,18 @@ def test_all_missing_column_rejected():
         fit_preprocessor(ds, PreprocessConfig())
 
 
+def test_negative_iqr_factor_rejected():
+    with pytest.raises(ConfigError, match="iqr_factor"):
+        PreprocessConfig(iqr_factor=-1.0)
+
+
+def test_outlier_filter_that_drops_every_row_is_a_fit_error():
+    # at factor 0 only f0 in {2, 3} and f1 in {2, 3} survive, never in one row
+    ds = make_ds(np.array([[1.0, 2.0], [2.0, 1.0], [3.0, 4.0], [4.0, 3.0]]))
+    with pytest.raises(FitError, match="outlier filter"):
+        fit_preprocessor(ds, PreprocessConfig(iqr_factor=0.0))
+
+
 def test_empty_dataset_rejected():
     ds = make_ds(np.empty((0, 2)))
     with pytest.raises(FitError):

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from heartlab import ensembles, models, runner
+from heartlab import ensembles, runner
 from heartlab.cli import main
 from heartlab.errors import ConfigError, ParseError
 from heartlab.runner import (
@@ -376,6 +376,25 @@ def test_explanation_files(tmp_path):
     assert len(rows) == 5 + 2
 
 
+def test_outlier_filter_that_empties_training_fails_at_preprocess(tmp_path, capsys):
+    doc = _doc(tmp_path, dataset={"fixture": {"n": 20, "seed": 5}},
+               preprocess={"iqr_factor": 0.0})
+    assert main(["run", str(_write_cfg(tmp_path, doc))]) == 2
+    assert "outlier filter" in capsys.readouterr().err
+    man = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert (man["status"], man["stage"]) == ("failed", "preprocess")
+
+
+def test_cli_non_utf8_csv_exits_2(tmp_path, capsys):
+    path = tmp_path / "latin.csv"
+    path.write_bytes("age,note\n54,caf\u00e9\n".encode("latin-1"))
+    doc = _doc(tmp_path, dataset={"path": str(path)})
+    assert main(["run", str(_write_cfg(tmp_path, doc))]) == 2
+    assert f"heartlab: error: {path} is not UTF-8 text" in capsys.readouterr().err
+    man = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert (man["status"], man["stage"]) == ("failed", "load")
+
+
 def test_explain_row_out_of_range(tmp_path):
     doc = _doc(tmp_path, explain=[
         {"model": "logit", "method": "lime", "rows": [100000], "n_samples": 200}])
@@ -430,7 +449,8 @@ def test_cli_exit_codes(tmp_path, capsys):
     (b"track,task,model,accuracy\nreal,classification,rf,abc\n", "accuracy cell 'abc' is not"),
     (b"track,task,accuracy\nreal,classification,0.5\n", "has no 'model' column"),
     (b"track,task,model,accuracy\nreal,classification,rf,\xff\n", "is not UTF-8 text"),
-], ids=["non-numeric-cell", "no-model-column", "not-utf8"])
+    (b"track,task,model,accuracy\nreal,classification\n", "row 1 does not have one cell"),
+], ids=["non-numeric-cell", "no-model-column", "not-utf8", "short-row"])
 def test_cli_report_malformed_metrics_exits_2(tmp_path, capsys, text, message):
     (tmp_path / "metrics.csv").write_bytes(text)
     assert main(["report", str(tmp_path)]) == 2
@@ -473,11 +493,16 @@ def test_cli_rejects_explain_row_before_fitting(tmp_path, capsys, monkeypatch):
     (lambda d: d.update(explain=[{"model": ["rf"]}]), "explain[0]"),
 ])
 def test_cli_mistyped_config_value_exits_2(tmp_path, capsys, mutate, path):
+    _assert_refused_while_parsing(tmp_path, capsys, mutate, path)
+
+
+def _assert_refused_while_parsing(tmp_path, capsys, mutate, *fragments):
     doc = _doc(tmp_path)
     mutate(doc)
     assert main(["run", str(_write_cfg(tmp_path, doc))]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("heartlab: error: ") and path in err
+    assert err.startswith("heartlab: error: ")
+    assert all(f in err for f in fragments), err
     assert not (tmp_path / "out").exists()  # rejected while parsing the config
 
 
@@ -489,12 +514,38 @@ def test_cli_mistyped_config_value_exits_2(tmp_path, capsys, mutate, path):
     (lambda d: d.update(preprocess={"scale": "no"}), "preprocess.scale"),
 ])
 def test_cli_lossy_config_value_exits_2(tmp_path, capsys, mutate, path):
-    doc = _doc(tmp_path)
-    mutate(doc)
-    assert main(["run", str(_write_cfg(tmp_path, doc))]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("heartlab: error: ") and path in err
-    assert not (tmp_path / "out").exists()  # rejected while parsing the config
+    _assert_refused_while_parsing(tmp_path, capsys, mutate, path)
+
+
+def _set_model(i, family, task, **hyperparams):
+    def mutate(d):
+        d["models"][i] = {"name": family, "family": family, "task": task,
+                          "hyperparams": hyperparams}
+    return mutate
+
+
+def _explain(**request):
+    return lambda d: d.update(explain=[{"model": "logit", **request}])
+
+
+@pytest.mark.parametrize("mutate, where, key", [
+    (lambda d: d["models"][1]["hyperparams"].update(max_depth=0), "models[1]", "max_depth"),
+    (lambda d: d["models"][0]["hyperparams"].update(n_trees=-1), "models[0]", "n_trees"),
+    (_set_model(1, "gbt", "classification", learning_rate=0), "models[1]", "learning_rate"),
+    (_set_model(2, "linear_svm", "classification", epochs=0), "models[2]", "epochs"),
+    (lambda d: d.update(split={"train_fraction": 1.5}), "split", "train_fraction"),
+    (lambda d: d["smote"].update(k=0), "smote", "k must be"),
+    (lambda d: d.update(preprocess={"iqr_factor": -1}), "preprocess", "iqr_factor"),
+    (_explain(method="lime", n_samples=50), "explain[0]", "n_samples"),
+    (_explain(method="shap", background_size=0), "explain[0]", "background_size"),
+    (_explain(method="shap", n_permutations=0), "explain[0]", "n_permutations"),
+    (_explain(method="shap", mode="fast"), "explain[0]", "mode"),
+    (_explain(method="lime", n_permutations=200), "explain[0]", "'n_permutations'"),
+], ids=["cart-max_depth", "rf-n_trees", "gbt-learning_rate", "svm-epochs",
+        "train_fraction", "smote-k", "iqr_factor", "lime-n_samples", "shap-background_size",
+        "shap-n_permutations", "shap-mode", "lime-shap-option"])
+def test_cli_out_of_range_config_value_exits_2(tmp_path, capsys, mutate, where, key):
+    _assert_refused_while_parsing(tmp_path, capsys, mutate, where, key)
 
 
 @pytest.mark.parametrize("model, hyperparams, key", [
@@ -513,10 +564,9 @@ def test_cli_lossy_hyperparameter_exits_2(tmp_path, capsys, model, hyperparams, 
 def test_lossless_hyperparameters_still_convert(tmp_path):
     doc = _doc(tmp_path)
     doc["models"][0]["hyperparams"] = {"n_trees": "3", "max_depth": 2.0, "bootstrap": 0}
-    spec = parse_config(doc).models[0][1]
-    hp = models._resolve(spec)
-    assert (hp["n_trees"], hp["max_depth"], hp["bootstrap"]) == (3, 2, False)
-    assert type(hp["max_depth"]) is int and type(hp["bootstrap"]) is bool
+    cfg = parse_config(doc).models[0][1].config
+    assert (cfg.n_trees, cfg.cart.max_depth, cfg.bootstrap) == (3, 2, False)
+    assert type(cfg.cart.max_depth) is int and type(cfg.bootstrap) is bool
 
 
 def test_lossless_config_values_still_convert(tmp_path):
