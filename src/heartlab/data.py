@@ -245,7 +245,7 @@ def load_csv(path, schema: list[ColumnSchema]) -> Dataset:
             if c == "":
                 raise ParseError(f"row {i}, column {label_col.name!r}: empty class label")
             v = _parse_cell(c, i, label_col.name)
-            if v != int(v) or v < 0:
+            if not 0 <= v < 2 ** 63 or v != int(v):
                 raise ParseError(
                     f"row {i}, column {label_col.name!r}: class code must be a nonnegative integer, got {c!r}"
                 )

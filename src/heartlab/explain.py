@@ -4,7 +4,8 @@ interventional coalition value, and LIME local linear surrogates.
 The coalition value v(S) is the mean model output over a background set
 with the explained row's values spliced in on S. One coalition table
 computes v for both SHAP modes, from one boolean membership row per
-coalition, running the model on at most _BLOCK_ROWS spliced rows a call.
+coalition, running the model once on each distinct spliced row, at most
+_BLOCK_ROWS rows a call.
 Exact mode tables all 2^M subsets; sampled mode averages marginal
 contributions over antithetic permutation pairs, tabling each distinct
 coalition of their chains once, and distributes the (tiny) efficiency
@@ -49,8 +50,8 @@ class Attribution:
     standard_errors: np.ndarray | None = None
 
 
-# Most background-expanded rows per model call in _coalition_table; this
-# bounds the spliced matrix to _BLOCK_ROWS * M floats for any M and mode.
+# Most spliced rows per model call in _coalition_table; this bounds its
+# buffer to _BLOCK_ROWS * M floats for any M and mode.
 _BLOCK_ROWS = 1 << 14
 
 
@@ -93,16 +94,63 @@ def coalition_value(model, x, S, background) -> float:
 
 
 def _coalition_table(fn, x, background, member: np.ndarray) -> np.ndarray:
-    """v(S) for each row S of a (k, M) boolean membership matrix. Row r of
-    the k * bg spliced rows is background row r % bg with x's values on
-    coalition r // bg; the model sees them in calls of at most _BLOCK_ROWS
-    rows, and each coalition's outputs are averaged over the background."""
+    """v(S) for each row S of a (k, M) boolean membership matrix: the mean
+    model output over background rows b with x's values spliced in on S.
+
+    That row depends only on S & D_b, D_b being the features whose bits
+    differ between x and b, so the model sees each distinct spliced row of
+    each b once, from one buffer of at most _BLOCK_ROWS rows a call. BLAS
+    rounds a call's last n % 4 rows on a path of their own; so that each
+    row takes the path it takes in the whole table run in blocks, every
+    call holds a multiple of four rows (the last is padded with copies of
+    its last row) except one: the table's last 4 + (k * bg) % 4 rows.
+    """
+    k, M = member.shape
     bg = background.shape[0]
-    out = np.empty(member.shape[0] * bg)
-    for start in range(0, out.size, _BLOCK_ROWS):
-        rows = np.arange(start, min(start + _BLOCK_ROWS, out.size))
-        out[rows] = fn(np.where(member[rows // bg], x, background[rows % bg]))
-    return out.reshape(member.shape[0], bg).mean(axis=1)
+    n = k * bg
+    out = np.empty((k, bg))
+    tail = min(n, 4 + n % 4, _BLOCK_ROWS) if n % 4 else 0
+    if tail:
+        rows = np.arange(n - tail, n)
+        out.flat[rows] = fn(np.where(member[rows // bg], x, background[rows % bg]))
+    packed = np.packbits(member, axis=1)
+    differs = np.packbits(background.view(np.int64) != x.view(np.int64), axis=1)
+    buf = np.empty((min(_BLOCK_ROWS // 4 * 4 or _BLOCK_ROWS, n + 3), M))
+    pieces = []  # (b, inverse of b's distinct rows, the first of them in buf, count)
+
+    def flush(fill):
+        padded = min(fill + -fill % 4, len(buf))
+        buf[fill:padded] = buf[fill - 1]
+        res = fn(buf[:padded])
+        pos = 0
+        for b, inv, i, count in pieces:
+            here = (inv >= i) & (inv < i + count)
+            out[:inv.size, b][here] = res[inv[here] + (pos - i)]
+            pos += count
+        pieces.clear()
+
+    fill = 0
+    for b in range(bg):
+        kb = -((b + tail - n) // bg)  # coalitions whose row with b precedes the tail
+        keys = packed[:kb] & differs[b]
+        _, first, inv = np.unique(keys.view(f"V{keys.shape[1]}")[:, 0],
+                                  return_index=True, return_inverse=True)
+        inv = inv.astype(np.int32)
+        i = 0
+        while i < first.size:
+            count = min(first.size - i, len(buf) - fill)
+            rows = buf[fill:fill + count]
+            rows[:] = background[b]
+            np.copyto(rows, x, where=member[first[i:i + count]])
+            pieces.append((b, inv, i, count))
+            i += count
+            fill += count
+            if fill == len(buf):
+                flush(fill)
+                fill = 0
+    if fill:
+        flush(fill)
+    return out.mean(axis=1)
 
 
 def shap_exact(model, x, background, config: ShapConfig = ShapConfig()) -> Attribution:

@@ -43,6 +43,7 @@ from .linear import (
 )
 from .neighbors import (
     GaussianNbModel,
+    KnnConfig,
     KnnModel,
     fit_gnb,
     fit_knn,
@@ -168,7 +169,8 @@ FAMILIES = {
         config=_penalty_config),
     "knn": Family(
         _BOTH, _defaults(fit_knn, "k", "weighting"),
-        lambda spec, ds, y, cfg: fit_knn(ds, task=spec.task, **cfg), KnnModel,
+        lambda spec, ds, y, cfg: fit_knn(ds, cfg.k, cfg.weighting, spec.task), KnnModel,
+        config=lambda spec, hp: KnnConfig(**hp),
         predict=_knn_predict, proba=lambda p, X: _knn_scored(p, X)[1], scored=_knn_scored),
     "gaussian_nb": Family(
         _CLS, {}, lambda spec, ds, y, cfg: fit_gnb(ds), GaussianNbModel,
@@ -204,10 +206,12 @@ class EstimatorSpec:
 
 def lossless(kind, value):
     """kind(value), refusing what would lose or invent information: a
-    fractional int, a list made from a string or an object, a bool from
-    anything but true and false (or 1 and 0)."""
+    fractional int, a list made from a string or an object, a dict from
+    anything but a dict, a bool from anything but true and false (or 1
+    and 0)."""
     if (kind is bool and value not in (True, False)
-            or kind is list and not isinstance(value, (list, tuple))):
+            or kind is list and not isinstance(value, (list, tuple))
+            or kind is dict and not isinstance(value, dict)):
         raise ValueError(value)
     out = kind(value)
     if kind is int and isinstance(value, float) and out != value:

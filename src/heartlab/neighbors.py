@@ -18,6 +18,19 @@ WEIGHT_INVERSE = "inverse-distance"
 
 
 @dataclass(frozen=True)
+class KnnConfig:
+    """The checks of knn's hyperparameters; fit_knn owns their defaults."""
+    k: int
+    weighting: str
+
+    def __post_init__(self):
+        if self.k < 1:
+            raise ConfigError(f"k must be >= 1, got {self.k}")
+        if self.weighting not in (WEIGHT_UNIFORM, WEIGHT_INVERSE):
+            raise ConfigError(f"unknown weighting {self.weighting!r}")
+
+
+@dataclass(frozen=True)
 class KnnModel:
     X: np.ndarray
     y: np.ndarray            # int labels or float targets
@@ -27,10 +40,9 @@ class KnnModel:
     n_classes: int = 0
 
     def __post_init__(self):
-        if self.k < 1 or self.k > self.X.shape[0]:
+        KnnConfig(self.k, self.weighting)
+        if self.k > self.X.shape[0]:
             raise ConfigError(f"k must be in 1..{self.X.shape[0]}, got {self.k}")
-        if self.weighting not in (WEIGHT_UNIFORM, WEIGHT_INVERSE):
-            raise ConfigError(f"unknown weighting {self.weighting!r}")
 
 
 def fit_knn(ds: Dataset, k: int = 5, weighting: str = WEIGHT_UNIFORM,

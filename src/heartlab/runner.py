@@ -92,6 +92,10 @@ class _Fixture(FixtureSpec):
     n: int = 2000
     seed: int = 0
 
+    def __post_init__(self):
+        if self.n < 4:
+            raise ConfigError(f"fixture needs n >= 4, got {self.n}")
+
 
 @dataclass(frozen=True)
 class RunConfig:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from heartlab.data import (
     ColumnSchema,
@@ -13,6 +14,11 @@ from heartlab.data import (
 )
 from heartlab import _kernels
 from heartlab.trees import TASK_CLASSIFICATION, FlatTree
+
+# Every tier-1 run draws the same examples: a failure found once is found
+# on every run, and no example database carries over between runs.
+settings.register_profile("tier1", derandomize=True, database=None)
+settings.load_profile("tier1")
 
 
 def make_ds(rows, labels=None, targets=None, kinds=None, names=None):

@@ -410,21 +410,168 @@ def test_sampled_past_int64_mask_width(rng, monkeypatch):
     assert got.phi.sum() == pytest.approx(got.fx - got.base_value, abs=1e-9)
 
 
-@pytest.mark.parametrize("block", [1 << 14, 40, 7])
-def test_each_distinct_coalition_evaluated_once(rng, monkeypatch, block):
-    M, n_perm = 5, 30
-    bg = rng.normal(size=(6, M))
-    x = rng.normal(size=M)
+# ---------------------------------------------------------------------------
+# The coalition table evaluates each distinct spliced row once. Its v(S)
+# must match the plain table, which runs all k * bg spliced rows in table
+# order in blocks of _BLOCK_ROWS, bit for bit.
+# ---------------------------------------------------------------------------
+
+
+def _plain_table(fn, x, background, member, block):
+    bg = background.shape[0]
+    out = np.empty(member.shape[0] * bg)
+    for start in range(0, out.size, block):
+        rows = np.arange(start, min(start + block, out.size))
+        out[rows] = fn(np.where(member[rows // bg], x, background[rows % bg]))
+    return out.reshape(member.shape[0], bg).mean(axis=1)
+
+
+def _exact_member(M):
+    return ((np.arange(1 << M)[:, None] >> np.arange(M)) & 1).astype(bool)
+
+
+def _sampled_member(M, n_perm, seed):
+    ranks = np.argsort(np.array(_reference_perms(M, n_perm, seed)), axis=1)
+    return np.unique((ranks[:, None, :] < np.arange(M + 1)[:, None]).reshape(-1, M), axis=0)
+
+
+def _tied_rows(g, n):
+    # heart16-like columns: x agrees with many background rows on the
+    # binary and small categorical ones
+    return np.column_stack([g.normal(size=n), g.integers(0, 2, n), g.integers(0, 3, n),
+                            g.normal(size=n), g.integers(0, 2, n),
+                            np.round(g.normal(size=n), 1)]).astype(np.float64)
+
+
+_FAMILIES = [("cart", TASK_CLASSIFICATION, {"max_depth": 4}),
+             ("random_forest", TASK_CLASSIFICATION, {"n_trees": 6}),
+             ("gbt", TASK_REGRESSION, {"n_rounds": 6}),
+             ("ols", TASK_REGRESSION, {}),
+             ("ridge", TASK_REGRESSION, {}),
+             ("lasso", TASK_REGRESSION, {}),
+             ("linear_svm", TASK_CLASSIFICATION, {"epochs": 3}),
+             ("linear_svr", TASK_REGRESSION, {"epochs": 3}),
+             ("knn", TASK_CLASSIFICATION, {}),
+             ("gaussian_nb", TASK_CLASSIFICATION, {}),
+             ("logistic", TASK_CLASSIFICATION, {})]
+# output of a row does not depend on the other rows of its call
+_ROW_INDEPENDENT = ("cart", "random_forest", "gbt", "knn", "gaussian_nb")
+
+
+@pytest.fixture(scope="module")
+def tied_models():
+    g = np.random.default_rng(5)
+    rows = _tied_rows(g, 200)
+    labels = (rows[:, 0] + rows[:, 1] - rows[:, 2] * rows[:, 3] + 0.3 * g.normal(size=200)
+              > 0).astype(int)
+    targets = 2.0 * rows[:, 0] + rows[:, 2] + np.sin(rows[:, 5]) + 0.1 * g.normal(size=200)
+    ds = make_ds(rows, labels=labels, targets=targets)
+    return rows, {fam: fit(EstimatorSpec(fam, task, hp, seed=1), ds)
+                  for fam, task, hp in _FAMILIES}
+
+
+@pytest.mark.parametrize("family", [f for f, _, _ in _FAMILIES])
+def test_coalition_table_matches_plain_table(tied_models, monkeypatch, family):
+    rows, models = tied_models
+    fn = scalar_output(models[family])
+    x = rows[7]
+    blocks = (1 << 14, 12, 7) if family in _ROW_INDEPENDENT else (1 << 14, 12)
+    for size in (3, 5, 8, 32):
+        bg = sample_background(rows, size=size, seed=size)
+        for member in (_exact_member(6), _sampled_member(6, 9, seed=4)):
+            for block in blocks:
+                monkeypatch.setattr(explain, "_BLOCK_ROWS", block)
+                got = explain._coalition_table(fn, x, bg, member)
+                assert got.tobytes() == _plain_table(fn, x, bg, member, block).tobytes(), \
+                    (size, member.shape[0], block)
+
+
+def _bits_fn(Z):
+    # reads the sign, exponent and top mantissa bits of column 0, so merging
+    # two rows whose column 0 differs only in its sign would change the output
+    return (Z[:, 0].view(np.uint64) >> np.uint64(48)).astype(np.float64) + Z[:, 1]
+
+
+@pytest.mark.parametrize("x0, b0", [(0.0, -0.0), (np.nan, -np.nan)], ids=["zero", "nan"])
+def test_rows_differing_only_in_bits_are_not_merged(x0, b0):
+    payload = np.array([x0, b0]).view(np.uint64)
+    assert payload[0] != payload[1]
+    x = np.array([x0, 2.0])
+    bg = np.array([[b0, 2.0], [b0, 3.0], [x0, 2.0]])
+    member = _exact_member(2)
+    got = explain._coalition_table(_bits_fn, x, bg, member)
+    assert got.tobytes() == _plain_table(_bits_fn, x, bg, member, 1 << 14).tobytes()
+    assert got[0b01] != got[0b00]    # {0} moves x's bits into rows 0 and 1
+    # x ties the last background row bitwise: it splices to one row
+    calls = []
+    explain._coalition_table(lambda Z: calls.append(Z.copy()) or _bits_fn(Z), x, bg[2:], member)
+    assert sum(c.shape[0] for c in calls) == 4 and len(calls) == 1  # 1 row, padded to 4
+
+
+def test_background_row_spans_several_blocks(tied_models, monkeypatch):
+    rows, models = tied_models
+    x = rows[7] + 0.5           # differs from every background value
+    bg = sample_background(rows, size=3, seed=1)
+    member = _exact_member(6)   # 64 distinct rows per background row
+    logit = scalar_output(models["logistic"])
     calls = []
 
     def fn(Z):
         calls.append(Z.shape[0])
+        return logit(Z)
+
+    monkeypatch.setattr(explain, "_BLOCK_ROWS", 12)
+    got = explain._coalition_table(fn, x, bg, member)
+    assert max(calls) == 12 and all(c % 4 == 0 for c in calls)
+    assert got.tobytes() == _plain_table(logit, x, bg, member, 12).tobytes()
+
+
+@pytest.mark.parametrize("family, task", [(f, task) for f, task, _ in _FAMILIES
+                                          if f not in _ROW_INDEPENDENT])
+def test_table_tail_keeps_the_blas_remainder_path(monkeypatch, family, task):
+    # At 14 features, as in heart16, BLAS rounds some rows differently on
+    # the remainder path of a call. The table's last rows are x itself
+    # (the full coalition sorts last), so x is a row whose output moves
+    # with the path, and k * bg is not a multiple of four.
+    g = np.random.default_rng(8)
+    rows = g.normal(size=(300, 14))
+    labels = (rows[:, 0] + rows[:, 1] * rows[:, 2] + 0.3 * g.normal(size=300) > 0).astype(int)
+    ds = make_ds(rows, labels=labels, targets=rows @ g.normal(size=14) + 0.1 * g.normal(size=300))
+    fn = scalar_output(fit(EstimatorSpec(family, task, seed=1), ds))
+    x = next((r for r in rows if len(set(fn(np.repeat(r[None], 5, axis=0)))) > 1), rows[0])
+    member = _sampled_member(14, 9, seed=4)[1:]
+    assert member.shape[0] % 2 == 1 and member[-1].all()
+    for size in (3, 5):
+        bg = sample_background(rows, size=size, seed=size)
+        for block in (1 << 14, 12):
+            monkeypatch.setattr(explain, "_BLOCK_ROWS", block)
+            want = _plain_table(fn, x, bg, member, block)
+            assert explain._coalition_table(fn, x, bg, member).tobytes() == want.tobytes()
+
+
+# pad of the final call plus the tail call: at most 3 + 7 rows
+_ALIGNMENT_ROWS = 10
+
+
+@pytest.mark.parametrize("block", [1 << 14, 40, 7])
+def test_each_distinct_spliced_row_evaluated_once(monkeypatch, block):
+    g = np.random.default_rng(3)
+    M, n_perm = 6, 30
+    bg = _tied_rows(g, 6)
+    x = _tied_rows(g, 1)[0]
+    calls = []
+
+    def fn(Z):
+        calls.append(Z.copy())
         return Z[:, 0] * Z[:, 1] + Z[:, 2:].sum(axis=1)
 
     monkeypatch.setattr(explain, "_BLOCK_ROWS", block)
     shap_sampled(fn, x, bg, ShapConfig(mode="sampled", n_permutations=n_perm, seed=2))
-    distinct = {frozenset(p[:s].tolist())
-                for p in _reference_perms(M, n_perm, 2) for s in range(M + 1)}
-    assert sum(calls) == len(distinct) * bg.shape[0]
-    assert max(calls) <= block
-    assert len(calls) <= math.ceil(len(distinct) * bg.shape[0] / block)
+    member = _sampled_member(M, n_perm, seed=2)
+    spliced = np.where(member[:, None, :], x, bg)   # (coalition, background row, M)
+    per_row = [{r.tobytes() for r in spliced[:, b]} for b in range(bg.shape[0])]
+    n_distinct = sum(map(len, per_row))
+    assert n_distinct < spliced.shape[0] * bg.shape[0] // 2
+    assert set().union(*per_row) <= {r.tobytes() for c in calls for r in c}
+    assert sum(c.shape[0] for c in calls) <= n_distinct + _ALIGNMENT_ROWS
+    assert max(c.shape[0] for c in calls) <= block

@@ -541,9 +541,13 @@ def _explain(**request):
     (_explain(method="shap", n_permutations=0), "explain[0]", "n_permutations"),
     (_explain(method="shap", mode="fast"), "explain[0]", "mode"),
     (_explain(method="lime", n_permutations=200), "explain[0]", "'n_permutations'"),
+    (_set_model(2, "knn", "classification", k=0), "models[2]", "k must be >= 1"),
+    (_set_model(2, "knn", "classification", weighting="cosine"), "models[2]", "weighting"),
+    (lambda d: d["dataset"]["fixture"].update(n=3), "dataset.fixture", "n >= 4"),
 ], ids=["cart-max_depth", "rf-n_trees", "gbt-learning_rate", "svm-epochs",
         "train_fraction", "smote-k", "iqr_factor", "lime-n_samples", "shap-background_size",
-        "shap-n_permutations", "shap-mode", "lime-shap-option"])
+        "shap-n_permutations", "shap-mode", "lime-shap-option", "knn-k", "knn-weighting",
+        "fixture-n"])
 def test_cli_out_of_range_config_value_exits_2(tmp_path, capsys, mutate, where, key):
     _assert_refused_while_parsing(tmp_path, capsys, mutate, where, key)
 
