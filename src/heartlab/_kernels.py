@@ -52,10 +52,11 @@ def backend_name() -> str:
 # highest gain, then lowest feature index, then lowest threshold (features
 # must be passed in ascending order).
 #
-# sorted_rows, the optional last argument, is an (n_features, n) integer
-# array whose row f lists the rows of idx by ascending X[:, f], equal values
-# in their idx order; only the rows named in feats are read. Omitted, it is
-# made with one stable argsort.
+# sorted_rows is an (n_features, n) integer array whose row f lists the rows
+# of idx by ascending X[:, f], equal values in their idx order; only the rows
+# named in feats are read. Omitted, it is made with one stable argsort.
+# w, the classification kernel's last argument, gives rows integer weights:
+# counts sum them exactly, so a row of weight c scores as c copies of it.
 # ---------------------------------------------------------------------------
 
 _SPLIT_BLOCK = 2 ** 13  # elements of one (features, n - 1) score block
@@ -73,13 +74,14 @@ def _sorted_rows_py(X, idx, feats):
     return out
 
 
-def _split_classification_py(X, y, idx, feats, n_classes, min_leaf, sorted_rows=None):
+def _split_classification_py(X, y, idx, feats, n_classes, min_leaf, sorted_rows=None, w=None):
     if sorted_rows is None:
         sorted_rows = _sorted_rows_py(X, idx, feats)
-    n = idx.shape[0]
+    m = idx.shape[0]
     parent = np.zeros(n_classes, np.int64)
-    for i in range(n):
-        parent[y[idx[i]]] += 1
+    for i in range(m):
+        parent[y[idx[i]]] += 1 if w is None else w[idx[i]]
+    n = parent.sum()
     psq = 0.0
     for c in range(n_classes):
         psq += parent[c] * parent[c]
@@ -94,16 +96,18 @@ def _split_classification_py(X, y, idx, feats, n_classes, min_leaf, sorted_rows=
         for c in range(n_classes):
             left[c] = 0
         ssq_l = 0.0
-        for pos in range(n - 1):
+        nl = 0
+        for pos in range(m - 1):
             j = rows[pos]
             c = y[j]
-            ssq_l += 2.0 * left[c] + 1.0
-            left[c] += 1
+            wj = 1 if w is None else w[j]
+            ssq_l += (2.0 * left[c] + wj) * wj
+            left[c] += wj
+            nl += wj
             v = X[j, f]
             v_next = X[rows[pos + 1], f]
             if v == v_next:
                 continue
-            nl = pos + 1
             nr = n - nl
             if nl < min_leaf or nr < min_leaf:
                 continue
@@ -154,55 +158,62 @@ def _split_regression_py(X, y, idx, feats, min_leaf, sorted_rows=None):
     return best_feat, best_thr, best_gain
 
 
-def _best_split(X, idx, feats, min_leaf, sorted_rows, score):
+def _best_split(X, idx, feats, min_leaf, sorted_rows, score, n, w=None):
     """The numpy split search of both tasks, over blocks of at most
-    _SPLIT_BLOCK elements (or one feature): score(rows, nl, nr) maps a
-    (features, n - 1) block of sorted row ids to gains. A block's first
-    maximum in row-major order is its lowest feature and threshold with the
-    top gain; it replaces the best of earlier blocks only if strictly greater."""
-    n = idx.shape[0]
+    _SPLIT_BLOCK elements (or one feature): score(rows, ws, nl, nr) maps a
+    (features, m - 1) block of sorted row ids, their weights (or None) and
+    left and right counts to gains. A block's first maximum in row-major
+    order is its lowest feature and threshold with the top gain; it replaces
+    the best of earlier blocks only if strictly greater."""
+    m = idx.shape[0]
     if sorted_rows is None:
-        sorted_rows = np.empty((X.shape[1], n), np.int32)
+        sorted_rows = np.empty((X.shape[1], m), np.int32)
         sorted_rows[feats] = idx[np.argsort(X[np.ix_(idx, feats)], axis=0, kind="stable")].T
-    nl = np.arange(1, n, dtype=np.float64)
-    nr = n - nl
-    short = (nl < min_leaf) | (nr < min_leaf) if min_leaf > 1 else None
+    nl = np.arange(1, m, dtype=np.int64)  # replaced per block by cumulative weights
     best_feat, best_thr, best_gain = -1, 0.0, 0.0
-    per = max(1, _SPLIT_BLOCK // (n - 1))
+    per = max(1, _SPLIT_BLOCK // (m - 1))
     for start in range(0, feats.shape[0], per):
         fb = feats[start:start + per]
         rows = sorted_rows.take(fb, axis=0)
         vs = X.take(rows * np.int64(X.shape[1]) + fb[:, None])
-        gains = score(rows[:, :-1], nl, nr)
+        ws = None if w is None else w.take(rows[:, :-1])
+        nl = nl if ws is None else ws.cumsum(axis=1)
+        nr = n - nl
+        gains = score(rows[:, :-1], ws, nl, nr)
         gains[vs[:, :-1] == vs[:, 1:]] = -np.inf
-        if short is not None:
-            gains[:, short] = -np.inf
-        i, pos = divmod(int(np.argmax(gains)), n - 1)
+        if min_leaf > 1:
+            np.copyto(gains, -np.inf, where=(nl < min_leaf) | (nr < min_leaf))
+        i, pos = divmod(int(gains.argmax()), m - 1)
         if gains[i, pos] > best_gain:
             best_feat, best_gain = int(fb[i]), float(gains[i, pos])
             best_thr = 0.5 * (vs[i, pos] + vs[i, pos + 1])
     return best_feat, best_thr, best_gain
 
 
-def split_classification_numpy(X, y, idx, feats, n_classes, min_leaf, sorted_rows=None):
-    n = idx.shape[0]
-    parent = np.bincount(y[idx], minlength=n_classes).astype(np.int64)
+def split_classification_numpy(X, y, idx, feats, n_classes, min_leaf, sorted_rows=None, w=None):
+    parent = np.bincount(y[idx], None if w is None else w[idx], n_classes).astype(np.int64)
+    n = int(parent.sum())
     parent_score = float((parent * parent).sum()) / n
-    if n < 2:
+    if idx.shape[0] < 2 or n_classes < 2:  # one class: every gain is 0
         return -1, 0.0, 0.0
 
-    def score(rows, nl, nr):
+    def score(rows, ws, nl, nr):
         # class counts are exact integers, so their squares add up exactly
         ys = y.take(rows)
         ssq_l = ssq_r = 0
+        rest = nl  # becomes the last class's left count: nl minus the others'
         for c in range(n_classes):
-            lc = np.cumsum(ys == c, axis=1)
+            if c < n_classes - 1:
+                lc = (ys == c if ws is None else (ys == c) * ws).cumsum(axis=1)
+                rest = rest - lc
+            else:
+                lc = rest
             ssq_l = ssq_l + lc * lc
             lc -= parent[c]
             ssq_r = ssq_r + lc * lc
         return (ssq_l / nl + ssq_r / nr - parent_score) / n
 
-    return _best_split(X, idx, feats, min_leaf, sorted_rows, score)
+    return _best_split(X, idx, feats, min_leaf, sorted_rows, score, n, w)
 
 
 def split_regression_numpy(X, y, idx, feats, min_leaf, sorted_rows=None):
@@ -212,12 +223,12 @@ def split_regression_numpy(X, y, idx, feats, min_leaf, sorted_rows=None):
     total = float(np.cumsum(y[idx])[-1])
     parent_score = total * total / n
 
-    def score(rows, nl, nr):
+    def score(rows, ws, nl, nr):
         sl = np.cumsum(y.take(rows), axis=1)
         sr = total - sl
         return (sl * sl / nl + sr * sr / nr - parent_score) / n
 
-    return _best_split(X, idx, feats, min_leaf, sorted_rows, score)
+    return _best_split(X, idx, feats, min_leaf, sorted_rows, score, n)
 
 
 # ---------------------------------------------------------------------------

@@ -199,9 +199,9 @@ def load_csv(path, schema: list[ColumnSchema]) -> Dataset:
     missing = [n for n in names if n not in header]
     if missing:
         raise SchemaError(f"missing column: {missing[0]}")
-    extra = [h for h in header if h not in names]
+    extra = [h for i, h in enumerate(header) if h not in names or h in header[:i]]
     if extra:
-        raise SchemaError(f"unexpected column: {extra[0]}")
+        raise SchemaError(f"{'duplicate' if extra[0] in names else 'unexpected'} column: {extra[0]}")
     pos = {n: header.index(n) for n in names}
 
     n = len(raw)

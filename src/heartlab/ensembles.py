@@ -6,6 +6,11 @@ not depend on the trees grown before it. Classification predicts
 by majority vote (ties to the lower class code) and reports vote
 fractions as probabilities; regression averages tree means.
 
+A bootstrap classification tree grows on its draw's distinct rows weighted
+by their integer counts, from one presort per forest: every gain, leaf and
+node size, and so the tree, equals the draw's. Regression trees grow on the
+draw, as a weighted target sum (c*y) rounds unlike y added c times.
+
 GBT: stagewise additive model F_m = F_{m-1} + eta * tree_m. Squared
 loss fits residuals with mean-residual leaves starting from the target
 mean. Logistic loss fits gradients y - p with second-order leaf steps
@@ -114,15 +119,20 @@ def fit_random_forest(ds: Dataset, config: ForestConfig = ForestConfig(),
         raise FitError("cannot fit a forest on empty data")
     sub = _resolve_subsample(config.feature_subsample, X.shape[1], task)
     cart = replace(config.cart, feature_subsample=sub)
+    lists = presort(X) if config.bootstrap and task == TASK_CLASSIFICATION else None
 
     def train_one(t: int) -> FlatTree:
         rng = np.random.default_rng([config.seed, t])
-        if config.bootstrap:
-            take = rng.integers(0, n, size=n)
-            Xt, yt = X[take], y[take]
-        else:
-            Xt, yt = X, y
-        return fit_cart_matrix(Xt, yt, cart, task, rng=rng, n_classes=n_classes or None)
+        take = rng.integers(0, n, size=n) if config.bootstrap else slice(None)
+        if lists is None:  # no bootstrap, or regression: see the module docstring
+            return fit_cart_matrix(X[take], y[take], cart, task, rng=rng,
+                                   n_classes=n_classes or None)
+        counts = np.bincount(take, minlength=n)
+        drawn = counts > 0
+        local = np.cumsum(drawn, dtype=np.int32) - 1  # row id -> its id among the drawn rows
+        rows = local.take(lists.ravel().compress(drawn.take(lists).ravel()))
+        return fit_cart_matrix(X[drawn], y[drawn], cart, task, rng=rng, n_classes=n_classes,
+                               sorted_rows=rows.reshape(X.shape[1], -1), weights=counts[drawn])
 
     trees = [train_one(t) for t in range(config.n_trees)]
     return Forest(trees=tuple(trees), task=task, n_classes=n_classes, config=config)
@@ -225,9 +235,9 @@ def fit_gbt(ds: Dataset, config: GbtConfig = GbtConfig(),
         rng = np.random.default_rng([config.seed, m])
         p = sigmoid(raw) if config.loss == LOSS_LOGISTIC else None
         g = y - (raw if p is None else p)
-        flat = fit_cart_matrix(X, g, cart, TASK_REGRESSION, rng=rng, sorted_rows=sorted_rows)
+        flat, ids = fit_cart_matrix(X, g, cart, TASK_REGRESSION, rng=rng,
+                                    sorted_rows=sorted_rows, leaves=True)
         if p is not None:
-            ids = flat.route(X)
             num = np.zeros(flat.leaf_value.shape[0])
             den = np.zeros(flat.leaf_value.shape[0])
             np.add.at(num, ids, g)
@@ -236,7 +246,7 @@ def fit_gbt(ds: Dataset, config: GbtConfig = GbtConfig(),
             flat = replace(flat, leaf_value=newton)
             raw = raw + config.learning_rate * newton[ids]
         else:
-            raw = raw + config.learning_rate * flat.predict_value(X)
+            raw = raw + config.learning_rate * flat.leaf_value[ids]
         trees.append(flat)
         losses.append(loss_fn(y, raw))
 

@@ -236,8 +236,8 @@ class LimeConfig:
     def __post_init__(self):
         if self.n_samples < 100:
             raise ConfigError(f"lime needs n_samples >= 100, got {self.n_samples}")
-        if self.sigma is not None and self.sigma <= 0:
-            raise ConfigError(f"kernel width must be positive, got {self.sigma}")
+        if self.sigma is not None and not 0 < self.sigma < math.inf:
+            raise ConfigError(f"kernel width must be finite and positive, got {self.sigma}")
 
 
 @dataclass(frozen=True)

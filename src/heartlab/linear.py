@@ -43,20 +43,20 @@ class PenaltyConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.lam < 0:
-            raise ConfigError(f"penalty lam must be >= 0, got {self.lam}")
-        if self.tol <= 0:
-            raise ConfigError(f"tol must be > 0, got {self.tol}")
+        if not 0 <= self.lam < math.inf:
+            raise ConfigError(f"penalty lam must be finite and >= 0, got {self.lam}")
+        if not 0 < self.tol < math.inf:
+            raise ConfigError(f"tol must be finite and > 0, got {self.tol}")
         if self.max_iter < 1:
             raise ConfigError(f"max_iter must be >= 1, got {self.max_iter}")
-        if self.eps < 0:
-            raise ConfigError(f"eps must be >= 0, got {self.eps}")
-        if self.lam_svm <= 0:
-            raise ConfigError(f"lam_svm must be > 0, got {self.lam_svm}")
+        if not 0 <= self.eps < math.inf:
+            raise ConfigError(f"eps must be finite and >= 0, got {self.eps}")
+        if not 0 < self.lam_svm < math.inf:
+            raise ConfigError(f"lam_svm must be finite and > 0, got {self.lam_svm}")
         if self.epochs < 1:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
-        if self.ridge < 0:
-            raise ConfigError(f"ridge must be >= 0, got {self.ridge}")
+        if not 0 <= self.ridge < math.inf:
+            raise ConfigError(f"ridge must be finite and >= 0, got {self.ridge}")
 
 
 @dataclass(frozen=True)
@@ -113,8 +113,8 @@ def _check_xy(X, y) -> tuple:
 
 def fit_ridge(X, targets, lam: float = 1.0) -> LinearModel:
     """Minimize RSS + lam*||w||^2 with an unpenalized intercept."""
-    if lam < 0:
-        raise ConfigError(f"ridge lam must be >= 0, got {lam}")
+    if not 0 <= lam < math.inf:
+        raise ConfigError(f"ridge lam must be finite and >= 0, got {lam}")
     X, y = _check_xy(X, targets)
     n, m = X.shape
     xm = X.mean(axis=0)

@@ -208,13 +208,14 @@ def lossless(kind, value):
     """kind(value), refusing what would lose or invent information: a
     fractional int, a list made from a string or an object, a dict from
     anything but a dict, a bool from anything but true and false (or 1
-    and 0)."""
+    and 0), a float that is NaN or infinite."""
     if (kind is bool and value not in (True, False)
             or kind is list and not isinstance(value, (list, tuple))
             or kind is dict and not isinstance(value, dict)):
         raise ValueError(value)
     out = kind(value)
-    if kind is int and isinstance(value, float) and out != value:
+    if (kind is int and isinstance(value, float) and out != value
+            or kind is float and not np.isfinite(out)):
         raise ValueError(value)
     return out
 
@@ -237,7 +238,7 @@ def _resolve(spec: EstimatorSpec) -> dict:
             except (TypeError, ValueError, OverflowError):
                 raise ModelSpecError(
                     f"hyperparameter {key!r} for family {spec.family!r} must be "
-                    f"{kind.__name__}, got {value!r}") from None
+                    f"{'finite float' if kind is float else kind.__name__}, got {value!r}") from None
         hp[key] = value
     return hp
 

@@ -29,8 +29,8 @@ class PreprocessConfig:
     scale: bool = True
 
     def __post_init__(self):
-        if self.iqr_factor < 0:
-            raise ConfigError(f"iqr_factor must be >= 0, got {self.iqr_factor}")
+        if not 0 <= self.iqr_factor < np.inf:
+            raise ConfigError(f"iqr_factor must be finite and >= 0, got {self.iqr_factor}")
 
 
 @dataclass(frozen=True)

@@ -124,7 +124,8 @@ def _conv(hint, value, path: str):
     try:
         return lossless(kinds[0], value)
     except (TypeError, ValueError, OverflowError):
-        name = " or ".join("null" if k is type(None) else k.__name__ for k in kinds)
+        name = " or ".join({type(None): "null", float: "finite float"}.get(k, k.__name__)
+                           for k in kinds)
         raise ConfigError(f"{path} must be {name}, got {value!r}") from None
 
 

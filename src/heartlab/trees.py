@@ -93,29 +93,31 @@ def presort(X: np.ndarray) -> np.ndarray:
     return np.argsort(X.T, axis=1, kind="stable").astype(np.int32)
 
 
-def _grow(X, y, sorted_rows, config, task, n_classes, rng) -> list:
+def _grow(X, y, sorted_rows, config, task, n_classes, rng, w=None):
     """The tree's nodes in preorder (node, left subtree, right subtree), each
-    [feature, threshold, left, right, leaf value, n_samples].
+    [feature, threshold, left, right, leaf value, n_samples], and each row's
+    leaf. w (classification only) counts each row as that many copies of it.
 
     A pending node holds its rows in ascending order and, when it may split,
     its per-feature sorted lists; a split partitions the lists stably by a
     row flag, so each child's lists stay sorted and no node sorts again."""
     n_features = X.shape[1]
     flag = np.zeros(X.shape[0], dtype=bool)
+    leaf_of = np.empty(X.shape[0], dtype=np.int64)
+    size = len if w is None else (lambda rows: int(w.take(rows).sum()))
 
-    def may_split(idx, depth):
-        n = idx.size
+    def may_split(idx, n, depth):
         return not (depth >= config.max_depth or n < config.min_samples_split
-                    or n < 2 * config.min_samples_leaf or np.all(y[idx] == y[idx[0]]))
+                    or n < 2 * config.min_samples_leaf or (y[idx] == y[idx[0]]).all())
 
     nodes: list = []
     root = np.arange(X.shape[0], dtype=np.int64)
-    # (rows, their lists or None for a leaf, depth, parent whose right child it is);
-    # popping a node drops its parent's lists
-    stack = [(root, sorted_rows if may_split(root, 0) else None, 0, None)]
+    n_root = size(root)
+    # (rows, weighted count, their lists or None for a leaf, depth, parent whose
+    # right child it is); popping a node drops its parent's lists
+    stack = [(root, n_root, sorted_rows if may_split(root, n_root, 0) else None, 0, None)]
     while stack:
-        idx, lists, depth, parent = stack.pop()
-        n = idx.size
+        idx, n, lists, depth, parent = stack.pop()
         if parent is not None:
             parent[3] = len(nodes)
         f, gain = -1, 0.0
@@ -127,16 +129,17 @@ def _grow(X, y, sorted_rows, config, task, n_classes, rng) -> list:
                                            replace=False)).astype(np.int64)
             if task == TASK_CLASSIFICATION:
                 f, thr, gain = _kernels.split_classification(
-                    X, y, idx, feats, n_classes, config.min_samples_leaf, lists)
+                    X, y, idx, feats, n_classes, config.min_samples_leaf, lists, w)
             else:
                 f, thr, gain = _kernels.split_regression(
                     X, y, idx, feats, config.min_samples_leaf, lists)
 
         if f < 0 or gain <= 0.0:
             if task == TASK_CLASSIFICATION:
-                value = np.bincount(y[idx], minlength=n_classes) / n
+                value = np.bincount(y[idx], None if w is None else w[idx], n_classes) / n
             else:
                 value = float(y[idx].mean())
+            leaf_of[idx] = len(nodes)
             nodes.append([-1, 0.0, 0, 0, value, n])
             continue
 
@@ -146,22 +149,30 @@ def _grow(X, y, sorted_rows, config, task, n_classes, rng) -> list:
         go_left = X[:, f].take(idx) <= thr
         flag[idx] = go_left
         goes = flag.take(lists).ravel()
-        for rows, keep, parent in ((idx[~go_left], ~goes, node), (idx[go_left], goes, None)):
-            stack.append((rows, lists.ravel().compress(keep).reshape(n_features, rows.size)
-                          if may_split(rows, depth + 1) else None, depth + 1, parent))
-    return nodes
+        rows_left = idx[go_left]
+        n_left = size(rows_left)
+        for rows, n_rows, keep, parent in ((idx[~go_left], n - n_left, ~goes, node),
+                                           (rows_left, n_left, goes, None)):
+            stack.append((rows, n_rows,
+                          lists.ravel().compress(keep).reshape(n_features, rows.size)
+                          if may_split(rows, n_rows, depth + 1) else None, depth + 1, parent))
+    return nodes, leaf_of
 
 
 def fit_cart_matrix(X: np.ndarray, y: np.ndarray, config: CartConfig, task: str,
                     rng: np.random.Generator | None = None,
                     n_classes: int | None = None,
-                    sorted_rows: np.ndarray | None = None) -> FlatTree:
+                    sorted_rows: np.ndarray | None = None,
+                    weights: np.ndarray | None = None, leaves: bool = False):
     """Array-level fit used by the ensembles; fit_cart wraps it for Datasets.
-    sorted_rows is presort(X), passed by callers that fit many trees on one X."""
+    sorted_rows is presort(X), passed by callers that fit many trees on one X.
+    weights (classification only) count rows; leaves returns (tree, row -> leaf)."""
     if X.shape[0] == 0:
         raise FitError("cannot fit a tree on empty data")
     if task not in (TASK_CLASSIFICATION, TASK_REGRESSION):
         raise ConfigError(f"unknown task {task!r}")
+    if weights is not None and task != TASK_CLASSIFICATION:
+        raise ContractError("row weights are for classification trees only")
     if rng is None:
         rng = np.random.default_rng(config.seed)
     X = np.ascontiguousarray(X, dtype=np.float64)
@@ -172,15 +183,16 @@ def fit_cart_matrix(X: np.ndarray, y: np.ndarray, config: CartConfig, task: str,
     else:
         y = np.ascontiguousarray(y, dtype=np.float64)
         n_classes = 0
-    nodes = _grow(X, y, presort(X) if sorted_rows is None else sorted_rows,
-                  config, task, n_classes, rng)
+    nodes, leaf_of = _grow(X, y, presort(X) if sorted_rows is None else sorted_rows,
+                           config, task, n_classes, rng, weights)
     feature, threshold, left, right, leaf_value, n_samples = zip(*nodes)
-    return FlatTree(feature=np.array(feature, dtype=np.int64),
+    tree = FlatTree(feature=np.array(feature, dtype=np.int64),
                     threshold=np.array(threshold, dtype=np.float64),
                     left=np.array(left, dtype=np.int64),
                     right=np.array(right, dtype=np.int64),
                     leaf_value=np.array(leaf_value, dtype=np.float64),
                     n_samples=np.array(n_samples, dtype=np.int64), task=task)
+    return (tree, leaf_of) if leaves else tree
 
 
 def fit_cart(ds: Dataset, config: CartConfig = CartConfig(),

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -13,7 +15,8 @@ from heartlab.data import (
     ROLE_REGRESSION_TARGET,
 )
 from heartlab import _kernels
-from heartlab.trees import TASK_CLASSIFICATION, FlatTree
+from heartlab.ensembles import Forest, _resolve_subsample
+from heartlab.trees import TASK_CLASSIFICATION, FlatTree, fit_cart_matrix, presort
 
 # Every tier-1 run draws the same examples: a failure found once is found
 # on every run, and no example database carries over between runs.
@@ -60,12 +63,21 @@ def tree_predict_row(tree, x):
     return float(value)
 
 
-def _reference_grow(X, y, idx, depth, config, task, n_classes, rng, n_features, nodes) -> int:
-    """CART growth as it was before presorting: each node hands the split
-    kernel only its rows, so the kernel argsorts every candidate feature
-    afresh. Appends the subtree over idx to nodes in preorder and returns
-    the position of its root."""
-    n = idx.size
+def node_lists(X, idx):
+    """A node's sorted lists as trees._grow keeps them: the tree-wide
+    presort with rows outside idx dropped."""
+    lists = presort(X)
+    inside = np.isin(lists, idx)
+    return lists[inside].reshape(X.shape[1], idx.size)
+
+
+def _reference_grow(X, y, idx, depth, config, task, n_classes, rng, n_features, nodes,
+                    w=None) -> int:
+    """CART growth as it was before presorting: each node sorts its own rows
+    for the split kernel. Appends the subtree over idx to nodes in preorder
+    and returns the position of its root. w weights rows as trees._grow's
+    does: node sizes and class counts sum it."""
+    n = idx.size if w is None else int(w[idx].sum())
     pos = len(nodes)
     f, gain = -1, 0.0
     if not (
@@ -81,14 +93,16 @@ def _reference_grow(X, y, idx, depth, config, task, n_classes, rng, n_features, 
                                        replace=False)).astype(np.int64)
         if task == TASK_CLASSIFICATION:
             f, thr, gain = _kernels.split_classification(
-                X, y, idx, feats, n_classes, config.min_samples_leaf)
+                X, y, idx, feats, n_classes, config.min_samples_leaf, node_lists(X, idx), w)
         else:
             f, thr, gain = _kernels.split_regression(
-                X, y, idx, feats, config.min_samples_leaf)
+                X, y, idx, feats, config.min_samples_leaf, node_lists(X, idx))
 
     if f < 0 or gain <= 0.0:
         if task == TASK_CLASSIFICATION:
-            value = np.bincount(y[idx], minlength=n_classes) / n
+            counts = np.zeros(n_classes)
+            np.add.at(counts, y[idx], 1 if w is None else w[idx])
+            value = counts / n
         else:
             value = float(y[idx].mean())
         nodes.append([-1, 0.0, 0, 0, value, n])
@@ -99,15 +113,16 @@ def _reference_grow(X, y, idx, depth, config, task, n_classes, rng, n_features, 
             np.zeros(n_classes) if task == TASK_CLASSIFICATION else 0.0, n]
     nodes.append(node)
     _reference_grow(X, y, idx[mask], depth + 1, config, task, n_classes, rng, n_features,
-                    nodes)
+                    nodes, w)
     node[3] = _reference_grow(X, y, idx[~mask], depth + 1, config, task, n_classes, rng,
-                              n_features, nodes)
+                              n_features, nodes, w)
     return pos
 
 
 def reference_fit_cart_matrix(X, y, config, task, rng=None, n_classes=None,
-                              sorted_rows=None) -> FlatTree:
-    """trees.fit_cart_matrix over _reference_grow; sorted_rows is ignored."""
+                              sorted_rows=None, weights=None, leaves=False):
+    """trees.fit_cart_matrix over _reference_grow; sorted_rows is ignored,
+    and the leaves come from routing X through the finished tree."""
     if rng is None:
         rng = np.random.default_rng(config.seed)
     X = np.ascontiguousarray(X, dtype=np.float64)
@@ -119,14 +134,33 @@ def reference_fit_cart_matrix(X, y, config, task, rng=None, n_classes=None,
         n_classes = 0
     nodes: list = []
     _reference_grow(X, y, np.arange(X.shape[0], dtype=np.int64), 0, config, task,
-                    n_classes, rng, X.shape[1], nodes)
+                    n_classes, rng, X.shape[1], nodes, weights)
     feature, threshold, left, right, leaf_value, n_samples = zip(*nodes)
-    return FlatTree(feature=np.array(feature, dtype=np.int64),
+    tree = FlatTree(feature=np.array(feature, dtype=np.int64),
                     threshold=np.array(threshold, dtype=np.float64),
                     left=np.array(left, dtype=np.int64),
                     right=np.array(right, dtype=np.int64),
                     leaf_value=np.array(leaf_value, dtype=np.float64),
                     n_samples=np.array(n_samples, dtype=np.int64), task=task)
+    return (tree, tree.route(X)) if leaves else tree
+
+
+def reference_fit_random_forest(ds, config, task=TASK_CLASSIFICATION):
+    """ensembles.fit_random_forest as it was before weighted growth: each
+    bootstrap tree grows on its materialized draw X[take], y[take]."""
+    y = ds.labels if task == TASK_CLASSIFICATION else ds.targets
+    n_classes = int(y.max()) + 1 if task == TASK_CLASSIFICATION else 0
+    X = np.ascontiguousarray(ds.rows, dtype=np.float64)
+    n = X.shape[0]
+    sub = _resolve_subsample(config.feature_subsample, X.shape[1], task)
+    cart = replace(config.cart, feature_subsample=sub)
+    trees = []
+    for t in range(config.n_trees):
+        rng = np.random.default_rng([config.seed, t])
+        take = rng.integers(0, n, size=n) if config.bootstrap else np.arange(n)
+        trees.append(fit_cart_matrix(X[take], y[take], cart, task, rng=rng,
+                                     n_classes=n_classes or None))
+    return Forest(trees=tuple(trees), task=task, n_classes=n_classes, config=config)
 
 
 @pytest.fixture
@@ -145,6 +179,7 @@ def two_blob_ds():
     return make_ds(rows, labels=labels)
 
 
-__all__ = ["make_ds", "tree_leaf", "tree_predict_row", "reference_fit_cart_matrix",
+__all__ = ["make_ds", "tree_leaf", "tree_predict_row", "node_lists",
+           "reference_fit_cart_matrix", "reference_fit_random_forest",
            "KIND_CATEGORICAL", "KIND_CONTINUOUS", "KIND_BINARY",
            "ROLE_FEATURE", "ROLE_CLASS_LABEL", "ROLE_REGRESSION_TARGET"]

@@ -99,6 +99,13 @@ def test_load_csv_unexpected_column(tmp_path):
         load_csv(p, SMALL_SCHEMA)
 
 
+def test_load_csv_duplicated_column_names_it(tmp_path):
+    # the second age column used to be dropped without a word
+    p = _write(tmp_path, "age,sex,target,age\n63,0,1,999\n")
+    with pytest.raises(SchemaError, match="duplicate column: age"):
+        load_csv(p, SMALL_SCHEMA)
+
+
 def test_load_csv_ragged_row(tmp_path):
     p = _write(tmp_path, "age,sex,target\n63,0,1\n41,1\n")
     with pytest.raises(ParseError):

@@ -4,6 +4,7 @@ may refuse its input only with its documented error types (exit 2 at the
 CLI), never with another exception."""
 
 import copy
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +20,9 @@ from heartlab.data import (
     write_csv,
 )
 from heartlab.errors import ConfigError, ModelSpecError, ParseError, SchemaError
+from heartlab.explain import LimeConfig
+from heartlab.linear import PenaltyConfig
+from heartlab.preprocess import PreprocessConfig
 from heartlab.runner import parse_config
 
 # -- parse_config --------------------------------------------------------------
@@ -33,8 +37,8 @@ _json = st.recursive(
 # a JSON array of [key, value] pairs, which dict() would turn into an object
 _pairs = st.lists(st.lists(st.text(max_size=3) | st.integers(0, 3), min_size=2, max_size=2),
                   min_size=1, max_size=3)
-_edge = st.sampled_from([0, -1, 1, 2.5, 1e300, float("nan"), float("inf"), "3", "false",
-                         "", [], {}, True])
+_non_finite = st.sampled_from([float("nan"), float("inf"), float("-inf")])
+_edge = st.sampled_from([0, -1, 1, 2.5, 1e300, "3", "false", "", [], {}, True]) | _non_finite
 _values = _edge | _json | _pairs
 
 
@@ -98,6 +102,59 @@ def test_parse_config_on_edited_documents(edits):
         except (KeyError, IndexError, TypeError):
             pass  # an earlier edit removed the path
     _parses_or_refuses(doc)
+
+
+# every float-valued key of _base_doc's sections and of some model families,
+# with the text the refusal must name
+_FLOAT_KEYS = [
+    (("dataset", "fixture", "noise_sigma"), "dataset.fixture.noise_sigma"),
+    (("dataset", "fixture", "logistic_steepness"), "dataset.fixture.logistic_steepness"),
+    (("split", "train_fraction"), "split.train_fraction"),
+    (("preprocess", "iqr_factor"), "preprocess.iqr_factor"),
+    (("explain", 1, "sigma"), "explain[1].sigma"),
+    (("explain", 1, "ridge"), "explain[1].ridge"),
+    (("models", 2, "hyperparams", "lam"), "'lam'"),
+    (("models", 2, "hyperparams", "tol"), "'tol'"),
+    (("models", 2, "hyperparams", "lam_svm"), "'lam_svm'"),
+    (("models", 2, "hyperparams", "eps"), "'eps'"),
+    (("models", 2, "hyperparams", "learning_rate"), "'learning_rate'"),
+    (("models", 2, "hyperparams", "lambda_leaf"), "'lambda_leaf'"),
+]
+_FLOAT_FAMILIES = {"lam": ("lasso", "regression"), "tol": ("lasso", "regression"),
+                   "lam_svm": ("linear_svr", "regression"), "eps": ("linear_svr", "regression"),
+                   "learning_rate": ("gbt", "classification"),
+                   "lambda_leaf": ("gbt", "classification")}
+
+
+@settings(max_examples=60, deadline=None)
+@given(key=st.sampled_from(_FLOAT_KEYS), value=_non_finite)
+def test_parse_config_refuses_non_finite_floats(key, value):
+    path, names = key
+    doc = _base_doc()
+    if path[0] == "models":
+        family, task = _FLOAT_FAMILIES[path[-1]]
+        doc["models"][2] = {"name": "ols", "family": family, "task": task}
+        doc["models"][2]["hyperparams"] = {path[-1]: value}
+    else:
+        parent = doc
+        for k in path[:-1]:
+            parent = parent[k]
+        parent[path[-1]] = value
+    with pytest.raises((ConfigError, ModelSpecError), match=re.escape(names)):
+        parse_config(doc)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("build", [
+    lambda v: PreprocessConfig(iqr_factor=v), lambda v: PenaltyConfig(lam=v),
+    lambda v: PenaltyConfig(tol=v), lambda v: PenaltyConfig(eps=v),
+    lambda v: PenaltyConfig(lam_svm=v), lambda v: PenaltyConfig(ridge=v),
+    lambda v: LimeConfig(sigma=v),
+], ids=["iqr_factor", "lam", "tol", "eps", "lam_svm", "ridge", "lime-sigma"])
+def test_config_dataclasses_refuse_non_finite_floats(build, value):
+    """Built in Python, without parse_config, a range check still refuses."""
+    with pytest.raises(ConfigError, match="finite"):
+        build(value)
 
 
 def test_parse_config_refuses_a_list_of_pairs_as_an_object():

@@ -20,6 +20,8 @@ from hypothesis import strategies as st
 from heartlab import _kernels as K
 from heartlab import linear, trees
 
+from conftest import node_lists
+
 
 def _random_case(seed, n=80, m=5, n_classes=3, ties=True):
     g = np.random.default_rng(seed)
@@ -252,19 +254,11 @@ def _tied_split_case(draw):
     return X, y_cls, y_reg, idx, feats, draw(st.integers(2, 6)), draw(st.sampled_from([1, 7, 2 ** 14]))
 
 
-def _node_lists(X, idx):
-    """The node's sorted lists as trees._grow keeps them: the tree-wide
-    presort with rows outside idx dropped."""
-    lists = trees.presort(X)
-    inside = np.isin(lists, idx)
-    return lists[inside].reshape(X.shape[1], idx.size)
-
-
 @settings(max_examples=150, deadline=None)
 @given(case=_tied_split_case())
 def test_split_kernels_with_and_without_lists_agree(case):
     X, y_cls, y_reg, idx, feats, min_leaf, block = case
-    lists = _node_lists(X, idx)
+    lists = node_lists(X, idx)
     with mock.patch.object(K, "_SPLIT_BLOCK", block):
         cls = [fn(X, y_cls, idx, feats, 3, min_leaf, *extra)
                for fn in (K.split_classification_numpy, K._split_classification_py)
@@ -276,6 +270,65 @@ def test_split_kernels_with_and_without_lists_agree(case):
     if K._HAVE_NUMBA:
         assert K.split_classification_jit(X, y_cls, idx, feats, 3, min_leaf, lists) == cls[0]
         assert K.split_regression_jit(X, y_reg, idx, feats, min_leaf, lists) == reg[0]
+
+
+@st.composite
+def _weighted_split_case(draw):
+    """A node of a bootstrap tree: heavy ties, integer row weights 1-5."""
+    g = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+    n = draw(st.integers(2, 50))
+    m = draw(st.integers(1, 4))
+    levels = draw(st.sampled_from([2, 3, 8]))  # few distinct values per column
+    X = np.ascontiguousarray(g.integers(0, levels, size=(n, m)).astype(np.float64))
+    n_classes = draw(st.sampled_from([2, 3]))
+    y = g.integers(0, n_classes, size=n).astype(np.int64)
+    w = g.integers(1, 6, size=n).astype(np.int64)
+    idx = np.sort(g.choice(n, size=draw(st.integers(2, n)), replace=False)).astype(np.int64)
+    feats = np.sort(g.choice(m, size=draw(st.integers(1, m)), replace=False)).astype(np.int64)
+    return (X, y, w, idx, feats, n_classes, draw(st.integers(1, 4)),
+            draw(st.sampled_from([1, 7, 2 ** 14])))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_weighted_split_case())
+def test_weighted_split_backends_agree(case):
+    X, y, w, idx, feats, n_classes, min_leaf, block = case
+    lists = node_lists(X, idx)
+    want = K._split_classification_py(X, y, idx, feats, n_classes, min_leaf, lists, w)
+    with mock.patch.object(K, "_SPLIT_BLOCK", block):
+        assert K.split_classification_numpy(X, y, idx, feats, n_classes, min_leaf, lists,
+                                            w) == want
+    if K._HAVE_NUMBA:
+        assert K.split_classification_jit(X, y, idx, feats, n_classes, min_leaf, lists,
+                                          w) == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_weighted_split_case())
+def test_weighted_split_equals_split_of_the_copies(case):
+    """A row of weight c scores as c copies of it: same feature, threshold
+    and gain, to the bit."""
+    X, y, w, idx, feats, n_classes, min_leaf, _ = case
+    copies = np.repeat(idx, w[idx])  # ascending, so ties stay in row order
+    Xc, yc = np.ascontiguousarray(X[copies]), y[copies]
+    all_rows = np.arange(copies.size, dtype=np.int64)
+    want = K.split_classification_numpy(Xc, yc, all_rows, feats, n_classes, min_leaf,
+                                        trees.presort(Xc))
+    got = K.split_classification_numpy(X, y, idx, feats, n_classes, min_leaf,
+                                       node_lists(X, idx), w)
+    assert got == want
+    assert K._split_classification_py(X, y, idx, feats, n_classes, min_leaf,
+                                      node_lists(X, idx), w) == want
+
+
+def test_unweighted_split_is_unit_weights():
+    X, y, _, idx, feats = _random_case(4)
+    lists = node_lists(X, idx)
+    ones = np.ones(X.shape[0], dtype=np.int64)
+    for min_leaf in (1, 3):
+        for fn in (K.split_classification_numpy, K._split_classification_py):
+            assert (fn(X, y, idx, feats, 3, min_leaf, lists)
+                    == fn(X, y, idx, feats, 3, min_leaf, lists, ones))
 
 
 @st.composite

@@ -2,9 +2,14 @@
 
 trees._grow sorts each feature once per tree and partitions the sorted
 lists down the tree; conftest.reference_fit_cart_matrix lets every node
-argsort its rows afresh, as the growth did before. Both must build the
+sort its rows afresh, as the growth did before. Both must build the
 same node arrays, bit for bit, for single trees, forests and boosting,
-on tie-heavy data, with feature subsampling and min_samples_leaf > 1."""
+on tie-heavy data, with feature subsampling and min_samples_leaf > 1.
+
+A bootstrap classification forest grows each tree on the distinct rows of
+its draw, weighted by their counts; conftest.reference_fit_random_forest
+grows it on the materialized draw, as the forest did before. Their trees
+must be equal too."""
 
 import numpy as np
 import pytest
@@ -12,10 +17,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from heartlab import ensembles, trees
+from heartlab.data import SplitSpec, make_fixture, train_test_split
 from heartlab.ensembles import ForestConfig, GbtConfig, fit_gbt, fit_random_forest
+from heartlab.errors import ContractError
+from heartlab.smote import SmoteConfig, smote
 from heartlab.trees import TASK_CLASSIFICATION, TASK_REGRESSION, CartConfig, fit_cart_matrix
 
-from conftest import make_ds, reference_fit_cart_matrix
+from conftest import make_ds, reference_fit_cart_matrix, reference_fit_random_forest
 
 FIELDS = ("feature", "threshold", "left", "right", "leaf_value", "n_samples")
 
@@ -114,3 +122,66 @@ def test_gbt_sorts_once(monkeypatch):
     monkeypatch.setattr(trees, "presort", counting)
     fit_gbt(make_ds(X, labels=np.minimum(labels, 1)), GbtConfig(n_rounds=7, loss="logistic"))
     assert calls == [X.shape]
+
+
+@pytest.fixture(scope="module")
+def tracks():
+    """Training sets of the paper_10k shape: the real track (80% of a
+    1,025-row fixture) and the synthetic one (SMOTE-augmented to 10,000
+    rows, 8,000 of them for training)."""
+    real = make_fixture(1025, seed=7)
+    synthetic = smote(real, SmoteConfig(mode="augment", target_total=10000, seed=7))
+    split = SplitSpec(train_fraction=0.8, seed=7)
+    return {"real": train_test_split(real, split)[0],
+            "synthetic": train_test_split(synthetic, split)[0]}
+
+
+def _three_classes_tied(ds):
+    """ds with a third class and its first feature cut to four values."""
+    rows = ds.rows.copy()
+    rows[:, 0] = np.floor(4 * (rows[:, 0] - rows[:, 0].min()) / np.ptp(rows[:, 0]))
+    labels = ds.labels.copy()
+    labels[np.arange(ds.n_rows) % 7 == 3] = 2
+    return make_ds(rows, labels=labels)
+
+
+@pytest.mark.parametrize("track", ["real", "synthetic"])
+@pytest.mark.parametrize("cart", [CartConfig(),
+                                  CartConfig(max_depth=6, min_samples_leaf=3,
+                                             min_samples_split=7)],
+                         ids=["default", "depth6-leaf3-split7"])
+@pytest.mark.parametrize("variant", ["as-is", "3-classes-tied"])
+def test_forest_matches_materialized_bootstrap(tracks, track, cart, variant):
+    ds = tracks[track] if variant == "as-is" else _three_classes_tied(tracks[track])
+    cfg = ForestConfig(n_trees=3, seed=7, cart=cart)
+    got = fit_random_forest(ds, cfg, TASK_CLASSIFICATION)
+    assert_same_trees(got.trees, reference_fit_random_forest(ds, cfg).trees)
+
+
+def test_forest_sorts_once(monkeypatch):
+    X, labels, _ = _data(9, n=150)
+    calls = []
+    original = trees.presort
+
+    def counting(X):
+        calls.append(X.shape)
+        return original(X)
+
+    monkeypatch.setattr(ensembles, "presort", counting)
+    monkeypatch.setattr(trees, "presort", counting)
+    fit_random_forest(make_ds(X, labels=labels), ForestConfig(n_trees=5))
+    assert calls == [X.shape]
+
+
+def test_weights_are_for_classification_only():
+    X, _, targets = _data(2, n=40)
+    with pytest.raises(ContractError, match="classification"):
+        fit_cart_matrix(X, targets, CartConfig(), TASK_REGRESSION,
+                        weights=np.ones(40, dtype=np.int64))
+
+
+def test_gbt_leaves_are_the_route_of_its_rows():
+    X, _, targets = _data(4, n=200)
+    tree, leaves = fit_cart_matrix(X, targets, CartConfig(max_depth=4), TASK_REGRESSION,
+                                   leaves=True)
+    assert leaves.dtype == np.int64 and np.array_equal(leaves, tree.route(X))

@@ -544,10 +544,28 @@ def _explain(**request):
     (_set_model(2, "knn", "classification", k=0), "models[2]", "k must be >= 1"),
     (_set_model(2, "knn", "classification", weighting="cosine"), "models[2]", "weighting"),
     (lambda d: d["dataset"]["fixture"].update(n=3), "dataset.fixture", "n >= 4"),
+    (lambda d: d.update(preprocess={"iqr_factor": float("nan")}), "preprocess.iqr_factor",
+     "nan"),
+    (lambda d: d["dataset"]["fixture"].update(noise_sigma=float("nan")),
+     "dataset.fixture.noise_sigma", "nan"),
+    (lambda d: d["dataset"]["fixture"].update(noise_sigma=float("inf")),
+     "dataset.fixture.noise_sigma", "inf"),
+    (_set_model(1, "gbt", "classification", lambda_leaf=float("nan")), "models[1]",
+     "'lambda_leaf'"),
+    (_set_model(1, "gbt", "classification", lambda_leaf=float("-inf")), "models[1]",
+     "'lambda_leaf'"),
+    (_explain(method="lime", sigma=float("nan")), "explain[0].sigma", "nan"),
+    (_explain(method="lime", sigma=float("inf")), "explain[0].sigma", "inf"),
+    (_set_model(2, "ridge", "regression", lam=float("nan")), "models[2]", "'lam'"),
+    (_set_model(2, "lasso", "regression", lam=float("inf")), "models[2]", "'lam'"),
+    (_set_model(2, "linear_svm", "classification", lam_svm=float("-inf")), "models[2]",
+     "'lam_svm'"),
 ], ids=["cart-max_depth", "rf-n_trees", "gbt-learning_rate", "svm-epochs",
         "train_fraction", "smote-k", "iqr_factor", "lime-n_samples", "shap-background_size",
         "shap-n_permutations", "shap-mode", "lime-shap-option", "knn-k", "knn-weighting",
-        "fixture-n"])
+        "fixture-n", "iqr_factor-nan", "noise_sigma-nan", "noise_sigma-inf",
+        "lambda_leaf-nan", "lambda_leaf--inf", "lime-sigma-nan", "lime-sigma-inf",
+        "ridge-lam-nan", "lasso-lam-inf", "svm-lam_svm--inf"])
 def test_cli_out_of_range_config_value_exits_2(tmp_path, capsys, mutate, where, key):
     _assert_refused_while_parsing(tmp_path, capsys, mutate, where, key)
 

@@ -13,6 +13,7 @@ from heartlab.trees import (
     fit_cart,
     fit_cart_matrix,
     gini,
+    presort,
 )
 
 from conftest import tree_leaf, tree_predict_row
@@ -100,7 +101,7 @@ def test_root_split_matches_exhaustive_search_classification(seed):
         assert tree.feature[0] == f
         assert tree.threshold[0] == thr
         kf, kthr, kgain = _kernels.split_classification(
-            X, y, np.arange(n, dtype=np.int64), np.arange(4, dtype=np.int64), 3, 1)
+            X, y, np.arange(n, dtype=np.int64), np.arange(4, dtype=np.int64), 3, 1, presort(X))
         assert (kf, kthr) == (f, thr)
         assert abs(kgain - gain) < 1e-12
 
