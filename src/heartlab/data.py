@@ -360,6 +360,10 @@ class FixtureSpec:
     noise_sigma: float = 0.1
     logistic_steepness: float = 6.0
 
+    def __post_init__(self):
+        if not 0 <= self.noise_sigma < np.inf:
+            raise ConfigError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
+
 
 # (feature, weight, nominal mean, nominal sd) in standardized units; the
 # chosen features are drawn independently, so the target variance is close

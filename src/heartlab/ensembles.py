@@ -26,7 +26,6 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .data import Dataset
 from .errors import ConfigError, ContractError, FitError
 from .linear import sigmoid
 from .trees import (
@@ -40,7 +39,6 @@ from .trees import (
 
 LOSS_SQUARED = "squared"
 LOSS_LOGISTIC = "logistic"
-LOSS_TASKS = {LOSS_SQUARED: TASK_REGRESSION, LOSS_LOGISTIC: TASK_CLASSIFICATION}
 
 
 def default_jobs() -> int:  # read by perfbench/child.py
@@ -101,22 +99,14 @@ def _resolve_subsample(spec, n_features: int, task: str):
     return spec
 
 
-def fit_random_forest(ds: Dataset, config: ForestConfig = ForestConfig(),
+def fit_random_forest(X: np.ndarray, y: np.ndarray, config: ForestConfig = ForestConfig(),
                       task: str = TASK_CLASSIFICATION) -> Forest:
-    if task == TASK_CLASSIFICATION:
-        if ds.labels is None:
-            raise FitError("classification forest requires labels")
-        y = ds.labels
-        n_classes = int(y.max()) + 1
-    else:
-        if ds.targets is None:
-            raise FitError("regression forest requires targets")
-        y = ds.targets
-        n_classes = 0
-    X = np.ascontiguousarray(ds.rows, dtype=np.float64)
+    """y holds int labels (classification) or float targets (regression)."""
+    X = np.ascontiguousarray(X, dtype=np.float64)
     n = X.shape[0]
     if n == 0:
         raise FitError("cannot fit a forest on empty data")
+    n_classes = int(y.max()) + 1 if task == TASK_CLASSIFICATION else 0
     sub = _resolve_subsample(config.feature_subsample, X.shape[1], task)
     cart = replace(config.cart, feature_subsample=sub)
     lists = presort(X) if config.bootstrap and task == TASK_CLASSIFICATION else None
@@ -156,6 +146,8 @@ class GbtConfig:
             raise ConfigError(f"max_depth must be >= 1, got {self.max_depth}")
         if self.loss not in (LOSS_SQUARED, LOSS_LOGISTIC):
             raise ConfigError(f"loss must be squared or logistic, got {self.loss!r}")
+        if not 0 <= self.lambda_leaf < math.inf:
+            raise ConfigError(f"lambda_leaf must be finite and >= 0, got {self.lambda_leaf}")
 
 
 @dataclass(frozen=True)
@@ -197,33 +189,24 @@ def _log_loss(y, raw) -> float:
     return float(np.mean(np.logaddexp(0.0, raw) - y * raw))
 
 
-def fit_gbt(ds: Dataset, config: GbtConfig = GbtConfig(),
-            task: str | None = None) -> GbtModel:
-    """Task defaults to the one implied by the loss; a mismatch is an error."""
-    implied = LOSS_TASKS[config.loss]
-    if task is not None and task != implied:
-        raise ConfigError(f"loss {config.loss!r} implies task {implied!r}, got {task!r}")
-
-    X = np.ascontiguousarray(ds.rows, dtype=np.float64)
+def fit_gbt(X: np.ndarray, y: np.ndarray, config: GbtConfig = GbtConfig()) -> GbtModel:
+    """y holds 0/1 labels (logistic loss) or float targets (squared loss)."""
+    X = np.ascontiguousarray(X, dtype=np.float64)
     if X.shape[0] == 0:
         raise FitError("cannot fit gbt on empty data")
     cart = CartConfig(max_depth=config.max_depth, seed=config.seed)
 
     if config.loss == LOSS_LOGISTIC:
-        if ds.labels is None:
-            raise FitError("logistic gbt requires labels")
-        y = ds.labels.astype(np.float64)
-        if not np.all((ds.labels == 0) | (ds.labels == 1)):
+        if not np.all((y == 0) | (y == 1)):
             raise FitError("logistic gbt requires binary 0/1 labels")
+        y = np.asarray(y, dtype=np.float64)
         base_rate = float(y.mean())
         if base_rate in (0.0, 1.0):
             raise FitError("logistic gbt needs both classes present")
         base = math.log(base_rate / (1.0 - base_rate))
         loss_fn = _log_loss
     else:
-        if ds.targets is None:
-            raise FitError("squared-loss gbt requires targets")
-        y = ds.targets.astype(np.float64)
+        y = np.asarray(y, dtype=np.float64)
         base = float(y.mean())
         loss_fn = _squared_loss
 

@@ -75,9 +75,7 @@ class LinearModel:
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         raw = self.decision_function(X)
-        if self.family == FAMILY_LOGISTIC:
-            return (raw > 0.0).astype(np.int64)
-        if self.family == FAMILY_SVM:
+        if self.family in (FAMILY_LOGISTIC, FAMILY_SVM):
             return (raw > 0.0).astype(np.int64)
         return raw
 

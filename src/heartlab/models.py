@@ -67,8 +67,8 @@ FORMAT_VERSION = 1
 class Family:
     """Everything the estimator layer knows about one model family.
 
-    fit(spec, ds, y, config) gets config(spec, hp) of the hyperparameters
-    with defaults filled in: a config dataclass, or hp. predict(params, X)
+    fit(spec, X, y, config) gets the rows, the task's labels or targets and
+    config(spec, hp): a config dataclass or hp, defaults filled in. predict(params, X)
     and proba(params, X) take a float64 matrix, and proba (classification
     families only) returns the positive-class probability; scored(params,
     X), when set, returns both labels and probabilities from one pass.
@@ -136,48 +136,48 @@ def _penalty_config(spec, hp):
 FAMILIES = {
     "cart": Family(
         _BOTH, _defaults(CartConfig, *_TREE_KEYS, "feature_subsample"),
-        lambda spec, ds, y, cfg: fit_cart_matrix(ds.rows, y, cfg, spec.task),
+        lambda spec, X, y, cfg: fit_cart_matrix(X, y, cfg, spec.task),
         FlatTree, config=lambda spec, hp: CartConfig(seed=spec.seed, **hp),
         proba=lambda p, X: _positive(p.predict_value(X)), payload_key="tree"),
     "random_forest": Family(
         _BOTH, {**_defaults(ForestConfig, "n_trees", "bootstrap", "feature_subsample"),
                 **_defaults(CartConfig, *_TREE_KEYS)},
-        lambda spec, ds, y, cfg: fit_random_forest(ds, cfg, spec.task), Forest,
+        lambda spec, X, y, cfg: fit_random_forest(X, y, cfg, spec.task), Forest,
         config=_forest_config, proba=lambda p, X: _positive(p.predict_proba(X))),
     "gbt": Family(
         _BOTH, _defaults(GbtConfig, "n_rounds", "learning_rate", "max_depth", "lambda_leaf"),
-        lambda spec, ds, y, cfg: fit_gbt(ds, cfg), GbtModel,
+        lambda spec, X, y, cfg: fit_gbt(X, y, cfg), GbtModel,
         config=_gbt_config, proba=lambda p, X: _positive(p.predict_proba(X))),
-    "ols": Family(_REG, {}, lambda spec, ds, y, cfg: fit_ols(ds.rows, y), LinearModel),
+    "ols": Family(_REG, {}, lambda spec, X, y, cfg: fit_ols(X, y), LinearModel),
     "ridge": Family(
         _REG, _defaults(fit_ridge, "lam"),
-        lambda spec, ds, y, cfg: fit_ridge(ds.rows, y, cfg.lam), LinearModel,
+        lambda spec, X, y, cfg: fit_ridge(X, y, cfg.lam), LinearModel,
         config=_penalty_config),
     "lasso": Family(
         _REG, _defaults(PenaltyConfig, "tol", "max_iter", lam=0.01),
-        lambda spec, ds, y, cfg: fit_lasso(ds.rows, y, cfg), LinearModel,
+        lambda spec, X, y, cfg: fit_lasso(X, y, cfg), LinearModel,
         config=_penalty_config),
     "linear_svm": Family(
         _CLS, _defaults(PenaltyConfig, "lam_svm", "epochs"),
-        lambda spec, ds, y, cfg: fit_linear_svm(ds.rows, y, cfg), LinearModel,
+        lambda spec, X, y, cfg: fit_linear_svm(X, y, cfg), LinearModel,
         config=_penalty_config,
         # fixed logistic link of the margin: monotone, not calibrated
         proba=lambda p, X: 1.0 / (1.0 + np.exp(-np.clip(p.decision_function(X), -500, 500)))),
     "linear_svr": Family(
         _REG, _defaults(PenaltyConfig, "lam_svm", "eps", "epochs"),
-        lambda spec, ds, y, cfg: fit_linear_svr(ds.rows, y, cfg), LinearModel,
+        lambda spec, X, y, cfg: fit_linear_svr(X, y, cfg), LinearModel,
         config=_penalty_config),
     "knn": Family(
         _BOTH, _defaults(fit_knn, "k", "weighting"),
-        lambda spec, ds, y, cfg: fit_knn(ds, cfg.k, cfg.weighting, spec.task), KnnModel,
+        lambda spec, X, y, cfg: fit_knn(X, y, cfg.k, cfg.weighting, spec.task), KnnModel,
         config=lambda spec, hp: KnnConfig(**hp),
         predict=_knn_predict, proba=lambda p, X: _knn_scored(p, X)[1], scored=_knn_scored),
     "gaussian_nb": Family(
-        _CLS, {}, lambda spec, ds, y, cfg: fit_gnb(ds), GaussianNbModel,
+        _CLS, {}, lambda spec, X, y, cfg: fit_gnb(X, y), GaussianNbModel,
         predict=predict_gnb_batch, proba=lambda p, X: _positive(gnb_proba(p, X))),
     "logistic": Family(
         _CLS, _defaults(PenaltyConfig, "tol", "max_iter", "ridge"),
-        lambda spec, ds, y, cfg: fit_logistic(ds.rows, y, cfg), LinearModel,
+        lambda spec, X, y, cfg: fit_logistic(X, y, cfg), LinearModel,
         config=lambda spec, hp: PenaltyConfig(lam=0.0, seed=spec.seed, **hp),
         proba=lambda p, X: _positive(p.predict_proba(X))),
 }
@@ -282,7 +282,7 @@ def _labels_or_targets(spec: EstimatorSpec, ds: Dataset):
 def fit(spec: EstimatorSpec, ds: Dataset) -> TrainedModel:
     """Fit with the family's routine; deterministic given spec.seed."""
     y = _labels_or_targets(spec, ds)
-    params = FAMILIES[spec.family].fit(spec, ds, y, spec.config)
+    params = FAMILIES[spec.family].fit(spec, ds.rows, y, spec.config)
     return TrainedModel(spec=spec, params=params, fingerprint=_fingerprint(ds))
 
 

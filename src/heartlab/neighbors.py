@@ -9,7 +9,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import knn_search
-from .data import Dataset
 from .errors import ConfigError, ContractError, FitError
 from .trees import TASK_CLASSIFICATION
 
@@ -45,19 +44,11 @@ class KnnModel:
             raise ConfigError(f"k must be in 1..{self.X.shape[0]}, got {self.k}")
 
 
-def fit_knn(ds: Dataset, k: int = 5, weighting: str = WEIGHT_UNIFORM,
+def fit_knn(X: np.ndarray, y: np.ndarray, k: int = 5, weighting: str = WEIGHT_UNIFORM,
             task: str = TASK_CLASSIFICATION) -> KnnModel:
-    if task == TASK_CLASSIFICATION:
-        if ds.labels is None:
-            raise FitError("knn classification requires labels")
-        y = ds.labels
-        n_classes = int(y.max()) + 1
-    else:
-        if ds.targets is None:
-            raise FitError("knn regression requires targets")
-        y = ds.targets
-        n_classes = 0
-    return KnnModel(X=np.ascontiguousarray(ds.rows, dtype=np.float64), y=y,
+    """y holds int labels (classification) or float targets (regression)."""
+    n_classes = int(y.max()) + 1 if task == TASK_CLASSIFICATION else 0
+    return KnnModel(X=np.ascontiguousarray(X, dtype=np.float64), y=y,
                     k=k, weighting=weighting, task=task, n_classes=n_classes)
 
 
@@ -109,14 +100,10 @@ class GaussianNbModel:
     floor: float
 
 
-def fit_gnb(ds: Dataset) -> GaussianNbModel:
-    """Per-class feature Gaussians with a variance floor of 1e-9 times the
-    largest overall feature variance (so constant-within-class features
-    survive)."""
-    if ds.labels is None:
-        raise FitError("gaussian nb requires labels")
-    X = ds.rows
-    y = ds.labels
+def fit_gnb(X: np.ndarray, y: np.ndarray) -> GaussianNbModel:
+    """Per-class feature Gaussians for int labels y, with a variance floor of
+    1e-9 times the largest overall feature variance (so constant-within-class
+    features survive)."""
     n_classes = int(y.max()) + 1
     n, m = X.shape
     overall = np.mean((X - X.mean(axis=0)) ** 2, axis=0)

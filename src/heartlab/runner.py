@@ -93,6 +93,7 @@ class _Fixture(FixtureSpec):
     seed: int = 0
 
     def __post_init__(self):
+        super().__post_init__()
         if self.n < 4:
             raise ConfigError(f"fixture needs n >= 4, got {self.n}")
 

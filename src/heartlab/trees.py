@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .data import Dataset
 from .errors import ConfigError, ContractError, FitError
 
 TASK_CLASSIFICATION = "classification"
@@ -164,7 +163,7 @@ def fit_cart_matrix(X: np.ndarray, y: np.ndarray, config: CartConfig, task: str,
                     n_classes: int | None = None,
                     sorted_rows: np.ndarray | None = None,
                     weights: np.ndarray | None = None, leaves: bool = False):
-    """Array-level fit used by the ensembles; fit_cart wraps it for Datasets.
+    """Fit one tree on X and y (int labels or float targets).
     sorted_rows is presort(X), passed by callers that fit many trees on one X.
     weights (classification only) count rows; leaves returns (tree, row -> leaf)."""
     if X.shape[0] == 0:
@@ -193,16 +192,3 @@ def fit_cart_matrix(X: np.ndarray, y: np.ndarray, config: CartConfig, task: str,
                     leaf_value=np.array(leaf_value, dtype=np.float64),
                     n_samples=np.array(n_samples, dtype=np.int64), task=task)
     return (tree, leaf_of) if leaves else tree
-
-
-def fit_cart(ds: Dataset, config: CartConfig = CartConfig(),
-             task: str = TASK_CLASSIFICATION) -> FlatTree:
-    if task == TASK_CLASSIFICATION:
-        if ds.labels is None:
-            raise FitError("classification tree requires labels")
-        y = ds.labels
-    else:
-        if ds.targets is None:
-            raise FitError("regression tree requires targets")
-        y = ds.targets
-    return fit_cart_matrix(ds.rows, y, config, task)

@@ -145,12 +145,11 @@ def reference_fit_cart_matrix(X, y, config, task, rng=None, n_classes=None,
     return (tree, tree.route(X)) if leaves else tree
 
 
-def reference_fit_random_forest(ds, config, task=TASK_CLASSIFICATION):
+def reference_fit_random_forest(X, y, config, task=TASK_CLASSIFICATION):
     """ensembles.fit_random_forest as it was before weighted growth: each
     bootstrap tree grows on its materialized draw X[take], y[take]."""
-    y = ds.labels if task == TASK_CLASSIFICATION else ds.targets
     n_classes = int(y.max()) + 1 if task == TASK_CLASSIFICATION else 0
-    X = np.ascontiguousarray(ds.rows, dtype=np.float64)
+    X = np.ascontiguousarray(X, dtype=np.float64)
     n = X.shape[0]
     sub = _resolve_subsample(config.feature_subsample, X.shape[1], task)
     cart = replace(config.cart, feature_subsample=sub)

@@ -444,10 +444,10 @@ def test_criterion_09_optimizer_certificates():
     # gbt: staged training loss never rises, under either loss
     Xg = rng.normal(0.0, 1.0, (200, 4))
     tg = np.sin(Xg @ np.array([1.0, -0.5, 0.25, 0.0])) + 0.5 * Xg[:, 0]
-    gbt_r = fit_gbt(make_ds(Xg, targets=tg), GbtConfig(n_rounds=60, loss=LOSS_SQUARED))
+    gbt_r = fit_gbt(Xg, tg, GbtConfig(n_rounds=60, loss=LOSS_SQUARED))
     assert float(np.max(np.diff(gbt_r.train_losses))) <= 1e-12
     yg = (Xg @ np.array([1.0, 1.0, -0.5, 0.0]) + 0.5 * rng.normal(size=200) > 0).astype(int)
-    gbt_c = fit_gbt(make_ds(Xg, labels=yg), GbtConfig(n_rounds=40, loss=LOSS_LOGISTIC))
+    gbt_c = fit_gbt(Xg, yg, GbtConfig(n_rounds=40, loss=LOSS_LOGISTIC))
     assert float(np.max(np.diff(gbt_c.train_losses))) <= 1e-12
 
     # logistic: recompute the mean-scaled gradient at the fitted weights

@@ -7,6 +7,7 @@ from heartlab.data import FixtureSpec, make_fixture, planted_coefficients
 from heartlab.errors import ContractError, FitError, ModelLoadError, ModelSpecError
 from heartlab.models import (
     ALL_FAMILIES,
+    FAMILIES,
     EstimatorSpec,
     fit,
     load_model,
@@ -178,11 +179,12 @@ def test_fingerprint_rejects_renamed_columns(two_blob_ds):
         predict_proba(m, other)
 
 
-def test_fit_requires_matching_column(two_blob_ds, reg_ds):
-    with pytest.raises(FitError):
-        fit(EstimatorSpec("cart", TASK_CLASSIFICATION), reg_ds)  # no labels
-    with pytest.raises(FitError):
-        fit(EstimatorSpec("cart", TASK_REGRESSION), two_blob_ds)  # no targets
+@pytest.mark.parametrize("family, task", [(f, t) for f in FAMILIES for t in FAMILIES[f].tasks])
+def test_fit_requires_matching_column(two_blob_ds, reg_ds, family, task):
+    # reg_ds has no labels and two_blob_ds no targets
+    ds = reg_ds if task == TASK_CLASSIFICATION else two_blob_ds
+    with pytest.raises(FitError, match=f"{family} {task} requires"):
+        fit(EstimatorSpec(family, task), ds)
 
 
 def test_proba_requires_classification(reg_ds):

@@ -44,7 +44,7 @@ def _naive_knn(Xtr, ytr, Xq, k, weighting, task, n_classes=0):
 def test_k1_exact_match_returns_that_label():
     rows = np.array([[0.0, 0.0], [5.0, 5.0], [9.0, 1.0]])
     ds = make_ds(rows, labels=np.array([2, 0, 1]))
-    m = fit_knn(ds, k=1)
+    m = fit_knn(ds.rows, ds.labels, k=1)
     assert predict_knn(m, [5.0, 5.0]) == 0
     assert predict_knn(m, [0.0, 0.0]) == 2
 
@@ -52,30 +52,30 @@ def test_k1_exact_match_returns_that_label():
 def test_uniform_regression_mean_of_neighbors():
     rows = np.array([[0.0], [1.0], [2.0], [50.0]])
     ds = make_ds(rows, targets=np.array([1.0, 2.0, 3.0, 99.0]))
-    m = fit_knn(ds, k=3, task=TASK_REGRESSION)
+    m = fit_knn(ds.rows, ds.targets, k=3, task=TASK_REGRESSION)
     assert predict_knn(m, [1.0]) == pytest.approx(2.0, abs=1e-12)
 
 
 def test_vote_tie_goes_to_lower_class_code():
     rows = np.array([[0.0, 0.0], [2.0, 0.0]])
-    m = fit_knn(make_ds(rows, labels=np.array([0, 1])), k=2)
+    m = fit_knn(rows, np.array([0, 1]), k=2)
     assert predict_knn(m, [1.0, 0.0]) == 0
     # swap which point carries which label; the tie-break is on class code
-    m2 = fit_knn(make_ds(rows, labels=np.array([1, 0])), k=2)
+    m2 = fit_knn(rows, np.array([1, 0]), k=2)
     assert predict_knn(m2, [1.0, 0.0]) == 0
 
 
 def test_distance_tie_breaks_to_lower_row_index():
     rows = np.array([[3.0, 3.0], [3.0, 3.0], [8.0, 8.0]])
-    m = fit_knn(make_ds(rows, labels=np.array([1, 0, 0])), k=1)
+    m = fit_knn(rows, np.array([1, 0, 0]), k=1)
     assert predict_knn(m, [3.0, 3.0]) == 1
 
 
 def test_inverse_distance_can_overturn_uniform_vote():
     rows = np.array([[1.0, 0.0], [-2.0, 0.0], [0.0, 2.2]])
     labels = np.array([1, 0, 0])
-    uni = fit_knn(make_ds(rows, labels=labels), k=3, weighting=WEIGHT_UNIFORM)
-    inv = fit_knn(make_ds(rows, labels=labels), k=3, weighting=WEIGHT_INVERSE)
+    uni = fit_knn(rows, labels, k=3, weighting=WEIGHT_UNIFORM)
+    inv = fit_knn(rows, labels, k=3, weighting=WEIGHT_INVERSE)
     q = [0.0, 0.0]
     assert predict_knn(uni, q) == 0
     assert predict_knn(inv, q) == 1
@@ -84,7 +84,7 @@ def test_inverse_distance_can_overturn_uniform_vote():
 def test_inverse_distance_regression_hand_case():
     rows = np.array([[1.0], [2.0], [10.0]])
     ds = make_ds(rows, targets=np.array([0.0, 3.0, 77.0]))
-    m = fit_knn(ds, k=2, weighting=WEIGHT_INVERSE, task=TASK_REGRESSION)
+    m = fit_knn(ds.rows, ds.targets, k=2, weighting=WEIGHT_INVERSE, task=TASK_REGRESSION)
     # weights 1/1 and 1/2 -> (0*1 + 3*0.5) / 1.5 = 1.0
     assert predict_knn(m, [0.0]) == pytest.approx(1.0, abs=1e-9)
 
@@ -92,7 +92,7 @@ def test_inverse_distance_regression_hand_case():
 def test_inverse_distance_exact_match_dominates():
     rows = np.array([[0.0], [1.0], [2.0]])
     ds = make_ds(rows, targets=np.array([5.0, -3.0, 8.0]))
-    m = fit_knn(ds, k=3, weighting=WEIGHT_INVERSE, task=TASK_REGRESSION)
+    m = fit_knn(ds.rows, ds.targets, k=3, weighting=WEIGHT_INVERSE, task=TASK_REGRESSION)
     assert predict_knn(m, [1.0]) == pytest.approx(-3.0, abs=1e-6)
 
 
@@ -101,7 +101,7 @@ def test_matches_naive_oracle_classification(rng):
     ytr = rng.integers(0, 3, size=40)
     Xq = rng.normal(size=(25, 3))
     for weighting in (WEIGHT_UNIFORM, WEIGHT_INVERSE):
-        m = fit_knn(make_ds(Xtr, labels=ytr), k=5, weighting=weighting)
+        m = fit_knn(Xtr, ytr, k=5, weighting=weighting)
         pred, shares = predict_knn_batch(m, Xq)
         want = _naive_knn(Xtr, ytr, Xq, 5, weighting, TASK_CLASSIFICATION, 3)
         assert np.array_equal(pred, want.astype(np.int64))
@@ -113,7 +113,7 @@ def test_matches_naive_oracle_regression(rng):
     ttr = rng.normal(size=40)
     Xq = rng.normal(size=(25, 3))
     for weighting in (WEIGHT_UNIFORM, WEIGHT_INVERSE):
-        m = fit_knn(make_ds(Xtr, targets=ttr), k=4, weighting=weighting,
+        m = fit_knn(Xtr, ttr, k=4, weighting=weighting,
                     task=TASK_REGRESSION)
         got = predict_knn_batch(m, Xq)
         want = _naive_knn(Xtr, ttr, Xq, 4, weighting, TASK_REGRESSION)
@@ -125,8 +125,8 @@ def test_prediction_invariant_under_training_permutation(rng):
     ytr = rng.integers(0, 2, size=30)
     Xq = rng.normal(size=(20, 4))
     perm = rng.permutation(30)
-    a = fit_knn(make_ds(Xtr, labels=ytr), k=7)
-    b = fit_knn(make_ds(Xtr[perm], labels=ytr[perm]), k=7)
+    a = fit_knn(Xtr, ytr, k=7)
+    b = fit_knn(Xtr[perm], ytr[perm], k=7)
     pa, sa = predict_knn_batch(a, Xq)
     pb, sb = predict_knn_batch(b, Xq)
     assert np.array_equal(pa, pb)
@@ -136,36 +136,27 @@ def test_prediction_invariant_under_training_permutation(rng):
 def test_knn_k_bounds_rejected(rng):
     ds = make_ds(rng.normal(size=(5, 2)), labels=np.array([0, 1, 0, 1, 0]))
     with pytest.raises(ConfigError):
-        fit_knn(ds, k=6)
+        fit_knn(ds.rows, ds.labels, k=6)
     with pytest.raises(ConfigError):
-        fit_knn(ds, k=0)
+        fit_knn(ds.rows, ds.labels, k=0)
 
 
 def test_knn_unknown_weighting_rejected(rng):
     ds = make_ds(rng.normal(size=(5, 2)), labels=np.array([0, 1, 0, 1, 0]))
     with pytest.raises(ConfigError):
-        fit_knn(ds, weighting="gaussian", k=2)
-
-
-def test_knn_missing_columns_rejected(rng):
-    rows = rng.normal(size=(6, 2))
-    with pytest.raises(FitError):
-        fit_knn(make_ds(rows, targets=rng.normal(size=6)))  # labels absent
-    with pytest.raises(FitError):
-        fit_knn(make_ds(rows, labels=np.zeros(6, dtype=np.int64)),
-                task=TASK_REGRESSION)
+        fit_knn(ds.rows, ds.labels, weighting="gaussian", k=2)
 
 
 def test_knn_query_width_mismatch(rng):
     ds = make_ds(rng.normal(size=(6, 3)), labels=np.zeros(6, dtype=np.int64))
-    m = fit_knn(ds, k=2)
+    m = fit_knn(ds.rows, ds.labels, k=2)
     with pytest.raises(ContractError):
         predict_knn_batch(m, rng.normal(size=(2, 4)))
 
 
 def test_knn_task_mismatch_rejected(rng):
     ds = make_ds(rng.normal(size=(6, 2)), labels=np.zeros(6, dtype=np.int64))
-    m = fit_knn(ds, k=2)
+    m = fit_knn(ds.rows, ds.labels, k=2)
     with pytest.raises(ConfigError):
         predict_knn(m, [0.0, 0.0], task=TASK_REGRESSION)
 
@@ -173,7 +164,7 @@ def test_knn_task_mismatch_rejected(rng):
 def test_gnb_symmetric_classes_split_the_posterior():
     rows = np.array([[-1.5], [-0.5], [0.5], [1.5]])
     ds = make_ds(rows, labels=np.array([0, 0, 1, 1]))
-    m = fit_gnb(ds)
+    m = fit_gnb(ds.rows, ds.labels)
     p = gnb_proba(m, np.array([[0.0]]))[0]
     assert p[0] == pytest.approx(0.5, abs=1e-9)
     assert p[1] == pytest.approx(0.5, abs=1e-9)
@@ -182,7 +173,7 @@ def test_gnb_symmetric_classes_split_the_posterior():
 def test_gnb_likelihood_dominance():
     rows = np.vstack([np.array([[-0.5], [0.5]]), np.array([[49.5], [50.5]])])
     ds = make_ds(rows, labels=np.array([0, 0, 1, 1]))
-    m = fit_gnb(ds)
+    m = fit_gnb(ds.rows, ds.labels)
     c, p = predict_gnb(m, [0.0])
     assert c == 0
     assert p > 0.9999
@@ -195,7 +186,7 @@ def test_gnb_hand_computed_posterior():
         [3.0, 2.0], [5.0, 2.0], [4.0, 1.0], [4.0, 3.0],
     ])
     labels = np.array([0, 0, 0, 0, 1, 1, 1, 1])
-    m = fit_gnb(make_ds(rows, labels=labels))
+    m = fit_gnb(rows, labels)
     q = np.array([1.0, 1.0])
 
     def dens(x, mu, var):
@@ -213,7 +204,7 @@ def test_gnb_hand_computed_posterior():
 def test_gnb_unequal_priors_enter_the_posterior():
     rows = np.array([[-1.5], [-0.5], [0.5], [1.5], [-2.5], [2.5]])
     labels = np.array([0, 0, 1, 1, 0, 0])
-    m = fit_gnb(make_ds(rows, labels=labels))
+    m = fit_gnb(rows, labels)
     assert np.allclose(m.priors, [4 / 6, 2 / 6], atol=1e-15)
     assert m.priors.sum() == pytest.approx(1.0, abs=1e-15)
 
@@ -221,7 +212,7 @@ def test_gnb_unequal_priors_enter_the_posterior():
 def test_gnb_posteriors_sum_to_one(rng):
     X = rng.normal(size=(50, 4))
     y = rng.integers(0, 3, size=50)
-    m = fit_gnb(make_ds(X, labels=y))
+    m = fit_gnb(X, y)
     p = gnb_proba(m, rng.normal(size=(30, 4)) * 10.0)
     assert np.allclose(p.sum(axis=1), 1.0, atol=1e-12)
     assert np.all(p >= 0.0)
@@ -230,7 +221,7 @@ def test_gnb_posteriors_sum_to_one(rng):
 def test_gnb_score_shift_invariance(rng):
     X = rng.normal(size=(40, 3))
     y = rng.integers(0, 2, size=40)
-    m = fit_gnb(make_ds(X, labels=y))
+    m = fit_gnb(X, y)
     Q = rng.normal(size=(15, 3))
     scores = gnb_log_scores(m, Q)
     assert np.array_equal(np.argmax(scores, axis=1), predict_gnb_batch(m, Q))
@@ -244,7 +235,7 @@ def test_gnb_variance_floor_applies_to_constant_feature(rng):
         rng.normal(size=n) * 2.0,
     ])
     y = np.array([0, 0, 0, 0, 1, 1, 1, 1])
-    m = fit_gnb(make_ds(X, labels=y))
+    m = fit_gnb(X, y)
     overall = np.mean((X - X.mean(axis=0)) ** 2, axis=0)
     assert m.floor == pytest.approx(1e-9 * overall.max(), rel=1e-12)
     assert m.variances[0, 0] == m.floor
@@ -254,9 +245,4 @@ def test_gnb_variance_floor_applies_to_constant_feature(rng):
 def test_gnb_single_row_class_rejected(rng):
     X = rng.normal(size=(4, 2))
     with pytest.raises(FitError):
-        fit_gnb(make_ds(X, labels=np.array([0, 0, 0, 1])))
-
-
-def test_gnb_requires_labels(rng):
-    with pytest.raises(FitError):
-        fit_gnb(make_ds(rng.normal(size=(6, 2)), targets=rng.normal(size=6)))
+        fit_gnb(X, np.array([0, 0, 0, 1]))

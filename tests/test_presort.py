@@ -88,11 +88,11 @@ def test_presort_orders_ties_by_row():
 ])
 def test_forest_matches_reference(monkeypatch, task, hp):
     X, labels, targets = _data(11, n=240)
-    ds = make_ds(X, labels=labels, targets=targets)
+    y = labels if task == TASK_CLASSIFICATION else targets
     cfg = ForestConfig(n_trees=6, seed=5, **hp)
-    got = fit_random_forest(ds, cfg, task)
+    got = fit_random_forest(X, y, cfg, task)
     monkeypatch.setattr(ensembles, "fit_cart_matrix", reference_fit_cart_matrix)
-    want = fit_random_forest(ds, cfg, task)
+    want = fit_random_forest(X, y, cfg, task)
     assert_same_trees(got.trees, want.trees)
 
 
@@ -100,11 +100,11 @@ def test_forest_matches_reference(monkeypatch, task, hp):
 @pytest.mark.parametrize("max_depth", [1, 3, 6])
 def test_gbt_matches_reference(monkeypatch, loss, max_depth):
     X, labels, targets = _data(17, n=220)
-    ds = make_ds(X, labels=np.minimum(labels, 1), targets=targets)
+    y = np.minimum(labels, 1) if loss == "logistic" else targets
     cfg = GbtConfig(n_rounds=12, max_depth=max_depth, loss=loss, seed=2)
-    got = fit_gbt(ds, cfg)
+    got = fit_gbt(X, y, cfg)
     monkeypatch.setattr(ensembles, "fit_cart_matrix", reference_fit_cart_matrix)
-    want = fit_gbt(ds, cfg)
+    want = fit_gbt(X, y, cfg)
     assert_same_trees(got.trees, want.trees)
     assert got.train_losses == want.train_losses
 
@@ -120,7 +120,7 @@ def test_gbt_sorts_once(monkeypatch):
 
     monkeypatch.setattr(ensembles, "presort", counting)
     monkeypatch.setattr(trees, "presort", counting)
-    fit_gbt(make_ds(X, labels=np.minimum(labels, 1)), GbtConfig(n_rounds=7, loss="logistic"))
+    fit_gbt(X, np.minimum(labels, 1), GbtConfig(n_rounds=7, loss="logistic"))
     assert calls == [X.shape]
 
 
@@ -154,8 +154,8 @@ def _three_classes_tied(ds):
 def test_forest_matches_materialized_bootstrap(tracks, track, cart, variant):
     ds = tracks[track] if variant == "as-is" else _three_classes_tied(tracks[track])
     cfg = ForestConfig(n_trees=3, seed=7, cart=cart)
-    got = fit_random_forest(ds, cfg, TASK_CLASSIFICATION)
-    assert_same_trees(got.trees, reference_fit_random_forest(ds, cfg).trees)
+    got = fit_random_forest(ds.rows, ds.labels, cfg, TASK_CLASSIFICATION)
+    assert_same_trees(got.trees, reference_fit_random_forest(ds.rows, ds.labels, cfg).trees)
 
 
 def test_forest_sorts_once(monkeypatch):
@@ -169,7 +169,7 @@ def test_forest_sorts_once(monkeypatch):
 
     monkeypatch.setattr(ensembles, "presort", counting)
     monkeypatch.setattr(trees, "presort", counting)
-    fit_random_forest(make_ds(X, labels=labels), ForestConfig(n_trees=5))
+    fit_random_forest(X, labels, ForestConfig(n_trees=5))
     assert calls == [X.shape]
 
 

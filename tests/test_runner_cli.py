@@ -554,6 +554,10 @@ def _explain(**request):
      "'lambda_leaf'"),
     (_set_model(1, "gbt", "classification", lambda_leaf=float("-inf")), "models[1]",
      "'lambda_leaf'"),
+    (_set_model(1, "gbt", "classification", lambda_leaf=-5), "models[1]",
+     "lambda_leaf must be finite and >= 0"),
+    (lambda d: d["dataset"]["fixture"].update(noise_sigma=-1), "dataset.fixture",
+     "noise_sigma must be finite and >= 0"),
     (_explain(method="lime", sigma=float("nan")), "explain[0].sigma", "nan"),
     (_explain(method="lime", sigma=float("inf")), "explain[0].sigma", "inf"),
     (_set_model(2, "ridge", "regression", lam=float("nan")), "models[2]", "'lam'"),
@@ -564,7 +568,8 @@ def _explain(**request):
         "train_fraction", "smote-k", "iqr_factor", "lime-n_samples", "shap-background_size",
         "shap-n_permutations", "shap-mode", "lime-shap-option", "knn-k", "knn-weighting",
         "fixture-n", "iqr_factor-nan", "noise_sigma-nan", "noise_sigma-inf",
-        "lambda_leaf-nan", "lambda_leaf--inf", "lime-sigma-nan", "lime-sigma-inf",
+        "lambda_leaf-nan", "lambda_leaf--inf", "lambda_leaf-negative", "noise_sigma-negative",
+        "lime-sigma-nan", "lime-sigma-inf",
         "ridge-lam-nan", "lasso-lam-inf", "svm-lam_svm--inf"])
 def test_cli_out_of_range_config_value_exits_2(tmp_path, capsys, mutate, where, key):
     _assert_refused_while_parsing(tmp_path, capsys, mutate, where, key)
@@ -636,6 +641,13 @@ def test_cli_fixture_determinism(tmp_path, capsys):
     assert a.read_bytes() == b.read_bytes()
     assert "wrote 50 rows" in capsys.readouterr().out
     assert main(["fixture", str(tmp_path / "c.csv"), "--n", "50"]) == 1  # --seed required
+
+
+def test_cli_fixture_negative_noise_exits_2(tmp_path, capsys):
+    out = tmp_path / "neg.csv"
+    assert main(["fixture", str(out), "--n", "50", "--seed", "9", "--noise", "-1"]) == 2
+    assert "noise_sigma must be finite and >= 0" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_explain_saved_model(tmp_path, capsys):

@@ -10,7 +10,6 @@ from heartlab.trees import (
     CartConfig,
     TASK_CLASSIFICATION,
     TASK_REGRESSION,
-    fit_cart,
     fit_cart_matrix,
     gini,
     presort,
@@ -282,7 +281,8 @@ def test_flat_tree_equals_recursive(task):
 
 
 def test_fit_cart_from_dataset(two_blob_ds):
-    tree = fit_cart(two_blob_ds, CartConfig(max_depth=4), TASK_CLASSIFICATION)
+    tree = fit_cart_matrix(two_blob_ds.rows, two_blob_ds.labels, CartConfig(max_depth=4),
+                           TASK_CLASSIFICATION)
     right = sum(
         tree_predict_row(tree, two_blob_ds.rows[i]) == two_blob_ds.labels[i]
         for i in range(two_blob_ds.n_rows))
@@ -291,8 +291,8 @@ def test_fit_cart_from_dataset(two_blob_ds):
 
 def test_feature_subsample_deterministic(two_blob_ds):
     cfg = CartConfig(max_depth=4, feature_subsample=1, seed=5)
-    t1 = fit_cart(two_blob_ds, cfg, TASK_CLASSIFICATION)
-    t2 = fit_cart(two_blob_ds, cfg, TASK_CLASSIFICATION)
+    t1 = fit_cart_matrix(two_blob_ds.rows, two_blob_ds.labels, cfg, TASK_CLASSIFICATION)
+    t2 = fit_cart_matrix(two_blob_ds.rows, two_blob_ds.labels, cfg, TASK_CLASSIFICATION)
     q = two_blob_ds.rows
     assert all(tree_predict_row(t1, q[i]) == tree_predict_row(t2, q[i])
                for i in range(len(q)))
