@@ -99,40 +99,28 @@ def _coalition_table(fn, x, background, member: np.ndarray) -> np.ndarray:
 
     That row depends only on S & D_b, D_b being the features whose bits
     differ between x and b, so the model sees each distinct spliced row of
-    each b once, from one buffer of at most _BLOCK_ROWS rows a call. BLAS
-    rounds a call's last n % 4 rows on a path of their own; so that each
-    row takes the path it takes in the whole table run in blocks, every
-    call holds a multiple of four rows (the last is padded with copies of
-    its last row) except one: the table's last 4 + (k * bg) % 4 rows.
+    each b once, from one buffer of at most _BLOCK_ROWS rows a call.
     """
     k, M = member.shape
     bg = background.shape[0]
-    n = k * bg
     out = np.empty((k, bg))
-    tail = min(n, 4 + n % 4, _BLOCK_ROWS) if n % 4 else 0
-    if tail:
-        rows = np.arange(n - tail, n)
-        out.flat[rows] = fn(np.where(member[rows // bg], x, background[rows % bg]))
     packed = np.packbits(member, axis=1)
     differs = np.packbits(background.view(np.int64) != x.view(np.int64), axis=1)
-    buf = np.empty((min(_BLOCK_ROWS // 4 * 4 or _BLOCK_ROWS, n + 3), M))
+    buf = np.empty((min(_BLOCK_ROWS, k * bg), M))
     pieces = []  # (b, inverse of b's distinct rows, the first of them in buf, count)
 
     def flush(fill):
-        padded = min(fill + -fill % 4, len(buf))
-        buf[fill:padded] = buf[fill - 1]
-        res = fn(buf[:padded])
+        res = fn(buf[:fill])
         pos = 0
         for b, inv, i, count in pieces:
             here = (inv >= i) & (inv < i + count)
-            out[:inv.size, b][here] = res[inv[here] + (pos - i)]
+            out[here, b] = res[inv[here] + (pos - i)]
             pos += count
         pieces.clear()
 
     fill = 0
     for b in range(bg):
-        kb = -((b + tail - n) // bg)  # coalitions whose row with b precedes the tail
-        keys = packed[:kb] & differs[b]
+        keys = packed & differs[b]
         _, first, inv = np.unique(keys.view(f"V{keys.shape[1]}")[:, 0],
                                   return_index=True, return_inverse=True)
         inv = inv.astype(np.int32)
@@ -153,15 +141,23 @@ def _coalition_table(fn, x, background, member: np.ndarray) -> np.ndarray:
     return out.mean(axis=1)
 
 
+def shap_mode(mode: str | None, n_features: int, cap: int) -> str:
+    """The mode a SHAP request runs in: a null mode is exact up to cap
+    features, else sampled; exact above the cap is refused."""
+    if mode is None:
+        return "exact" if n_features <= cap else "sampled"
+    if mode == "exact" and n_features > cap:
+        raise ConfigError(f"{n_features} features exceed the exact cap {cap}; "
+                          "use sampled mode or raise exact_feature_cap")
+    return mode
+
+
 def shap_exact(model, x, background, config: ShapConfig = ShapConfig()) -> Attribution:
     """Full 2^M subset enumeration of phi_j = sum_S w(|S|) (v(S+j) - v(S))
     with w(s) = s!(M-1-s)!/M!."""
     fn, x, background = _inputs(model, x, background)
     M = x.size
-    if M > config.exact_feature_cap:
-        raise ConfigError(
-            f"{M} features exceed the exact cap {config.exact_feature_cap}; "
-            "use sampled mode or raise exact_feature_cap")
+    shap_mode("exact", M, config.exact_feature_cap)
 
     masks = np.arange(1 << M, dtype=np.int64)
     member = ((masks[:, None] >> np.arange(M)) & 1).astype(bool)
@@ -218,9 +214,8 @@ def shap_sampled(model, x, background, config: ShapConfig = ShapConfig(mode="sam
 
 
 def shap_values(model, x, background, config: ShapConfig = ShapConfig()) -> Attribution:
-    """Mode dispatch; a null mode is exact up to exact_feature_cap features, else sampled."""
-    mode = config.mode or ("exact" if np.size(x) <= config.exact_feature_cap else "sampled")
-    if mode == "exact":
+    """Runs the mode shap_mode picks."""
+    if shap_mode(config.mode, np.size(x), config.exact_feature_cap) == "exact":
         return shap_exact(model, x, background, config)
     return shap_sampled(model, x, background, config)
 
@@ -238,6 +233,10 @@ class LimeConfig:
             raise ConfigError(f"lime needs n_samples >= 100, got {self.n_samples}")
         if self.sigma is not None and not 0 < self.sigma < math.inf:
             raise ConfigError(f"kernel width must be finite and positive, got {self.sigma}")
+        if self.n_features < 1:
+            raise ConfigError(f"n_features must be >= 1, got {self.n_features}")
+        if not 0 <= self.ridge < math.inf:
+            raise ConfigError(f"ridge must be finite and >= 0, got {self.ridge}")
 
 
 @dataclass(frozen=True)

@@ -70,8 +70,13 @@ class LinearModel:
     objective_trace: tuple = field(default=())
 
     def decision_function(self, X: np.ndarray) -> np.ndarray:
+        """w.x + b, summed over the features in ascending order without
+        BLAS: a row's output does not depend on the other rows of the call."""
         X = np.asarray(X, dtype=np.float64)
-        return X @ self.weights + self.intercept
+        out = np.zeros(X.shape[0])
+        for j, wj in enumerate(self.weights):
+            out += X[:, j] * wj
+        return out + self.intercept
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         raw = self.decision_function(X)
@@ -80,7 +85,9 @@ class LinearModel:
         return raw
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        if self.family != FAMILY_LOGISTIC:
+        """Logistic link of the margin: calibrated for logistic regression,
+        monotone but uncalibrated for the SVM."""
+        if self.family not in (FAMILY_LOGISTIC, FAMILY_SVM):
             raise ConfigError(f"{self.family} does not produce probabilities")
         p = sigmoid(self.decision_function(X))
         return np.column_stack([1.0 - p, p])
@@ -268,71 +275,43 @@ def fit_logistic(X, labels, config: PenaltyConfig = PenaltyConfig(lam=0.0)) -> L
                        family=FAMILY_LOGISTIC, converged=converged, n_iter=it)
 
 
-def _rate_shift(lam: float) -> int:
-    # Offset such that 1/(lam*(t0+1)) <= 1. The running average then counts
-    # t0 phantom zero iterates, which the callers undo with an exact rescale.
-    return max(int(math.ceil(1.0 / lam)) - 1, 0)
-
-
-def _svm_objective(X, yy, w, b, lam) -> float:
-    margins = 1.0 - yy * (X @ w + b)
-    hinge = np.mean(np.maximum(0.0, margins))
-    return float(0.5 * lam * (w @ w) + hinge)
-
-
-def _svr_objective(X, y, w, b, lam, eps) -> float:
-    r = np.abs(y - (X @ w + b)) - eps
-    return float(0.5 * lam * (w @ w) + np.mean(np.maximum(0.0, r)))
+def _pegasos(X, y, config: PenaltyConfig, family: str, epoch, loss, *eps) -> LinearModel:
+    """Averaged primal subgradient epochs on lam/2*||w||^2 + mean(max(0,
+    loss(Xw + b))), shuffled per (seed, epoch); epoch is the SVM or SVR
+    kernel, eps its tube half-width if any. Records the objective of the
+    average after each epoch and returns that average."""
+    n, m = X.shape
+    w, b, wavg, bavg = np.zeros(m), np.zeros(1), np.zeros(m), np.zeros(1)
+    lam = config.lam_svm
+    # Start the step counter at t0 ~ 1/lam so the first learning rates are
+    # <= 1; otherwise the unregularized intercept takes a 1/lam jump on step
+    # one that the harmonic corrections never repair. The running average
+    # then counts t0 phantom zero iterates, undone by an exact rescale.
+    t0 = t = max(int(math.ceil(1.0 / lam)) - 1, 0)
+    trace = []
+    for ep in range(config.epochs):
+        order = np.random.default_rng([config.seed, ep]).permutation(n).astype(np.int64)
+        t = epoch(X, y, order, w, b, wavg, bavg, lam, *eps, t)
+        scale = t / (t - t0)
+        wa, ba = wavg * scale, bavg[0] * scale
+        trace.append(float(0.5 * lam * (wa @ wa) + np.mean(np.maximum(0.0, loss(X @ wa + ba)))))
+    return LinearModel(weights=wa, intercept=float(ba), family=family,
+                       n_iter=config.epochs, objective_trace=tuple(trace))
 
 
 def fit_linear_svm(X, labels, config: PenaltyConfig = PenaltyConfig()) -> LinearModel:
-    """Primal subgradient descent on lam/2*||w||^2 + mean hinge loss over
-    {-1,+1} labels; returns the running-average iterate. The per-epoch
-    objective of that average is recorded."""
+    """Hinge loss over {-1,+1} labels, by the averaged Pegasos epochs."""
     X, y = _check_xy(X, labels)
     if not np.all((y == 0.0) | (y == 1.0)):
         raise FitError("linear svm requires binary 0/1 labels")
     if y.min() == y.max():
         raise FitError("linear svm needs both classes present")
     yy = np.where(y == 1.0, 1.0, -1.0)
-    n, m = X.shape
-    w = np.zeros(m)
-    b = np.zeros(1)
-    wavg = np.zeros(m)
-    bavg = np.zeros(1)
-    # Start the step counter at ~1/lam so the first learning rates are <= 1;
-    # otherwise the unregularized intercept takes a 1/lam jump on step one
-    # that the harmonic corrections never repair.
-    t0 = _rate_shift(config.lam_svm)
-    t = t0
-    trace = []
-    for epoch in range(config.epochs):
-        order = np.random.default_rng([config.seed, epoch]).permutation(n).astype(np.int64)
-        t = svm_epoch(X, yy, order, w, b, wavg, bavg, config.lam_svm, t)
-        scale = t / (t - t0)
-        trace.append(_svm_objective(X, yy, wavg * scale, bavg[0] * scale, config.lam_svm))
-    scale = t / (t - t0)
-    return LinearModel(weights=wavg * scale, intercept=float(bavg[0] * scale), family=FAMILY_SVM,
-                       n_iter=config.epochs, objective_trace=tuple(trace))
+    return _pegasos(X, yy, config, FAMILY_SVM, svm_epoch, lambda raw: 1.0 - yy * raw)
 
 
 def fit_linear_svr(X, targets, config: PenaltyConfig = PenaltyConfig()) -> LinearModel:
-    """Primal subgradient descent on lam/2*||w||^2 + mean eps-insensitive
-    loss; same averaging and shuffling scheme as the SVM."""
+    """eps-insensitive loss, by the same averaged Pegasos epochs as the SVM."""
     X, y = _check_xy(X, targets)
-    n, m = X.shape
-    w = np.zeros(m)
-    b = np.zeros(1)
-    wavg = np.zeros(m)
-    bavg = np.zeros(1)
-    t0 = _rate_shift(config.lam_svm)
-    t = t0
-    trace = []
-    for epoch in range(config.epochs):
-        order = np.random.default_rng([config.seed, epoch]).permutation(n).astype(np.int64)
-        t = svr_epoch(X, y, order, w, b, wavg, bavg, config.lam_svm, config.eps, t)
-        scale = t / (t - t0)
-        trace.append(_svr_objective(X, y, wavg * scale, bavg[0] * scale, config.lam_svm, config.eps))
-    scale = t / (t - t0)
-    return LinearModel(weights=wavg * scale, intercept=float(bavg[0] * scale), family=FAMILY_SVR,
-                       n_iter=config.epochs, objective_trace=tuple(trace))
+    return _pegasos(X, y, config, FAMILY_SVR, svr_epoch,
+                    lambda raw: np.abs(y - raw) - config.eps, config.eps)

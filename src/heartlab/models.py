@@ -160,9 +160,7 @@ FAMILIES = {
     "linear_svm": Family(
         _CLS, _defaults(PenaltyConfig, "lam_svm", "epochs"),
         lambda spec, X, y, cfg: fit_linear_svm(X, y, cfg), LinearModel,
-        config=_penalty_config,
-        # fixed logistic link of the margin: monotone, not calibrated
-        proba=lambda p, X: 1.0 / (1.0 + np.exp(-np.clip(p.decision_function(X), -500, 500)))),
+        config=_penalty_config, proba=lambda p, X: _positive(p.predict_proba(X))),
     "linear_svr": Family(
         _REG, _defaults(PenaltyConfig, "lam_svm", "eps", "epochs"),
         lambda spec, X, y, cfg: fit_linear_svr(X, y, cfg), LinearModel,

@@ -47,6 +47,8 @@ class KnnModel:
 def fit_knn(X: np.ndarray, y: np.ndarray, k: int = 5, weighting: str = WEIGHT_UNIFORM,
             task: str = TASK_CLASSIFICATION) -> KnnModel:
     """y holds int labels (classification) or float targets (regression)."""
+    if X.shape[0] == 0:
+        raise FitError("cannot fit knn on empty data")
     n_classes = int(y.max()) + 1 if task == TASK_CLASSIFICATION else 0
     return KnnModel(X=np.ascontiguousarray(X, dtype=np.float64), y=y,
                     k=k, weighting=weighting, task=task, n_classes=n_classes)
@@ -104,6 +106,8 @@ def fit_gnb(X: np.ndarray, y: np.ndarray) -> GaussianNbModel:
     """Per-class feature Gaussians for int labels y, with a variance floor of
     1e-9 times the largest overall feature variance (so constant-within-class
     features survive)."""
+    if X.shape[0] == 0:
+        raise FitError("cannot fit naive bayes on empty data")
     n_classes = int(y.max()) + 1
     n, m = X.shape
     overall = np.mean((X - X.mean(axis=0)) ** 2, axis=0)

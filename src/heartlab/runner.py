@@ -47,6 +47,7 @@ from .explain import (
     ShapConfig,
     lime_explain,
     sample_background,
+    shap_mode,
     shap_values,
 )
 from .metrics import (
@@ -465,17 +466,23 @@ def _conventions() -> list:
 
 
 def _explain_tracks(cfg: RunConfig, tracks: dict) -> list:
-    """(request, track name) for each explain request, its rows checked
-    against that track's test partition, so a bad row fails before any fit."""
+    """(request, track name) for each explain request, its rows and SHAP
+    mode checked against that track's test partition, so a bad request
+    fails before any fit."""
     default_track = TRACK_SYNTHETIC if cfg.smote is not None else TRACK_REAL
     out = []
     for i, req in enumerate(cfg.explain):
         track_name = req.track or default_track
-        n = tracks[track_name].test.n_rows
+        n, m = tracks[track_name].test.rows.shape
         for row in req.rows:
             if not 0 <= row < n:
                 raise ConfigError(f"explain[{i}] row {row} out of range for the "
                                   f"{track_name} test partition ({n} rows)")
+        if req.method == "shap":
+            try:
+                shap_mode(req.config.mode, m, req.config.exact_feature_cap)
+            except ConfigError as exc:
+                raise ConfigError(f"explain[{i}]: {exc}") from None
         out.append((req, track_name))
     return out
 

@@ -76,7 +76,7 @@ DIGESTS = {
     "confusion_synthetic_svm_c.csv": "c20a297258910dec4689713fa49f642158980e710172957026016410c15f7e0b",
     "lime_synthetic_gbt_r_1.csv": "fe6c8dbc9b480af7d5c23f5beb34e78c76383524770b2916f7bba04e41f2cb18",
     "manifest.json": "aecbfafc8c736cbe8d2409ce24e632b7c4617b0fbc7e80e9c9a6802d49d6f6c1",
-    "metrics.csv": "b3cd30ffeba28b5638cf947befe2addce0d6a42c41676c9e128414f5f179a66d",
+    "metrics.csv": "10572b16520f997c96ef3ddb205c09f742c6c671c74ea25709bbb6a5319eb828",
     "model_real_cart_c.json": "f0e174aeb19f1fcfb98e130a511b87e2b2edcf8b5f3cf359168d70f405827595",
     "model_real_cart_r.json": "fd5ab939ec7ae9b03ce78000ccb3ab9821a040a4d4c4dc513258a657b5bbe25e",
     "model_real_gbt_c.json": "4570f46812d065b292dc1113112e599ab112c39b8f78ece50a3628e5cb462ddf",
@@ -110,33 +110,33 @@ DIGESTS = {
     "residuals_real_cart_r.csv": "7cb72fe2e2c39a3d9a171f60420881144c25c69837312680d83b9a27c21f3690",
     "residuals_real_gbt_r.csv": "a88086cf3bc9c45f3b004f40717e3d72e241f09ba1da4baaec60a306d44e2093",
     "residuals_real_knn_r.csv": "f62605b82bf9220c5886f3508e6e0f308ab6e6860ab8088f4cb2b393551dba72",
-    "residuals_real_lasso_r.csv": "b047967809e4d42a82fa50708cf31dc10db43aa2e6cafd46ffc3e597f186b48a",
-    "residuals_real_ols_r.csv": "49d3de87a2098782f0b50358413fd0ccfb3a881e23af92db99acac5ee2808a5a",
+    "residuals_real_lasso_r.csv": "d94a1c7febfbf4cf64ff8e8402ae97c41f8172eaaa6d7985de9401dcf1ad4ee7",
+    "residuals_real_ols_r.csv": "1076a4a5e7fb8659d16a1f905e198178f9cd4b120b75cf13af103e7ecd357c17",
     "residuals_real_rf_r.csv": "9df7a47ad8ccd7b0fd6fe9d373f9b194c8d32e7b6129382847027748112a67a6",
-    "residuals_real_ridge_r.csv": "a61689d7ba9118a2e30f43c549b8c88f0033f3150ff6d89e2a9ee5ccadf71b82",
-    "residuals_real_svr_r.csv": "91409b7c20f58f8ae0167385332689303e1378f4e361a6e0efd006f43eca1caf",
+    "residuals_real_ridge_r.csv": "ad85aa9016abaa68f2cb1aaed4476f334f4e9ddf6e4963175c77daf82f5b2bd1",
+    "residuals_real_svr_r.csv": "f8f698acb9d34188c5dff73f0898cd5812c25ef8ae1a1f423adf5da45f39c807",
     "residuals_synthetic_cart_r.csv": "3772af1613c2c71ab69b964aba806aed36bdfb5c7e7fb9ef0e6fe0fefa57ca97",
     "residuals_synthetic_gbt_r.csv": "72ce19f745341f46987d27d6f90f1fc596ca2582ce23d760c340e36c62605a1d",
     "residuals_synthetic_knn_r.csv": "7120b1aeb218c5fbf2a4e992ac1859d227a0e5ef7bc86ea57000ec75b8d37d7b",
-    "residuals_synthetic_lasso_r.csv": "ed4d53da908182b91b345ed04caa78c5a895066a09772fe235d1ffa8f9a9b795",
-    "residuals_synthetic_ols_r.csv": "689ddeffc14260f887ed78f8f6d678f5e1f875e521c098d3c47c77d2e4da1fcb",
+    "residuals_synthetic_lasso_r.csv": "7d41bda5303d94864663585a5bc4361fd4440b800f26b485b51c67ad2c45fb49",
+    "residuals_synthetic_ols_r.csv": "2ca89e139def7e17cd4cbab5c2e7196a8baf3a0e5e7016e1595083984a9b4dff",
     "residuals_synthetic_rf_r.csv": "594bbc8913edf63a0ada0827438c7d42bda399ec680eff7d029a2c16d4f38fe6",
-    "residuals_synthetic_ridge_r.csv": "0ff4fc948317791e87b3c71ff80f43c7935bcf4d94be6daf450e3f833b18bbdd",
-    "residuals_synthetic_svr_r.csv": "efc17b72c9301cac52dac7bd164584077f7b6d17bcfe7c80b5d9abbfc5f0fd5d",
+    "residuals_synthetic_ridge_r.csv": "b1ccd4fc9de5c9533c1df63b33c6de1154ad65335a99d574868c7c95d80af299",
+    "residuals_synthetic_svr_r.csv": "742afefe44cd773e57ca5c31be6d377854263b3ecd5ef86231996e7d34326783",
     "roc_real_cart_c.csv": "4b5f47b0f8d7d1422cd4029c362342a7bd5031c2f9735acff36dd365cfacdf1c",
     "roc_real_gbt_c.csv": "6a65d0bc19decc1a57a19d366c1f1fd070832f31cb994a62cad2d16a5d7071ef",
     "roc_real_knn_c.csv": "83f0a5c4ccdd9afbc7214fa8690f5b39fd7dca625dc32133f51c171ce4b1a0bb",
-    "roc_real_logit_c.csv": "cd74ebfaa4330615cc1deed55e4ef92a4ee495bbe4d9149d8acb1e7ec91e1123",
+    "roc_real_logit_c.csv": "3c781bf0e524a1d0a205613dac0de8475327fe14749869e63e77e30d2f918c55",
     "roc_real_nb_c.csv": "ebb7d5b6aa219876a5f72e803f58d55726264e343fe1efead192e90b7ad77487",
     "roc_real_rf_c.csv": "1ea1e977548b4179e1026089b307ba4a1456b105d3c52954778424cb006fa364",
-    "roc_real_svm_c.csv": "72a56fc5c5f0076ea2a9648c5e63c695a55657e168042195b835c4270f2f41a6",
+    "roc_real_svm_c.csv": "bccf3ae95fc08f1fa53070f61f37121e276595c09671a1ef72b303a9d8b3d2a8",
     "roc_synthetic_cart_c.csv": "f8bb50d39826689f087f948b7c01db2d20b1a2d3a7f4095e75c9c2781ccb8cbc",
     "roc_synthetic_gbt_c.csv": "d10e39c22884d71d2249492100a1c30ab9f886a8d219bd8e5a0f4eb96a12a364",
     "roc_synthetic_knn_c.csv": "caecf023aae300fbc1c1f2bac7d089ff72792f529027f7133975345ebf124a0c",
-    "roc_synthetic_logit_c.csv": "2cc3fd9a475262fd9f452999636d6688ae294bee2cef899dd6fcbab0beb29d86",
+    "roc_synthetic_logit_c.csv": "a534698967a6ea9bdc77e5dfadabb4182636210bb71e7a1f4d6850abf6237539",
     "roc_synthetic_nb_c.csv": "f4b4784166a9b642e1de21c5520985039b3cd9313226c94eae5e849712dc0ef6",
     "roc_synthetic_rf_c.csv": "fc0a99243ef6af0765d121e7cb883cd466db3c47918536d98bc5294ec697a2d9",
-    "roc_synthetic_svm_c.csv": "e544752e0ed3569a3bc7c78e85f5b20be91b3138465be8c9dfb174568e6aeded",
+    "roc_synthetic_svm_c.csv": "62db43601dea2f43b610534f9d3f6c1de86c4722daae0413b692d683256ac2c1",
     "shap_synthetic_rf_c.csv": "0322661cf0117d60bf107cb3af518546008fc4b696c579a0572403f9ad77e925",
     "shap_synthetic_rf_c_0.csv": "88c6c875e51a9a3c213418952271178c75fa39ebe571c9a046d2edec4bafe02b",
 }
@@ -155,4 +155,7 @@ def test_saved_bundle_bytes_are_pinned(tmp_path):
            for p in sorted((tmp_path / "bundle").iterdir())}
     differ = sorted(name for name in set(got) | set(DIGESTS)
                     if got.get(name) != DIGESTS.get(name))
-    assert not differ, f"bundle files differ from the pinned bytes: {differ}"
+    # each differing file with its new digest (None: no longer written), as a
+    # DIGESTS entry, so a deliberate re-pin can be reviewed file by file
+    assert not differ, "bundle files differ from the pinned bytes:\n" + "\n".join(
+        f"    {name!r}: {got.get(name)!r}," for name in differ)

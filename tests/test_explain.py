@@ -368,10 +368,7 @@ def oracle_models():
     return rows, models
 
 
-# BLAS matrix-vector products round a row by its position within the
-# call's groups of four rows, so linear models give call-independent
-# outputs only when blocks and backgrounds are multiples of four rows;
-# 12-row blocks over an 8-row background still split coalitions across calls.
+# 12-row blocks over an 8-row background split coalitions across calls.
 @pytest.mark.parametrize("family", ["random_forest", "gbt", "logistic", "ols", "knn"])
 @pytest.mark.parametrize("n_perm", [1, 2, 7, 200])
 def test_sampled_matches_per_permutation_reference(oracle_models, monkeypatch, family, n_perm):
@@ -454,8 +451,6 @@ _FAMILIES = [("cart", TASK_CLASSIFICATION, {"max_depth": 4}),
              ("knn", TASK_CLASSIFICATION, {}),
              ("gaussian_nb", TASK_CLASSIFICATION, {}),
              ("logistic", TASK_CLASSIFICATION, {})]
-# output of a row does not depend on the other rows of its call
-_ROW_INDEPENDENT = ("cart", "random_forest", "gbt", "knn", "gaussian_nb")
 
 
 @pytest.fixture(scope="module")
@@ -470,20 +465,47 @@ def tied_models():
                   for fam, task, hp in _FAMILIES}
 
 
+@pytest.fixture(scope="module")
+def wide_models():
+    # 14 features, as in heart16, where a BLAS matrix-vector product rounds
+    # some rows differently by their place in the call
+    g = np.random.default_rng(8)
+    rows = g.normal(size=(300, 14))
+    labels = (rows[:, 0] + rows[:, 1] * rows[:, 2] + 0.3 * g.normal(size=300) > 0).astype(int)
+    ds = make_ds(rows, labels=labels, targets=rows @ g.normal(size=14) + 0.1 * g.normal(size=300))
+    return rows, {fam: fit(EstimatorSpec(fam, task, hp, seed=1), ds)
+                  for fam, task, hp in _FAMILIES}
+
+
 @pytest.mark.parametrize("family", [f for f, _, _ in _FAMILIES])
-def test_coalition_table_matches_plain_table(tied_models, monkeypatch, family):
-    rows, models = tied_models
+def test_output_for_a_row_depends_on_that_row_alone(wide_models, family):
+    rows, models = wide_models
     fn = scalar_output(models[family])
-    x = rows[7]
-    blocks = (1 << 14, 12, 7) if family in _ROW_INDEPENDENT else (1 << 14, 12)
-    for size in (3, 5, 8, 32):
-        bg = sample_background(rows, size=size, seed=size)
-        for member in (_exact_member(6), _sampled_member(6, 9, seed=4)):
-            for block in blocks:
-                monkeypatch.setattr(explain, "_BLOCK_ROWS", block)
-                got = explain._coalition_table(fn, x, bg, member)
-                assert got.tobytes() == _plain_table(fn, x, bg, member, block).tobytes(), \
-                    (size, member.shape[0], block)
+    X = rows[:203]
+    whole = fn(X)
+    perm = np.random.default_rng(1).permutation(X.shape[0])
+    assert fn(X[perm]).tobytes() == whole[perm].tobytes()
+    alone = np.concatenate([fn(X[i:i + 1]) for i in range(X.shape[0])])
+    assert alone.tobytes() == whole.tobytes()
+
+
+@pytest.mark.parametrize("family", [f for f, _, _ in _FAMILIES])
+def test_coalition_table_matches_plain_table(tied_models, wide_models, monkeypatch, family):
+    rows, models = tied_models
+    cases = [(models[family], rows[7], sample_background(rows, size=size, seed=size), member)
+             for size in (3, 5, 8, 32)
+             for member in (_exact_member(6), _sampled_member(6, 9, seed=4))]
+    rows, models = wide_models
+    member = _sampled_member(14, 9, seed=4)
+    cases += [(models[family], rows[0], sample_background(rows, size=size, seed=size), member)
+              for size in (3, 5)]
+    for model, x, bg, member in cases:
+        fn = scalar_output(model)
+        for block in (1 << 14, 12, 7):
+            monkeypatch.setattr(explain, "_BLOCK_ROWS", block)
+            got = explain._coalition_table(fn, x, bg, member)
+            assert got.tobytes() == _plain_table(fn, x, bg, member, block).tobytes(), \
+                (x.size, bg.shape[0], member.shape[0], block)
 
 
 def _bits_fn(Z):
@@ -505,7 +527,7 @@ def test_rows_differing_only_in_bits_are_not_merged(x0, b0):
     # x ties the last background row bitwise: it splices to one row
     calls = []
     explain._coalition_table(lambda Z: calls.append(Z.copy()) or _bits_fn(Z), x, bg[2:], member)
-    assert sum(c.shape[0] for c in calls) == 4 and len(calls) == 1  # 1 row, padded to 4
+    assert [c.shape[0] for c in calls] == [1]
 
 
 def test_background_row_spans_several_blocks(tied_models, monkeypatch):
@@ -522,35 +544,8 @@ def test_background_row_spans_several_blocks(tied_models, monkeypatch):
 
     monkeypatch.setattr(explain, "_BLOCK_ROWS", 12)
     got = explain._coalition_table(fn, x, bg, member)
-    assert max(calls) == 12 and all(c % 4 == 0 for c in calls)
+    assert calls == [12] * 16   # 3 background rows x 64 distinct rows
     assert got.tobytes() == _plain_table(logit, x, bg, member, 12).tobytes()
-
-
-@pytest.mark.parametrize("family, task", [(f, task) for f, task, _ in _FAMILIES
-                                          if f not in _ROW_INDEPENDENT])
-def test_table_tail_keeps_the_blas_remainder_path(monkeypatch, family, task):
-    # At 14 features, as in heart16, BLAS rounds some rows differently on
-    # the remainder path of a call. The table's last rows are x itself
-    # (the full coalition sorts last), so x is a row whose output moves
-    # with the path, and k * bg is not a multiple of four.
-    g = np.random.default_rng(8)
-    rows = g.normal(size=(300, 14))
-    labels = (rows[:, 0] + rows[:, 1] * rows[:, 2] + 0.3 * g.normal(size=300) > 0).astype(int)
-    ds = make_ds(rows, labels=labels, targets=rows @ g.normal(size=14) + 0.1 * g.normal(size=300))
-    fn = scalar_output(fit(EstimatorSpec(family, task, seed=1), ds))
-    x = next((r for r in rows if len(set(fn(np.repeat(r[None], 5, axis=0)))) > 1), rows[0])
-    member = _sampled_member(14, 9, seed=4)[1:]
-    assert member.shape[0] % 2 == 1 and member[-1].all()
-    for size in (3, 5):
-        bg = sample_background(rows, size=size, seed=size)
-        for block in (1 << 14, 12):
-            monkeypatch.setattr(explain, "_BLOCK_ROWS", block)
-            want = _plain_table(fn, x, bg, member, block)
-            assert explain._coalition_table(fn, x, bg, member).tobytes() == want.tobytes()
-
-
-# pad of the final call plus the tail call: at most 3 + 7 rows
-_ALIGNMENT_ROWS = 10
 
 
 @pytest.mark.parametrize("block", [1 << 14, 40, 7])
@@ -573,5 +568,6 @@ def test_each_distinct_spliced_row_evaluated_once(monkeypatch, block):
     n_distinct = sum(map(len, per_row))
     assert n_distinct < spliced.shape[0] * bg.shape[0] // 2
     assert set().union(*per_row) <= {r.tobytes() for c in calls for r in c}
-    assert sum(c.shape[0] for c in calls) <= n_distinct + _ALIGNMENT_ROWS
+    assert sum(c.shape[0] for c in calls) == n_distinct
+    assert len(calls) == -(-n_distinct // block)
     assert max(c.shape[0] for c in calls) <= block

@@ -187,6 +187,13 @@ def test_fit_requires_matching_column(two_blob_ds, reg_ds, family, task):
         fit(EstimatorSpec(family, task), ds)
 
 
+@pytest.mark.parametrize("family, task", [(f, t) for f in FAMILIES for t in FAMILIES[f].tasks])
+def test_fit_on_empty_data_raises_fit_error(family, task):
+    empty = make_ds(np.empty((0, 3)), labels=np.empty(0, dtype=np.int64), targets=np.empty(0))
+    with pytest.raises(FitError, match="empty data|zero rows"):
+        fit(EstimatorSpec(family, task), empty)
+
+
 def test_proba_requires_classification(reg_ds):
     m = fit(EstimatorSpec("ols", TASK_REGRESSION), reg_ds)
     with pytest.raises(ContractError):

@@ -480,6 +480,17 @@ def test_cli_rejects_explain_row_before_fitting(tmp_path, capsys, monkeypatch):
     assert (man["status"], man["stage"]) == ("failed", "explain")
 
 
+def test_cli_rejects_exact_shap_above_the_cap_before_fitting(tmp_path, capsys, monkeypatch):
+    fitted = []
+    monkeypatch.setattr(runner, "fit", lambda *args: fitted.append(args))
+    doc = _doc(tmp_path, explain=[{"model": "logit", "mode": "exact"}])  # 14 features, cap 12
+    assert main(["run", str(_write_cfg(tmp_path, doc))]) == 2
+    assert "explain[0]: 14 features exceed the exact cap 12" in capsys.readouterr().err
+    assert fitted == []
+    man = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert (man["status"], man["stage"]) == ("failed", "explain")
+
+
 @pytest.mark.parametrize("mutate, path", [
     (lambda d: d.update(seed="abc"), "seed"),
     (lambda d: d.update(models="cart"), "models"),
@@ -560,6 +571,9 @@ def _explain(**request):
      "noise_sigma must be finite and >= 0"),
     (_explain(method="lime", sigma=float("nan")), "explain[0].sigma", "nan"),
     (_explain(method="lime", sigma=float("inf")), "explain[0].sigma", "inf"),
+    (_explain(method="lime", n_features=-1), "explain[0]", "n_features must be >= 1"),
+    (_explain(method="lime", n_features=0), "explain[0]", "n_features must be >= 1"),
+    (_explain(method="lime", ridge=-5), "explain[0]", "ridge must be finite and >= 0"),
     (_set_model(2, "ridge", "regression", lam=float("nan")), "models[2]", "'lam'"),
     (_set_model(2, "lasso", "regression", lam=float("inf")), "models[2]", "'lam'"),
     (_set_model(2, "linear_svm", "classification", lam_svm=float("-inf")), "models[2]",
@@ -569,7 +583,8 @@ def _explain(**request):
         "shap-n_permutations", "shap-mode", "lime-shap-option", "knn-k", "knn-weighting",
         "fixture-n", "iqr_factor-nan", "noise_sigma-nan", "noise_sigma-inf",
         "lambda_leaf-nan", "lambda_leaf--inf", "lambda_leaf-negative", "noise_sigma-negative",
-        "lime-sigma-nan", "lime-sigma-inf",
+        "lime-sigma-nan", "lime-sigma-inf", "lime-n_features-negative", "lime-n_features-0",
+        "lime-ridge-negative",
         "ridge-lam-nan", "lasso-lam-inf", "svm-lam_svm--inf"])
 def test_cli_out_of_range_config_value_exits_2(tmp_path, capsys, mutate, where, key):
     _assert_refused_while_parsing(tmp_path, capsys, mutate, where, key)
