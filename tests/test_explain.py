@@ -508,6 +508,29 @@ def test_coalition_table_matches_plain_table(tied_models, wide_models, monkeypat
                 (x.size, bg.shape[0], member.shape[0], block)
 
 
+@pytest.mark.parametrize("family, task", [(f, task) for f, task, _ in _FAMILIES
+                                          if f in ("ols", "ridge", "lasso", "linear_svm",
+                                                   "linear_svr", "logistic")])
+def test_table_tail_keeps_the_blas_remainder_path(wide_models, monkeypatch, family, task):
+    # At 14 features, as in heart16, a BLAS matrix-vector product rounds
+    # some rows differently on the remainder path of a call. The table's
+    # last rows are x itself (the full coalition sorts last) and k * bg is
+    # not a multiple of four, so the tail lands on that path; the linear
+    # models sum without BLAS, so x's output must not move with it.
+    rows, models = wide_models
+    fn = scalar_output(models[family])
+    x = rows[0]
+    assert len(set(fn(np.repeat(x[None], 5, axis=0)))) == 1
+    member = _sampled_member(14, 9, seed=4)[1:]
+    assert member.shape[0] % 2 == 1 and member[-1].all()
+    for size in (3, 5):
+        bg = sample_background(rows, size=size, seed=size)
+        for block in (1 << 14, 12, 7):
+            monkeypatch.setattr(explain, "_BLOCK_ROWS", block)
+            want = _plain_table(fn, x, bg, member, block)
+            assert explain._coalition_table(fn, x, bg, member).tobytes() == want.tobytes()
+
+
 def _bits_fn(Z):
     # reads the sign, exponent and top mantissa bits of column 0, so merging
     # two rows whose column 0 differs only in its sign would change the output
