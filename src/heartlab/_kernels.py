@@ -10,8 +10,10 @@ outputs are bit-identical; tests/test_kernels.py and `perfbench/run.py
 --kernels` check each pair.
 
 The split kernels read each feature's rows from sorted lists that the
-caller keeps (trees.py sorts once per tree and partitions the lists stably
-down the tree), so no node sorts. Equal feature values are listed in row
+caller keeps (a forest or boosting run sorts X once; trees.py partitions the
+lists stably a level at a time), so no node sorts. The classification kernel
+scores every open node of a tree level in one call; its loop source runs the
+one-node loop over the level's nodes. Equal feature values are listed in row
 order, so prefix sums over ties visit rows in the same order on both
 backends and tie-breaking between equal-gain splits cannot diverge.
 
@@ -54,12 +56,19 @@ def backend_name() -> str:
 #
 # sorted_rows is an (n_features, n) integer array whose row f lists the rows
 # of idx by ascending X[:, f], equal values in their idx order; only the rows
-# named in feats are read. Omitted, it is made with one stable argsort.
-# w, the classification kernel's last argument, gives rows integer weights:
-# counts sum them exactly, so a row of weight c scores as c copies of it.
+# named in feats are read. Omitted (one node only), it is made with one
+# stable argsort.
+# w, the classification kernel's next argument, gives rows positive integer
+# weights: counts sum them exactly, so a row of weight c scores as c copies.
+#
+# Given starts, the classification kernel scores a whole tree level in one
+# call: node s owns positions starts[s]:starts[s + 1] (never empty) of idx
+# and of every row of sorted_rows, and column s of the (k, n_open) feats
+# holds its candidates. It returns arrays of each node's feature, threshold
+# and gain; without starts, idx is one node and the result three scalars.
 # ---------------------------------------------------------------------------
 
-_SPLIT_BLOCK = 2 ** 13  # elements of one (features, n - 1) score block
+_SPLIT_BLOCK = 2 ** 13  # elements of one (features, positions) score block
 
 
 def _sorted_rows_py(X, idx, feats):
@@ -74,7 +83,7 @@ def _sorted_rows_py(X, idx, feats):
     return out
 
 
-def _split_classification_py(X, y, idx, feats, n_classes, min_leaf, sorted_rows=None, w=None):
+def _split_node_py(X, y, idx, feats, n_classes, min_leaf, sorted_rows, w):
     if sorted_rows is None:
         sorted_rows = _sorted_rows_py(X, idx, feats)
     m = idx.shape[0]
@@ -123,6 +132,25 @@ def _split_classification_py(X, y, idx, feats, n_classes, min_leaf, sorted_rows=
     return best_feat, best_thr, best_gain
 
 
+def _split_classification_py(X, y, idx, feats, n_classes, min_leaf, sorted_rows=None, w=None,
+                             starts=None):
+    if starts is None:
+        return _split_node_py(X, y, idx, feats, n_classes, min_leaf, sorted_rows, w)
+    n_open = starts.shape[0] - 1
+    best_feat = np.empty(n_open, np.int64)
+    best_thr = np.empty(n_open, np.float64)
+    best_gain = np.empty(n_open, np.float64)
+    for s in range(n_open):
+        a = starts[s]
+        b = starts[s + 1]
+        f, thr, gain = _split_node_py(X, y, idx[a:b], feats[:, s], n_classes, min_leaf,
+                                      sorted_rows[:, a:b], w)
+        best_feat[s] = f
+        best_thr[s] = thr
+        best_gain[s] = gain
+    return best_feat, best_thr, best_gain
+
+
 def _split_regression_py(X, y, idx, feats, min_leaf, sorted_rows=None):
     if sorted_rows is None:
         sorted_rows = _sorted_rows_py(X, idx, feats)
@@ -158,28 +186,130 @@ def _split_regression_py(X, y, idx, feats, min_leaf, sorted_rows=None):
     return best_feat, best_thr, best_gain
 
 
-def _best_split(X, idx, feats, min_leaf, sorted_rows, score, n, w=None):
-    """The numpy split search of both tasks, over blocks of at most
-    _SPLIT_BLOCK elements (or one feature): score(rows, ws, nl, nr) maps a
-    (features, m - 1) block of sorted row ids, their weights (or None) and
-    left and right counts to gains. A block's first maximum in row-major
-    order is its lowest feature and threshold with the top gain; it replaces
-    the best of earlier blocks only if strictly greater."""
+def _node_lists(X, idx, feats):
+    """One node's sorted lists from one stable argsort; rows of features not
+    in feats are left unset."""
+    out = np.empty((X.shape[1], idx.shape[0]), np.int32)
+    out[feats] = idx[np.argsort(X[np.ix_(idx, feats)], axis=0, kind="stable")].T
+    return out
+
+
+def split_classification_numpy(X, y, idx, feats, n_classes, min_leaf, sorted_rows=None, w=None,
+                               starts=None):
+    """The level search: blocks of whole nodes, at most _SPLIT_BLOCK
+    (candidate, position) elements each unless one node alone is wider, in
+    which case its candidates go a few at a time. Within a block each node
+    takes its first maximum in (candidate, position) order, and it replaces
+    the node's best from earlier candidates only if strictly greater."""
+    if starts is None:  # one node: a level of one
+        if sorted_rows is None:
+            sorted_rows = _node_lists(X, idx, feats)
+        f, thr, gain = split_classification_numpy(X, y, idx, feats[:, None], n_classes, min_leaf,
+                                                  sorted_rows, w, np.array([0, idx.shape[0]]))
+        return int(f[0]), float(thr[0]), float(gain[0])
+    n_open, m, k = starts.shape[0] - 1, X.shape[1], feats.shape[0]
+    best_feat = np.full(n_open, -1, np.int64)
+    best_thr, best_gain = np.zeros(n_open), np.zeros(n_open)
+    if n_classes < 2:  # one class: every gain is 0
+        return best_feat, best_thr, best_gain
+    node = np.arange(n_open).repeat(starts[1:] - starts[:-1])  # position -> its node
+    parent = np.bincount(node * n_classes + y.take(idx), None if w is None else w.take(idx),
+                         n_open * n_classes).astype(np.int64).reshape(n_open, n_classes).T
+    n = parent.sum(axis=0)
+    parent_score = (parent * parent).sum(axis=0) / n
+    cap = max(1, _SPLIT_BLOCK // k)  # positions of a block of several nodes
+    lo = 0
+    while lo < n_open:
+        hi = max(lo + 1, int(np.searchsorted(starts, starts[lo] + cap, "right")) - 1)
+        a, b = starts[lo], starts[hi]
+        first = starts[lo:hi] - a  # each node's first position in the block
+        sizes = starts[lo + 1:hi + 1] - starts[lo:hi]
+        ends = first + sizes - 1
+        pos = np.arange(b - a)
+
+        def within(v, totals):
+            """Prefix sums of v along axis 1, each node's from its first
+            position: the totals of the nodes before it are taken off there."""
+            v[:, first[1:]] -= totals[lo:hi - 1]
+            return v.cumsum(axis=1, out=v)
+
+        def spread(v):  # per node -> per position
+            return v[lo:hi].repeat(sizes)
+
+        nb, ps = spread(n), spread(parent_score)
+        per = max(1, _SPLIT_BLOCK // (b - a))
+        for j0 in range(0, k, per):
+            fb = feats[j0:j0 + per, lo:hi]
+            fat = fb.repeat(sizes, axis=1)  # (candidates, positions): each position's feature
+            rows = sorted_rows.take(fat * sorted_rows.shape[1] + (pos + a))
+            vs = X.take(rows * m + fat)
+            ys = y.take(rows)
+            ws = None if w is None else w.take(rows)
+            # class counts are exact integers, so their squares add up exactly
+            for c in range(n_classes):
+                if c < n_classes - 1:
+                    lc = within((ys == c).astype(np.int64) if ws is None else (ys == c) * ws,
+                                parent[c])
+                    taken = lc if c == 0 else taken + lc
+                else:  # the last class: what the others leave of nl
+                    nl = pos + 1 - first.repeat(sizes) if ws is None else within(ws, n)
+                    lc = nl - taken
+                rc = spread(parent[c]) - lc
+                lc = lc * lc
+                rc *= rc
+                if c == 0:
+                    ssq_l, ssq_r = lc, rc
+                else:
+                    ssq_l += lc
+                    ssq_r += rc
+            nr = nb - nl
+            nr[..., ends] = 1  # 0 there: no split after a node's last row
+            gains = ssq_l / nl
+            gains += ssq_r / nr
+            gains -= ps
+            gains /= nb
+            gains[:, ends] = -np.inf
+            np.copyto(gains[:, :-1], -np.inf, where=vs[:, :-1] == vs[:, 1:])
+            if min_leaf > 1:
+                np.copyto(gains, -np.inf, where=(nl < min_leaf) | (nr < min_leaf))
+            tops = np.maximum.reduceat(gains, first, axis=1)
+            j = tops.argmax(axis=0)  # each node's first candidate with its top gain
+            top = tops[j, np.arange(hi - lo)]
+            better = np.flatnonzero(top > best_gain[lo:hi])
+            if better.size:
+                hit = gains[j.repeat(sizes), pos] == top.repeat(sizes)
+                p = np.minimum.reduceat(np.where(hit, pos, b - a), first)[better]
+                jb = j[better]
+                best_feat[lo + better] = fb[jb, better]
+                best_thr[lo + better] = 0.5 * (vs[jb, p] + vs[jb, p + 1])
+                best_gain[lo + better] = top[better]
+        lo = hi
+    return best_feat, best_thr, best_gain
+
+
+def split_regression_numpy(X, y, idx, feats, min_leaf, sorted_rows=None):
+    """Blocks of at most _SPLIT_BLOCK (feature, threshold) elements, or one
+    feature. A block's first maximum in row-major order is its lowest
+    feature and threshold with the top gain; it replaces the best of earlier
+    blocks only if strictly greater."""
     m = idx.shape[0]
+    if m < 2:
+        return -1, 0.0, 0.0
     if sorted_rows is None:
-        sorted_rows = np.empty((X.shape[1], m), np.int32)
-        sorted_rows[feats] = idx[np.argsort(X[np.ix_(idx, feats)], axis=0, kind="stable")].T
-    nl = np.arange(1, m, dtype=np.int64)  # replaced per block by cumulative weights
+        sorted_rows = _node_lists(X, idx, feats)
+    total = float(np.cumsum(y[idx])[-1])
+    parent_score = total * total / m
+    nl = np.arange(1, m, dtype=np.int64)
+    nr = m - nl
     best_feat, best_thr, best_gain = -1, 0.0, 0.0
     per = max(1, _SPLIT_BLOCK // (m - 1))
     for start in range(0, feats.shape[0], per):
         fb = feats[start:start + per]
-        rows = sorted_rows.take(fb, axis=0)
+        rows = sorted_rows[fb]
         vs = X.take(rows * np.int64(X.shape[1]) + fb[:, None])
-        ws = None if w is None else w.take(rows[:, :-1])
-        nl = nl if ws is None else ws.cumsum(axis=1)
-        nr = n - nl
-        gains = score(rows[:, :-1], ws, nl, nr)
+        sl = np.cumsum(y.take(rows[:, :-1]), axis=1)
+        sr = total - sl
+        gains = (sl * sl / nl + sr * sr / nr - parent_score) / m
         gains[vs[:, :-1] == vs[:, 1:]] = -np.inf
         if min_leaf > 1:
             np.copyto(gains, -np.inf, where=(nl < min_leaf) | (nr < min_leaf))
@@ -188,48 +318,6 @@ def _best_split(X, idx, feats, min_leaf, sorted_rows, score, n, w=None):
             best_feat, best_gain = int(fb[i]), float(gains[i, pos])
             best_thr = 0.5 * (vs[i, pos] + vs[i, pos + 1])
     return best_feat, best_thr, best_gain
-
-
-def split_classification_numpy(X, y, idx, feats, n_classes, min_leaf, sorted_rows=None, w=None):
-    parent = np.bincount(y[idx], None if w is None else w[idx], n_classes).astype(np.int64)
-    n = int(parent.sum())
-    parent_score = float((parent * parent).sum()) / n
-    if idx.shape[0] < 2 or n_classes < 2:  # one class: every gain is 0
-        return -1, 0.0, 0.0
-
-    def score(rows, ws, nl, nr):
-        # class counts are exact integers, so their squares add up exactly
-        ys = y.take(rows)
-        ssq_l = ssq_r = 0
-        rest = nl  # becomes the last class's left count: nl minus the others'
-        for c in range(n_classes):
-            if c < n_classes - 1:
-                lc = (ys == c if ws is None else (ys == c) * ws).cumsum(axis=1)
-                rest = rest - lc
-            else:
-                lc = rest
-            ssq_l = ssq_l + lc * lc
-            lc -= parent[c]
-            ssq_r = ssq_r + lc * lc
-        return (ssq_l / nl + ssq_r / nr - parent_score) / n
-
-    return _best_split(X, idx, feats, min_leaf, sorted_rows, score, n, w)
-
-
-def split_regression_numpy(X, y, idx, feats, min_leaf, sorted_rows=None):
-    n = idx.shape[0]
-    if n < 2:
-        return -1, 0.0, 0.0
-    total = float(np.cumsum(y[idx])[-1])
-    parent_score = total * total / n
-
-    def score(rows, ws, nl, nr):
-        sl = np.cumsum(y.take(rows), axis=1)
-        sr = total - sl
-        return (sl * sl / nl + sr * sr / nr - parent_score) / n
-
-    return _best_split(X, idx, feats, min_leaf, sorted_rows, score, n)
-
 
 # ---------------------------------------------------------------------------
 # Tree routing: follow a flattened node table root-to-leaf for each row.
@@ -458,8 +546,9 @@ def svr_epoch_numpy(X, y, order, w, b, wavg, bavg, lam, eps, t0):
 # ---------------------------------------------------------------------------
 
 _jit = njit(cache=True, nogil=True) if _HAVE_NUMBA else (lambda fn: None)
-if _HAVE_NUMBA:  # rebound first: the compiled split kernels call it by this name
+if _HAVE_NUMBA:  # rebound first: the compiled split kernels call them by these names
     _sorted_rows_py = _jit(_sorted_rows_py)
+    _split_node_py = _jit(_split_node_py)
 split_classification_jit = _jit(_split_classification_py)
 split_regression_jit = _jit(_split_regression_py)
 tree_route_jit = _jit(_tree_route_py)

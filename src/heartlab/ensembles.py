@@ -1,15 +1,18 @@
 """Bagged forests and gradient-boosted trees on the CART core.
 
-Forest: each tree t draws its bootstrap resample and per-split feature
-subsets from an independent stream seeded with (seed, t), so a tree does
-not depend on the trees grown before it. Classification predicts
-by majority vote (ties to the lower class code) and reports vote
-fractions as probabilities; regression averages tree means.
+Forest: each tree t draws its bootstrap resample, then its 64-bit tree key,
+from an independent stream seeded with (seed, t), so a tree does not depend
+on the trees grown before it. The key fixes the tree's per-split feature
+subsets: a node's subset is a function of the key and the node's path from
+the root alone (trees.draw_features). Classification predicts by majority
+vote (ties to the lower class code) and reports vote fractions as
+probabilities; regression averages tree means.
 
 A bootstrap classification tree grows on its draw's distinct rows weighted
 by their integer counts, from one presort per forest: every gain, leaf and
 node size, and so the tree, equals the draw's. Regression trees grow on the
-draw, as a weighted target sum (c*y) rounds unlike y added c times.
+draw, as a weighted target sum (c*y) rounds unlike y added c times. Without
+bootstrap, every tree grows on X itself from one presort per forest.
 
 GBT: stagewise additive model F_m = F_{m-1} + eta * tree_m. Squared
 loss fits residuals with mean-residual leaves starting from the target
@@ -59,10 +62,10 @@ class ForestConfig:
     def __post_init__(self):
         if self.n_trees < 1:
             raise ConfigError(f"n_trees must be >= 1, got {self.n_trees}")
-        if self.feature_subsample not in ("auto", "all"):
-            if not isinstance(self.feature_subsample, int) or self.feature_subsample < 1:
-                raise ConfigError(
-                    "feature_subsample must be 'auto', 'all', or a positive count")
+        if self.feature_subsample not in ("auto", "all") and (
+                type(self.feature_subsample) is not int or self.feature_subsample < 1):
+            raise ConfigError("feature_subsample must be 'auto', 'all', or a positive count, "
+                              f"got {self.feature_subsample!r}")
 
 
 @dataclass(frozen=True)
@@ -109,19 +112,23 @@ def fit_random_forest(X: np.ndarray, y: np.ndarray, config: ForestConfig = Fores
     n_classes = int(y.max()) + 1 if task == TASK_CLASSIFICATION else 0
     sub = _resolve_subsample(config.feature_subsample, X.shape[1], task)
     cart = replace(config.cart, feature_subsample=sub)
-    lists = presort(X) if config.bootstrap and task == TASK_CLASSIFICATION else None
+    lists = presort(X) if task == TASK_CLASSIFICATION or not config.bootstrap else None
 
     def train_one(t: int) -> FlatTree:
         rng = np.random.default_rng([config.seed, t])
-        take = rng.integers(0, n, size=n) if config.bootstrap else slice(None)
-        if lists is None:  # no bootstrap, or regression: see the module docstring
-            return fit_cart_matrix(X[take], y[take], cart, task, rng=rng,
+        take = rng.integers(0, n, size=n) if config.bootstrap else None
+        key = int(rng.integers(2 ** 64, dtype=np.uint64))
+        if take is None:  # every tree grows on all of X
+            return fit_cart_matrix(X, y, cart, task, key=key, n_classes=n_classes or None,
+                                   sorted_rows=lists)
+        if lists is None:  # a bootstrap regression tree: see the module docstring
+            return fit_cart_matrix(X[take], y[take], cart, task, key=key,
                                    n_classes=n_classes or None)
         counts = np.bincount(take, minlength=n)
         drawn = counts > 0
         local = np.cumsum(drawn, dtype=np.int32) - 1  # row id -> its id among the drawn rows
         rows = local.take(lists.ravel().compress(drawn.take(lists).ravel()))
-        return fit_cart_matrix(X[drawn], y[drawn], cart, task, rng=rng, n_classes=n_classes,
+        return fit_cart_matrix(X[drawn], y[drawn], cart, task, key=key, n_classes=n_classes,
                                sorted_rows=rows.reshape(X.shape[1], -1), weights=counts[drawn])
 
     trees = [train_one(t) for t in range(config.n_trees)]
@@ -215,11 +222,10 @@ def fit_gbt(X: np.ndarray, y: np.ndarray, config: GbtConfig = GbtConfig()) -> Gb
     sorted_rows = presort(X)  # every round splits the same X
     trees = []
     for m in range(config.n_rounds):
-        rng = np.random.default_rng([config.seed, m])
         p = sigmoid(raw) if config.loss == LOSS_LOGISTIC else None
         g = y - (raw if p is None else p)
-        flat, ids = fit_cart_matrix(X, g, cart, TASK_REGRESSION, rng=rng,
-                                    sorted_rows=sorted_rows, leaves=True)
+        flat, ids = fit_cart_matrix(X, g, cart, TASK_REGRESSION, sorted_rows=sorted_rows,
+                                    leaves=True)
         if p is not None:
             num = np.zeros(flat.leaf_value.shape[0])
             den = np.zeros(flat.leaf_value.shape[0])

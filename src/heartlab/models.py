@@ -206,8 +206,9 @@ def lossless(kind, value):
     """kind(value), refusing what would lose or invent information: a
     fractional int, a list made from a string or an object, a dict from
     anything but a dict, a bool from anything but true and false (or 1
-    and 0), a float that is NaN or infinite."""
+    and 0), a number from a bool, a float that is NaN or infinite."""
     if (kind is bool and value not in (True, False)
+            or kind in (int, float) and isinstance(value, bool)
             or kind is list and not isinstance(value, (list, tuple))
             or kind is dict and not isinstance(value, dict)):
         raise ValueError(value)

@@ -7,6 +7,12 @@ pure, or when no candidate strictly decreases the impurity score. Ties
 between candidates break toward the highest gain, then the lowest
 feature index, then the lowest threshold. Routing sends x[feature] <=
 threshold to the left child.
+
+Trees grow a level at a time (SLIQ, Mehta et al. 1996) from one presort.
+With a feature subsample, each node draws its candidates from a counter-based
+hash (Salmon et al. 2011) of its key, which hashes the tree key along the
+node's path from the root: a draw depends on the tree key and the path
+alone, not on the order in which nodes are grown.
 """
 
 from __future__ import annotations
@@ -37,9 +43,10 @@ class CartConfig:
             raise ConfigError(f"min_samples_leaf must be >= 1, got {self.min_samples_leaf}")
         if self.min_samples_split < 2:
             raise ConfigError(f"min_samples_split must be >= 2, got {self.min_samples_split}")
-        if self.feature_subsample != "all":
-            if not isinstance(self.feature_subsample, int) or self.feature_subsample < 1:
-                raise ConfigError("feature_subsample must be a positive count or 'all'")
+        if self.feature_subsample != "all" and (type(self.feature_subsample) is not int
+                                                or self.feature_subsample < 1):  # true is no count
+            raise ConfigError(f"feature_subsample must be a positive count or 'all', "
+                              f"got {self.feature_subsample!r}")
 
 
 @dataclass(frozen=True)
@@ -92,88 +99,156 @@ def presort(X: np.ndarray) -> np.ndarray:
     return np.argsort(X.T, axis=1, kind="stable").astype(np.int32)
 
 
-def _grow(X, y, sorted_rows, config, task, n_classes, rng, w=None):
-    """The tree's nodes in preorder (node, left subtree, right subtree), each
-    [feature, threshold, left, right, leaf value, n_samples], and each row's
-    leaf. w (classification only) counts each row as that many copies of it.
+_GOLDEN = np.uint64(0x9E3779B97F4A7C15)  # 2**64 / golden ratio
+_SIDES = np.array([1, 2], dtype=np.uint64) * _GOLDEN  # left and right child, mod 2**64
+_DRAW = np.uint64(0xD1B54A32D192ED03)  # keeps draw counters apart from path keys
 
-    A pending node holds its rows in ascending order and, when it may split,
-    its per-feature sorted lists; a split partitions the lists stably by a
-    row flag, so each child's lists stay sorted and no node sorts again."""
-    n_features = X.shape[1]
-    flag = np.zeros(X.shape[0], dtype=bool)
-    leaf_of = np.empty(X.shape[0], dtype=np.int64)
-    size = len if w is None else (lambda rows: int(w.take(rows).sum()))
 
-    def may_split(idx, n, depth):
-        return not (depth >= config.max_depth or n < config.min_samples_split
-                    or n < 2 * config.min_samples_leaf or (y[idx] == y[idx[0]]).all())
+def _mix(z: np.ndarray) -> np.ndarray:
+    """splitmix64's output function (Steele, Lea & Flood 2014): a bijection
+    of uint64 arrays, whose arithmetic wraps modulo 2**64."""
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
 
-    nodes: list = []
-    root = np.arange(X.shape[0], dtype=np.int64)
-    n_root = size(root)
-    # (rows, weighted count, their lists or None for a leaf, depth, parent whose
-    # right child it is); popping a node drops its parent's lists
-    stack = [(root, n_root, sorted_rows if may_split(root, n_root, 0) else None, 0, None)]
-    while stack:
-        idx, n, lists, depth, parent = stack.pop()
-        if parent is not None:
-            parent[3] = len(nodes)
-        f, gain = -1, 0.0
-        if lists is not None:
-            if config.feature_subsample == "all" or int(config.feature_subsample) >= n_features:
-                feats = np.arange(n_features, dtype=np.int64)
-            else:
-                feats = np.sort(rng.choice(n_features, size=int(config.feature_subsample),
-                                           replace=False)).astype(np.int64)
-            if task == TASK_CLASSIFICATION:
-                f, thr, gain = _kernels.split_classification(
-                    X, y, idx, feats, n_classes, config.min_samples_leaf, lists, w)
-            else:
-                f, thr, gain = _kernels.split_regression(
-                    X, y, idx, feats, config.min_samples_leaf, lists)
 
-        if f < 0 or gain <= 0.0:
-            if task == TASK_CLASSIFICATION:
-                value = np.bincount(y[idx], None if w is None else w[idx], n_classes) / n
-            else:
-                value = float(y[idx].mean())
-            leaf_of[idx] = len(nodes)
-            nodes.append([-1, 0.0, 0, 0, value, n])
+def child_keys(keys: np.ndarray) -> np.ndarray:
+    """(n, 2) uint64 keys of the left and right children of the nodes keyed
+    keys: a node's key hashes the tree key along its path from the root, so
+    it stays 64 bits at any depth."""
+    return _mix(keys[:, None] + _SIDES)
+
+
+def draw_features(keys: np.ndarray, n_features: int, k: int) -> np.ndarray:
+    """(k, len(keys)) int64 candidate features, column i node i's: the k
+    features with the smallest hash of (node key, feature), ascending, so
+    each node draws a uniform k-subset from its key alone."""
+    counters = (keys ^ _DRAW)[:, None] + _GOLDEN * np.arange(1, n_features + 1, dtype=np.uint64)
+    return np.sort(np.argsort(_mix(counters), axis=1, kind="stable")[:, :k], axis=1).T
+
+
+def _grow(X, y, sorted_rows, config, task, n_classes, key, w=None):
+    """Breadth-first growth: the tree's node arrays in preorder, as FlatTree
+    takes them, and each row's leaf. w (classification only) counts each row
+    as that many copies of it.
+
+    A level's open nodes keep their rows (ascending) side by side in idx and
+    their sorted lists side by side in lists, one segment each. All open
+    classification nodes are scored in one kernel call, regression nodes in
+    one call each. A per-row code (left child kept, right child kept,
+    dropped) partitions idx and the lists stably into the next level's
+    segments, left children first, so no node sorts. Nodes are numbered
+    level by level, then renumbered into preorder."""
+    n_rows, n_features = X.shape
+    classify = task == TASK_CLASSIFICATION
+    sub = config.feature_subsample
+    k = n_features if sub == "all" else min(int(sub), n_features)
+    min_size = max(config.min_samples_split, 2 * config.min_samples_leaf)
+
+    def made(rows, counts, depth):
+        """Size, leaf value and whether it may split, per node of a level
+        whose node i holds the next counts[i] of rows."""
+        if classify:
+            node = np.arange(counts.size).repeat(counts)
+            by_class = np.bincount(node * n_classes + y.take(rows),
+                                   None if w is None else w.take(rows),
+                                   counts.size * n_classes).reshape(-1, n_classes)
+            n = by_class.sum(axis=1).astype(np.int64)
+            value, pure = by_class / n[:, None], by_class.max(axis=1) == n
+        else:
+            parts = np.split(y.take(rows), counts.cumsum()[:-1])
+            n = counts
+            value = np.array([float(part.mean()) for part in parts])
+            pure = np.array([(part == part[0]).all() for part in parts])
+        return n, value, ~pure & (n >= min_size) & (depth < config.max_depth)
+
+    leaf_of = np.zeros(n_rows, dtype=np.int64)  # each row's leaf, numbered level by level
+    code = np.empty(n_rows, dtype=np.int8)      # 0 left child kept, 1 right child kept, 2 dropped
+    idx, lists, keys = np.arange(n_rows), sorted_rows, np.array([key], dtype=np.uint64)
+    per_node = np.array([n_rows])               # rows of each open node
+    n, value, may = made(idx, per_node, 0)
+    levels, links = [], []  # per level (feature, threshold, n_samples, value); per split level
+    base = depth = 0        # number of the level's first node; its depth
+    while True:
+        feat, thr = np.full(n.size, -1, dtype=np.int64), np.zeros(n.size)
+        levels.append((feat, thr, n, value))
+        open_ = np.flatnonzero(may)
+        if open_.size == 0:
+            break
+        starts = np.concatenate([[0], per_node.cumsum()])
+        feats = (np.arange(n_features)[:, None].repeat(open_.size, axis=1) if k == n_features
+                 else draw_features(keys, n_features, k))
+        if classify:
+            f, t, gain = _kernels.split_classification(
+                X, y, idx, feats, n_classes, config.min_samples_leaf, lists, w, starts)
+        else:
+            f, t, gain = map(np.array, zip(*(
+                _kernels.split_regression(X, y, idx[a:b], feats[:, s], config.min_samples_leaf,
+                                          lists[:, a:b])
+                for s, (a, b) in enumerate(zip(starts[:-1], starts[1:])))))
+        split = (f >= 0) & (gain > 0.0)
+        seg = np.arange(open_.size).repeat(per_node)  # position -> open node
+        row_split = split[seg]
+        leaf_of[idx[~row_split]] = base + open_[seg[~row_split]]
+        parents = open_[split]
+        if parents.size == 0:
+            break
+        feat[parents], thr[parents] = f[split], t[split]
+        s = parents.size
+        goes_left = X.take(idx * n_features + f.clip(0)[seg]) <= t[seg]
+        rank = (split.cumsum() - 1)[seg]
+        sides = (row_split & goes_left, row_split & ~goes_left)
+        kids = np.concatenate([idx.compress(side) for side in sides])
+        kid_of = np.concatenate([rank.compress(side) + i * s for i, side in enumerate(sides)])
+        base, depth = base + n.size, depth + 1
+        links.append((base - n.size + parents, base + np.arange(s), base + s + np.arange(s)))
+        per_kid = np.bincount(kid_of, minlength=2 * s)
+        n, value, may = made(kids, per_kid, depth)
+        kept = may.take(kid_of)
+        leaf_of[kids[~kept]] = base + kid_of[~kept]
+        if not may.any():
             continue
-
-        node = [int(f), float(thr), len(nodes) + 1, 0,
-                np.zeros(n_classes) if task == TASK_CLASSIFICATION else 0.0, n]
-        nodes.append(node)
-        go_left = X[:, f].take(idx) <= thr
-        flag[idx] = go_left
-        goes = flag.take(lists).ravel()
-        rows_left = idx[go_left]
-        n_left = size(rows_left)
-        for rows, n_rows, keep, parent in ((idx[~go_left], n - n_left, ~goes, node),
-                                           (rows_left, n_left, goes, None)):
-            stack.append((rows, n_rows,
-                          lists.ravel().compress(keep).reshape(n_features, rows.size)
-                          if may_split(rows, n_rows, depth + 1) else None, depth + 1, parent))
-    return nodes, leaf_of
+        code[idx] = 2
+        code[kids] = np.where(kept, kid_of >= s, 2)
+        moves = code.take(lists).ravel()
+        lists = np.concatenate([lists.compress(moves == side).reshape(n_features, -1)
+                                for side in (0, 1)], axis=1)
+        idx, per_node = kids.compress(kept), per_kid[may]
+        if k < n_features:
+            keys = child_keys(keys[split]).T.ravel()[may]
+    # preorder: a node, its left subtree, its right subtree
+    feature, threshold, n_samples, leaf_value = map(np.concatenate, zip(*levels))
+    subtree = np.ones(feature.size, dtype=np.int64)
+    for parents, lefts, rights in reversed(links):
+        subtree[parents] += subtree[lefts] + subtree[rights]
+    pre = np.zeros(feature.size, dtype=np.int64)
+    left, right = np.zeros_like(pre), np.zeros_like(pre)
+    for parents, lefts, rights in links:
+        pre[lefts] = pre[parents] + 1
+        pre[rights] = pre[lefts] + subtree[lefts]
+        left[pre[parents]], right[pre[parents]] = pre[lefts], pre[rights]
+    leaf_value[feature >= 0] = 0.0
+    order = pre.argsort()
+    return (feature[order], threshold[order], left, right, leaf_value[order],
+            n_samples[order]), pre[leaf_of]
 
 
 def fit_cart_matrix(X: np.ndarray, y: np.ndarray, config: CartConfig, task: str,
-                    rng: np.random.Generator | None = None,
+                    key: int | None = None,
                     n_classes: int | None = None,
                     sorted_rows: np.ndarray | None = None,
                     weights: np.ndarray | None = None, leaves: bool = False):
     """Fit one tree on X and y (int labels or float targets).
-    sorted_rows is presort(X), passed by callers that fit many trees on one X.
-    weights (classification only) count rows; leaves returns (tree, row -> leaf)."""
+    key, an int in [0, 2**64), keys the per-node feature draws (default
+    config.seed). sorted_rows is presort(X), passed by callers that fit many
+    trees on one X. weights (classification only) count rows; leaves returns
+    (tree, row -> leaf)."""
     if X.shape[0] == 0:
         raise FitError("cannot fit a tree on empty data")
     if task not in (TASK_CLASSIFICATION, TASK_REGRESSION):
         raise ConfigError(f"unknown task {task!r}")
     if weights is not None and task != TASK_CLASSIFICATION:
         raise ContractError("row weights are for classification trees only")
-    if rng is None:
-        rng = np.random.default_rng(config.seed)
     X = np.ascontiguousarray(X, dtype=np.float64)
     if task == TASK_CLASSIFICATION:
         y = np.ascontiguousarray(y, dtype=np.int64)
@@ -182,13 +257,7 @@ def fit_cart_matrix(X: np.ndarray, y: np.ndarray, config: CartConfig, task: str,
     else:
         y = np.ascontiguousarray(y, dtype=np.float64)
         n_classes = 0
-    nodes, leaf_of = _grow(X, y, presort(X) if sorted_rows is None else sorted_rows,
-                           config, task, n_classes, rng, weights)
-    feature, threshold, left, right, leaf_value, n_samples = zip(*nodes)
-    tree = FlatTree(feature=np.array(feature, dtype=np.int64),
-                    threshold=np.array(threshold, dtype=np.float64),
-                    left=np.array(left, dtype=np.int64),
-                    right=np.array(right, dtype=np.int64),
-                    leaf_value=np.array(leaf_value, dtype=np.float64),
-                    n_samples=np.array(n_samples, dtype=np.int64), task=task)
+    arrays, leaf_of = _grow(X, y, presort(X) if sorted_rows is None else sorted_rows, config,
+                            task, n_classes, config.seed if key is None else key, weights)
+    tree = FlatTree(*arrays, task=task)
     return (tree, leaf_of) if leaves else tree

@@ -16,7 +16,8 @@ from heartlab.data import (
 )
 from heartlab import _kernels
 from heartlab.ensembles import Forest, _resolve_subsample
-from heartlab.trees import TASK_CLASSIFICATION, FlatTree, fit_cart_matrix, presort
+from heartlab.trees import (TASK_CLASSIFICATION, FlatTree, child_keys, draw_features,
+                            fit_cart_matrix, presort)
 
 # Every tier-1 run draws the same examples: a failure found once is found
 # on every run, and no example database carries over between runs.
@@ -63,20 +64,25 @@ def tree_predict_row(tree, x):
     return float(value)
 
 
-def node_lists(X, idx):
-    """A node's sorted lists as trees._grow keeps them: the tree-wide
-    presort with rows outside idx dropped."""
-    lists = presort(X)
-    inside = np.isin(lists, idx)
-    return lists[inside].reshape(X.shape[1], idx.size)
+def node_lists(X, idx, lists=None):
+    """A node's sorted lists as trees._grow keeps them in its segment: the
+    tree-wide presort (lists, made here when omitted) with rows outside idx
+    dropped."""
+    lists = presort(X) if lists is None else lists
+    member = np.zeros(X.shape[0], dtype=bool)
+    member[idx] = True
+    return lists[member.take(lists)].reshape(X.shape[1], idx.size)
 
 
-def _reference_grow(X, y, idx, depth, config, task, n_classes, rng, n_features, nodes,
+def _reference_grow(X, y, idx, depth, config, task, n_classes, key, lists, nodes,
                     w=None) -> int:
-    """CART growth as it was before presorting: each node sorts its own rows
-    for the split kernel. Appends the subtree over idx to nodes in preorder
-    and returns the position of its root. w weights rows as trees._grow's
-    does: node sizes and class counts sum it."""
+    """CART growth as it was before level-wise growth: depth first, one
+    split kernel call per node, on lists cut for that node alone.
+    Appends the subtree over idx, whose root is keyed key, to nodes in
+    preorder and returns the position of its root. w weights rows as
+    trees._grow's does: node sizes and class counts sum it. lists is
+    presort(X), which each node cuts its own lists from."""
+    n_features = X.shape[1]
     n = idx.size if w is None else int(w[idx].sum())
     pos = len(nodes)
     f, gain = -1, 0.0
@@ -89,14 +95,15 @@ def _reference_grow(X, y, idx, depth, config, task, n_classes, rng, n_features, 
         if config.feature_subsample == "all" or int(config.feature_subsample) >= n_features:
             feats = np.arange(n_features, dtype=np.int64)
         else:
-            feats = np.sort(rng.choice(n_features, size=int(config.feature_subsample),
-                                       replace=False)).astype(np.int64)
+            feats = draw_features(np.array([key], dtype=np.uint64), n_features,
+                                  int(config.feature_subsample))[:, 0]
         if task == TASK_CLASSIFICATION:
             f, thr, gain = _kernels.split_classification(
-                X, y, idx, feats, n_classes, config.min_samples_leaf, node_lists(X, idx), w)
+                X, y, idx, feats, n_classes, config.min_samples_leaf, node_lists(X, idx, lists),
+                w)
         else:
             f, thr, gain = _kernels.split_regression(
-                X, y, idx, feats, config.min_samples_leaf, node_lists(X, idx))
+                X, y, idx, feats, config.min_samples_leaf, node_lists(X, idx, lists))
 
     if f < 0 or gain <= 0.0:
         if task == TASK_CLASSIFICATION:
@@ -112,19 +119,19 @@ def _reference_grow(X, y, idx, depth, config, task, n_classes, rng, n_features, 
     node = [int(f), float(thr), pos + 1, 0,
             np.zeros(n_classes) if task == TASK_CLASSIFICATION else 0.0, n]
     nodes.append(node)
-    _reference_grow(X, y, idx[mask], depth + 1, config, task, n_classes, rng, n_features,
+    left_key, right_key = child_keys(np.array([key], dtype=np.uint64))[0]
+    _reference_grow(X, y, idx[mask], depth + 1, config, task, n_classes, left_key, lists,
                     nodes, w)
-    node[3] = _reference_grow(X, y, idx[~mask], depth + 1, config, task, n_classes, rng,
-                              n_features, nodes, w)
+    node[3] = _reference_grow(X, y, idx[~mask], depth + 1, config, task, n_classes, right_key,
+                              lists, nodes, w)
     return pos
 
 
-def reference_fit_cart_matrix(X, y, config, task, rng=None, n_classes=None,
+def reference_fit_cart_matrix(X, y, config, task, key=None, n_classes=None,
                               sorted_rows=None, weights=None, leaves=False):
     """trees.fit_cart_matrix over _reference_grow; sorted_rows is ignored,
     and the leaves come from routing X through the finished tree."""
-    if rng is None:
-        rng = np.random.default_rng(config.seed)
+    key = config.seed if key is None else key
     X = np.ascontiguousarray(X, dtype=np.float64)
     if task == TASK_CLASSIFICATION:
         y = np.ascontiguousarray(y, dtype=np.int64)
@@ -134,7 +141,7 @@ def reference_fit_cart_matrix(X, y, config, task, rng=None, n_classes=None,
         n_classes = 0
     nodes: list = []
     _reference_grow(X, y, np.arange(X.shape[0], dtype=np.int64), 0, config, task,
-                    n_classes, rng, X.shape[1], nodes, weights)
+                    n_classes, key, presort(X), nodes, weights)
     feature, threshold, left, right, leaf_value, n_samples = zip(*nodes)
     tree = FlatTree(feature=np.array(feature, dtype=np.int64),
                     threshold=np.array(threshold, dtype=np.float64),
@@ -157,7 +164,8 @@ def reference_fit_random_forest(X, y, config, task=TASK_CLASSIFICATION):
     for t in range(config.n_trees):
         rng = np.random.default_rng([config.seed, t])
         take = rng.integers(0, n, size=n) if config.bootstrap else np.arange(n)
-        trees.append(fit_cart_matrix(X[take], y[take], cart, task, rng=rng,
+        key = int(rng.integers(2 ** 64, dtype=np.uint64))
+        trees.append(fit_cart_matrix(X[take], y[take], cart, task, key=key,
                                      n_classes=n_classes or None))
     return Forest(trees=tuple(trees), task=task, n_classes=n_classes, config=config)
 

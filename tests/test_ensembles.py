@@ -101,6 +101,8 @@ def test_forest_config_validation():
         ForestConfig(n_trees=0)
     with pytest.raises(ConfigError):
         ForestConfig(feature_subsample="most")
+    with pytest.raises(ConfigError, match="got True"):
+        ForestConfig(feature_subsample=True)
 
 
 # -- gradient boosting: squared loss ------------------------------------------

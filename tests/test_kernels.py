@@ -321,6 +321,57 @@ def test_weighted_split_equals_split_of_the_copies(case):
                                       node_lists(X, idx), w) == want
 
 
+@st.composite
+def _level_case(draw):
+    """One tree level: open nodes side by side, each with its own ascending
+    candidate features; heavy ties; integer weights 1-5 or none."""
+    g = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+    n, m = draw(st.integers(2, 60)), draw(st.integers(1, 5))
+    X = np.ascontiguousarray(
+        g.integers(0, draw(st.sampled_from([2, 3, 8, 1000])), size=(n, m)).astype(np.float64))
+    n_classes = draw(st.sampled_from([2, 3]))
+    y = g.integers(0, n_classes, size=n).astype(np.int64)
+    w = g.integers(1, 6, size=n).astype(np.int64) if draw(st.booleans()) else None
+    rows = g.permutation(n)[:draw(st.integers(1, n))]
+    n_open = draw(st.integers(1, min(6, rows.size)))
+    cuts = np.sort(g.choice(np.arange(1, rows.size), size=n_open - 1, replace=False))
+    nodes = [np.sort(part).astype(np.int64) for part in np.split(rows, cuts)]
+    k = draw(st.integers(1, m))
+    feats = np.stack([np.sort(g.choice(m, size=k, replace=False)) for _ in nodes],
+                     axis=1).astype(np.int64)
+    return (X, y, w, nodes, feats, n_classes, draw(st.integers(1, 4)),
+            draw(st.sampled_from([1, 7, K._SPLIT_BLOCK])))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_level_case())
+def test_level_split_equals_one_node_calls(case):
+    """One call over a level's side-by-side nodes returns, node by node,
+    what a call for that node alone does, on both backends and at any
+    block size."""
+    X, y, w, nodes, feats, n_classes, min_leaf, block = case
+    idx = np.concatenate(nodes)
+    starts = np.concatenate([[0], np.cumsum([node.size for node in nodes])])
+    lists = np.concatenate([node_lists(X, node) for node in nodes], axis=1)
+    want = [K._split_classification_py(X, y, node, feats[:, i], n_classes, min_leaf,
+                                       node_lists(X, node), w) for i, node in enumerate(nodes)]
+    with mock.patch.object(K, "_SPLIT_BLOCK", block):
+        alone = [K.split_classification_numpy(X, y, node, feats[:, i], n_classes, min_leaf,
+                                              node_lists(X, node), w)
+                 for i, node in enumerate(nodes)]
+        level = K.split_classification_numpy(X, y, idx, feats, n_classes, min_leaf, lists, w,
+                                             starts)
+    assert alone == want
+    levels = [level, K._split_classification_py(X, y, idx, feats, n_classes, min_leaf, lists, w,
+                                                starts)]
+    if K._HAVE_NUMBA:
+        levels.append(K.split_classification_jit(X, y, idx, feats, n_classes, min_leaf, lists,
+                                                 w, starts))
+    for got in levels:
+        assert [a.dtype for a in got] == [np.int64, np.float64, np.float64]
+        assert list(zip(*(a.tolist() for a in got))) == want
+
+
 def test_unweighted_split_is_unit_weights():
     X, y, _, idx, feats = _random_case(4)
     lists = node_lists(X, idx)

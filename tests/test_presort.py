@@ -1,15 +1,19 @@
-"""Presorted CART growth against the per-node-argsort reference.
+"""Level-wise CART growth against the per-node reference.
 
-trees._grow sorts each feature once per tree and partitions the sorted
-lists down the tree; conftest.reference_fit_cart_matrix lets every node
-sort its rows afresh, as the growth did before. Both must build the
-same node arrays, bit for bit, for single trees, forests and boosting,
-on tie-heavy data, with feature subsampling and min_samples_leaf > 1.
+trees._grow grows a tree a level at a time from one presort, partitioning
+the sorted lists of all open nodes together; conftest.reference_fit_cart_matrix
+grows it depth first, one split call per node, on lists cut for that node
+alone. Both draw each node's candidate features from its path key, and both
+must build the same node arrays, bit for bit, for single trees, forests and
+boosting, on tie-heavy data and on the paper_10k track shapes, with feature
+subsampling and min_samples_leaf > 1.
 
 A bootstrap classification forest grows each tree on the distinct rows of
 its draw, weighted by their counts; conftest.reference_fit_random_forest
 grows it on the materialized draw, as the forest did before. Their trees
 must be equal too."""
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -158,8 +162,51 @@ def test_forest_matches_materialized_bootstrap(tracks, track, cart, variant):
     assert_same_trees(got.trees, reference_fit_random_forest(ds.rows, ds.labels, cfg).trees)
 
 
+def _fit_family(family, ds, cart, fit_tree):
+    """What a family fits on ds with cart's limits: its trees, and gbt's
+    losses or a cart's leaves (from fit_tree)."""
+    if family == "rf_c":
+        return fit_random_forest(ds.rows, ds.labels, ForestConfig(n_trees=2, seed=7, cart=cart),
+                                 TASK_CLASSIFICATION).trees, None
+    if family == "rf_r":
+        return fit_random_forest(ds.rows, ds.targets, ForestConfig(n_trees=2, seed=7, cart=cart),
+                                 TASK_REGRESSION).trees, None
+    if family == "cart_c":
+        tree, leaves = fit_tree(ds.rows, ds.labels, replace(cart, feature_subsample=4),
+                                TASK_CLASSIFICATION, leaves=True)
+        return [tree], leaves
+    loss = family.split("_")[1]
+    y = np.minimum(ds.labels, 1) if loss == "logistic" else ds.targets
+    model = fit_gbt(ds.rows, y, GbtConfig(n_rounds=3, max_depth=min(cart.max_depth, 6), loss=loss,
+                                          seed=7))
+    return model.trees, model.train_losses
+
+
+@pytest.mark.parametrize("track", ["real", "synthetic"])
+@pytest.mark.parametrize("variant", ["as-is", "depth6-leaf3-split7-3-classes"])
+@pytest.mark.parametrize("family", ["rf_c", "cart_c", "rf_r", "gbt_logistic", "gbt_squared"])
+def test_level_growth_matches_per_node_reference(monkeypatch, tracks, track, variant, family):
+    """Weighted rf classification, cart with a feature subsample, rf
+    regression and gbt with both losses on the paper_10k track shapes; the
+    variant adds a tied third class to the labels and tighter limits (gbt:
+    depth 6 in place of 3)."""
+    ds, cart = tracks[track], CartConfig(seed=7)
+    if variant != "as-is":
+        cart = CartConfig(max_depth=6, min_samples_leaf=3, min_samples_split=7, seed=7)
+        if family in ("rf_c", "cart_c"):
+            ds = _three_classes_tied(ds)
+    got, got_extra = _fit_family(family, ds, cart, fit_cart_matrix)
+    monkeypatch.setattr(ensembles, "fit_cart_matrix", reference_fit_cart_matrix)
+    want, want_extra = _fit_family(family, ds, cart, reference_fit_cart_matrix)
+    assert_same_trees(got, want)
+    if family == "cart_c":
+        assert got_extra.dtype == want_extra.dtype and np.array_equal(got_extra, want_extra)
+    elif family.startswith("gbt"):
+        assert got_extra == want_extra
+
+
 def test_forest_sorts_once(monkeypatch):
-    X, labels, _ = _data(9, n=150)
+    X, labels, targets = _data(9, n=150)
     calls = []
     original = trees.presort
 
@@ -169,8 +216,12 @@ def test_forest_sorts_once(monkeypatch):
 
     monkeypatch.setattr(ensembles, "presort", counting)
     monkeypatch.setattr(trees, "presort", counting)
-    fit_random_forest(X, labels, ForestConfig(n_trees=5))
-    assert calls == [X.shape]
+    for task, y, bootstrap in [(TASK_CLASSIFICATION, labels, True),
+                               (TASK_CLASSIFICATION, labels, False),
+                               (TASK_REGRESSION, targets, False)]:
+        calls.clear()
+        fit_random_forest(X, y, ForestConfig(n_trees=5, bootstrap=bootstrap), task)
+        assert calls == [X.shape], (task, bootstrap)
 
 
 def test_weights_are_for_classification_only():

@@ -578,6 +578,21 @@ def _explain(**request):
     (_set_model(2, "lasso", "regression", lam=float("inf")), "models[2]", "'lam'"),
     (_set_model(2, "linear_svm", "classification", lam_svm=float("-inf")), "models[2]",
      "'lam_svm'"),
+    # JSON true where a number is expected
+    (lambda d: d["models"][0]["hyperparams"].update(feature_subsample=True), "models[0]",
+     "feature_subsample must be 'auto', 'all', or a positive count, got True"),
+    (lambda d: d["models"][1]["hyperparams"].update(feature_subsample=True), "models[1]",
+     "feature_subsample must be a positive count or 'all', got True"),
+    (lambda d: d["models"][0]["hyperparams"].update(n_trees=True), "models[0]", "'n_trees'"),
+    (lambda d: d.update(explain=[{"model": "rf", "rows": [True]}]), "explain[0].rows", "True"),
+    (lambda d: d["smote"].update(k=True), "smote.k", "True"),
+    (lambda d: d.update(seed=True), "seed must be int", "True"),
+    (lambda d: d.update(preprocess={"iqr_factor": True}), "preprocess.iqr_factor", "True"),
+    (_set_model(1, "gbt", "classification", n_rounds=True), "models[1]", "'n_rounds'"),
+    (_set_model(1, "gbt", "classification", learning_rate=True), "models[1]",
+     "'learning_rate'"),
+    (_set_model(2, "knn", "classification", k=True), "models[2]", "'k'"),
+    (_explain(method="shap", n_permutations=True), "explain[0].n_permutations", "True"),
 ], ids=["cart-max_depth", "rf-n_trees", "gbt-learning_rate", "svm-epochs",
         "train_fraction", "smote-k", "iqr_factor", "lime-n_samples", "shap-background_size",
         "shap-n_permutations", "shap-mode", "lime-shap-option", "knn-k", "knn-weighting",
@@ -585,7 +600,11 @@ def _explain(**request):
         "lambda_leaf-nan", "lambda_leaf--inf", "lambda_leaf-negative", "noise_sigma-negative",
         "lime-sigma-nan", "lime-sigma-inf", "lime-n_features-negative", "lime-n_features-0",
         "lime-ridge-negative",
-        "ridge-lam-nan", "lasso-lam-inf", "svm-lam_svm--inf"])
+        "ridge-lam-nan", "lasso-lam-inf", "svm-lam_svm--inf",
+        "rf-feature_subsample-true", "cart-feature_subsample-true", "rf-n_trees-true",
+        "explain-rows-true", "smote-k-true", "seed-true", "iqr_factor-true",
+        "gbt-n_rounds-true", "gbt-learning_rate-true", "knn-k-true",
+        "shap-n_permutations-true"])
 def test_cli_out_of_range_config_value_exits_2(tmp_path, capsys, mutate, where, key):
     _assert_refused_while_parsing(tmp_path, capsys, mutate, where, key)
 

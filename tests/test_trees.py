@@ -10,12 +10,14 @@ from heartlab.trees import (
     CartConfig,
     TASK_CLASSIFICATION,
     TASK_REGRESSION,
+    child_keys,
+    draw_features,
     fit_cart_matrix,
     gini,
     presort,
 )
 
-from conftest import tree_leaf, tree_predict_row
+from conftest import reference_fit_cart_matrix, tree_leaf, tree_predict_row
 
 
 # -- oracle ------------------------------------------------------------------
@@ -311,6 +313,11 @@ def test_cart_config_validation():
         CartConfig(feature_subsample="half")
 
 
+def test_cart_config_refuses_a_bool_feature_subsample():
+    with pytest.raises(ConfigError, match="got True"):
+        CartConfig(feature_subsample=True)
+
+
 def test_n_classes_inferred_from_labels(rng):
     X = np.ascontiguousarray(rng.normal(size=(40, 2)))
     y = (X[:, 0] > 0).astype(np.int64)
@@ -319,3 +326,80 @@ def test_n_classes_inferred_from_labels(rng):
                                n_classes=2)
     assert all(tree_predict_row(implicit, X[i]) == tree_predict_row(explicit, X[i])
                for i in range(40))
+
+
+# -- keyed feature draws -------------------------------------------------------
+
+
+def _path_keys():
+    """15,000 node keys: 5,000 consecutive tree keys and their children."""
+    roots = np.arange(5000, dtype=np.uint64)
+    return np.concatenate([roots, child_keys(roots).ravel()])
+
+
+@pytest.mark.parametrize("k", [1, 4, 5, 13])
+def test_keyed_draws_are_uniform_k_subsets(k):
+    keys = _path_keys()
+    feats = draw_features(keys, 14, k)
+    assert feats.shape == (k, keys.size) and feats.dtype == np.int64
+    assert ((feats >= 0) & (feats < 14)).all()
+    assert (np.diff(feats, axis=0) > 0).all()  # k distinct features, ascending
+    counts = np.bincount(feats.ravel(), minlength=14)
+    p = k / 14
+    assert (np.abs(counts - keys.size * p) <= 4 * np.sqrt(keys.size * p * (1 - p))).all(), counts
+
+
+def test_keyed_draw_depends_on_its_key_alone():
+    keys = _path_keys()[::97]
+    together = draw_features(keys, 14, 4)
+    for i, key in enumerate(keys):
+        assert np.array_equal(draw_features(keys[i:i + 1], 14, 4)[:, 0], together[:, i])
+    left, right = child_keys(keys).T
+    assert np.array_equal(child_keys(keys[3:4])[0], [left[3], right[3]])
+    assert np.unique(np.concatenate([keys, left, right])).size == 3 * keys.size
+
+
+def _same_subtree(tree, root, sub):
+    """tree's nodes from position root on are sub's, shifted by root."""
+    span = slice(root, root + sub.feature.size)
+    for name in ("feature", "threshold", "leaf_value", "n_samples"):
+        assert np.array_equal(getattr(tree, name)[span], getattr(sub, name)), name
+    inner = sub.feature >= 0
+    for name in ("left", "right"):
+        assert np.array_equal(getattr(tree, name)[span][inner] - root, getattr(sub, name)[inner])
+
+
+def test_a_subtree_depends_on_its_rows_and_path_alone():
+    """Each child subtree of the root equals a tree grown one level shallower
+    on the child's rows, keyed with the child's path key: what was grown
+    before a node does not change its draws."""
+    g = np.random.default_rng(21)
+    X = np.round(g.normal(size=(400, 6)), 1)
+    y = (X[:, 0] + X[:, 1] + g.normal(0.0, 0.8, 400) > 0).astype(np.int64)
+    y[g.random(400) < 0.15] = 2
+    config = CartConfig(max_depth=8, feature_subsample=2, seed=3)
+    tree = fit_cart_matrix(X, y, config, TASK_CLASSIFICATION)
+    goes_left = X[:, tree.feature[0]] <= tree.threshold[0]
+    for rows, key, root in zip((goes_left, ~goes_left), child_keys(np.array([3], np.uint64))[0],
+                               (tree.left[0], tree.right[0])):
+        sub = fit_cart_matrix(X[rows], y[rows], CartConfig(max_depth=7, feature_subsample=2),
+                              TASK_CLASSIFICATION, key=int(key), n_classes=3)
+        assert sub.feature.size > 15
+        _same_subtree(tree, root, sub)
+
+
+def test_deep_tree_keeps_drawing_past_depth_64():
+    """max_depth 200 on a 300-row sawtooth (labels alternating along one
+    variable, given as two columns that order the rows alike): path keys
+    stay 64-bit hashes at any depth, and the tree equals the per-node one."""
+    x = np.arange(300.0)
+    X = np.column_stack([x, 2 * x])
+    y = np.arange(300) % 2
+    config = CartConfig(max_depth=200, feature_subsample=1, seed=3)
+    tree, leaves = fit_cart_matrix(X, y, config, TASK_CLASSIFICATION, leaves=True)
+    assert _depths(tree).max() > 64
+    assert set(tree.feature[tree.feature >= 0].tolist()) == {0, 1}
+    want, want_leaves = reference_fit_cart_matrix(X, y, config, TASK_CLASSIFICATION, leaves=True)
+    for name in ("feature", "threshold", "left", "right", "leaf_value", "n_samples"):
+        assert np.array_equal(getattr(tree, name), getattr(want, name)), name
+    assert np.array_equal(leaves, want_leaves)
