@@ -1,21 +1,18 @@
-"""Hot numeric kernels with two interchangeable backends.
+"""Hot numeric kernels: one numpy implementation each, and its loop oracle.
 
-Every kernel has a loop source `_<name>_py`, which numba's @njit compiles
-into `<name>_jit`, and a numpy twin `<name>_numpy`: vectorized for splits,
-routing and kNN; for the sequential SVM/SVR epochs, the same scalar loop on
-Python floats. The active backend is chosen at import time: numba when
-importable, unless HEARTLAB_NO_NUMBA=1 (or "true"/"yes") is set in the
-environment. Both backends accumulate floats in the same order, so their
-outputs are bit-identical; tests/test_kernels.py and `perfbench/run.py
---kernels` check each pair.
+Every kernel `<name>` has a plain loop twin `_<name>_py`, the reference
+that tests/test_kernels.py and `perfbench/kernels.py` compare it with.
+`<name>` is vectorized for splits, routing and kNN; for the sequential
+SVM/SVR epochs it is the same scalar loop on Python floats. Each
+accumulates floats in the loop's order, so the two agree bit for bit.
 
 The split kernels read each feature's rows from sorted lists that the
 caller keeps (a forest or boosting run sorts X once; trees.py partitions the
 lists stably a level at a time), so no node sorts. The classification kernel
-scores every open node of a tree level in one call; its loop source runs the
+scores every open node of a tree level in one call; its loop oracle runs the
 one-node loop over the level's nodes. Equal feature values are listed in row
 order, so prefix sums over ties visit rows in the same order on both
-backends and tie-breaking between equal-gain splits cannot diverge.
+implementations and tie-breaking between equal-gain splits cannot diverge.
 
 The numpy kNN search selects each query's k nearest with argpartition and
 orders only those by (distance, index); a query whose k-th distance is
@@ -24,23 +21,14 @@ tied by more rows than fit falls back to a stable argsort of its row.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-try:
-    from numba import njit
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only on stripped installs
-    _HAVE_NUMBA = False
-
-_FLAG = os.environ.get("HEARTLAB_NO_NUMBA", "").strip().lower()
-NUMBA_ENABLED = _HAVE_NUMBA and _FLAG not in ("1", "true", "yes")
+split_classification_jit = None  # no jit kernels: perfbench/kernels.py takes the _py oracles
 
 
 def backend_name() -> str:
-    return "numba" if NUMBA_ENABLED else "numpy"
+    """The kernel backend, as recorded in the run manifest."""
+    return "numpy"
 
 
 # ---------------------------------------------------------------------------
@@ -194,8 +182,8 @@ def _node_lists(X, idx, feats):
     return out
 
 
-def split_classification_numpy(X, y, idx, feats, n_classes, min_leaf, sorted_rows=None, w=None,
-                               starts=None):
+def split_classification(X, y, idx, feats, n_classes, min_leaf, sorted_rows=None, w=None,
+                         starts=None):
     """The level search: blocks of whole nodes, at most _SPLIT_BLOCK
     (candidate, position) elements each unless one node alone is wider, in
     which case its candidates go a few at a time. Within a block each node
@@ -204,8 +192,8 @@ def split_classification_numpy(X, y, idx, feats, n_classes, min_leaf, sorted_row
     if starts is None:  # one node: a level of one
         if sorted_rows is None:
             sorted_rows = _node_lists(X, idx, feats)
-        f, thr, gain = split_classification_numpy(X, y, idx, feats[:, None], n_classes, min_leaf,
-                                                  sorted_rows, w, np.array([0, idx.shape[0]]))
+        f, thr, gain = split_classification(X, y, idx, feats[:, None], n_classes, min_leaf,
+                                            sorted_rows, w, np.array([0, idx.shape[0]]))
         return int(f[0]), float(thr[0]), float(gain[0])
     n_open, m, k = starts.shape[0] - 1, X.shape[1], feats.shape[0]
     best_feat = np.full(n_open, -1, np.int64)
@@ -287,7 +275,7 @@ def split_classification_numpy(X, y, idx, feats, n_classes, min_leaf, sorted_row
     return best_feat, best_thr, best_gain
 
 
-def split_regression_numpy(X, y, idx, feats, min_leaf, sorted_rows=None):
+def split_regression(X, y, idx, feats, min_leaf, sorted_rows=None):
     """Blocks of at most _SPLIT_BLOCK (feature, threshold) elements, or one
     feature. A block's first maximum in row-major order is its lowest
     feature and threshold with the top gain; it replaces the best of earlier
@@ -339,7 +327,7 @@ def _tree_route_py(feat, thr, left, right, X):
     return out
 
 
-def tree_route_numpy(feat, thr, left, right, X):
+def tree_route(feat, thr, left, right, X):
     n = X.shape[0]
     node = np.zeros(n, np.int64)
     active = np.nonzero(feat[node] >= 0)[0]
@@ -387,7 +375,7 @@ def _knn_search_py(train, queries, k):
 _KNN_BLOCK = 2 ** 16  # elements of one (queries, training rows) distance block
 
 
-def knn_search_numpy(train, queries, k):
+def knn_search(train, queries, k):
     nt = train.shape[0]
     nq = queries.shape[0]
     out_idx = np.empty((nq, k), np.int64)
@@ -423,7 +411,7 @@ def knn_search_numpy(train, queries, k):
 # ---------------------------------------------------------------------------
 # Pegasos-style primal subgradient epochs for the linear SVM / SVR.
 # Mutates w (and the running averages) in place; returns the step counter.
-# The update is sequential, so the numpy backend runs the _py loop's scalar
+# The update is sequential, so svm_epoch and svr_epoch run the _py loops' scalar
 # arithmetic, in the same order, on Python floats: IEEE doubles rounded like
 # numpy's float64 scalars, but far cheaper to index. Rows become lists in
 # epoch order, at most _EPOCH_BLOCK at a time; w, b and the averages are
@@ -495,7 +483,7 @@ def _epoch_rows(X, y, order):
         yield from zip(X.take(o, axis=0).tolist(), y.take(o).tolist())
 
 
-def svm_epoch_numpy(X, y, order, w, b, wavg, bavg, lam, t0):
+def svm_epoch(X, y, order, w, b, wavg, bavg, lam, t0):
     w_, wavg_, b_, bavg_ = w.tolist(), wavg.tolist(), float(b[0]), float(bavg[0])
     t = t0
     for x, yi in _epoch_rows(X, y, order):
@@ -517,7 +505,7 @@ def svm_epoch_numpy(X, y, order, w, b, wavg, bavg, lam, t0):
     return t
 
 
-def svr_epoch_numpy(X, y, order, w, b, wavg, bavg, lam, eps, t0):
+def svr_epoch(X, y, order, w, b, wavg, bavg, lam, eps, t0):
     w_, wavg_, b_, bavg_ = w.tolist(), wavg.tolist(), float(b[0]), float(bavg[0])
     t = t0
     for x, yi in _epoch_rows(X, y, order):
@@ -539,34 +527,3 @@ def svr_epoch_numpy(X, y, order, w, b, wavg, bavg, lam, eps, t0):
         bavg_ += (b_ - bavg_) / t
     w[:], wavg[:], b[0], bavg[0] = w_, wavg_, b_, bavg_
     return t
-
-
-# ---------------------------------------------------------------------------
-# Backend wiring
-# ---------------------------------------------------------------------------
-
-_jit = njit(cache=True, nogil=True) if _HAVE_NUMBA else (lambda fn: None)
-if _HAVE_NUMBA:  # rebound first: the compiled split kernels call them by these names
-    _sorted_rows_py = _jit(_sorted_rows_py)
-    _split_node_py = _jit(_split_node_py)
-split_classification_jit = _jit(_split_classification_py)
-split_regression_jit = _jit(_split_regression_py)
-tree_route_jit = _jit(_tree_route_py)
-knn_search_jit = _jit(_knn_search_py)
-svm_epoch_jit = _jit(_svm_epoch_py)
-svr_epoch_jit = _jit(_svr_epoch_py)
-
-if NUMBA_ENABLED:
-    split_classification = split_classification_jit
-    split_regression = split_regression_jit
-    tree_route = tree_route_jit
-    knn_search = knn_search_jit
-    svm_epoch = svm_epoch_jit
-    svr_epoch = svr_epoch_jit
-else:
-    split_classification = split_classification_numpy
-    split_regression = split_regression_numpy
-    tree_route = tree_route_numpy
-    knn_search = knn_search_numpy
-    svm_epoch = svm_epoch_numpy
-    svr_epoch = svr_epoch_numpy

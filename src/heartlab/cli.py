@@ -14,7 +14,7 @@ import json
 import sys
 from pathlib import Path
 
-from .data import FixtureSpec, make_fixture, write_csv
+from .data import FixtureSpec, check_seed, make_fixture, write_csv
 from .errors import ConfigError, HeartlabError
 from .models import _check_fingerprint, load_model, save_model
 from .runner import (
@@ -98,6 +98,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_fixture(args) -> int:
     spec = FixtureSpec(noise_sigma=args.noise)
+    check_seed(args.seed)
     ds = make_fixture(args.n, spec, seed=args.seed)
     write_csv(ds, args.out)
     print(f"wrote {ds.n_rows} rows to {args.out}")

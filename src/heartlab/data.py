@@ -153,6 +153,12 @@ class Dataset:
         return Dataset(schema=self.schema, rows=rows, labels=labels, targets=targets)
 
 
+def check_seed(seed: int) -> None:
+    """Refuse a seed that numpy's generators or the uint64 tree keys cannot take."""
+    if not 0 <= seed < 2 ** 64:
+        raise ConfigError(f"seed must be in [0, 2**64), got {seed}")
+
+
 @dataclass(frozen=True)
 class SplitSpec:
     train_fraction: float = 0.8

@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, check_seed
 from .ensembles import (
     Forest,
     ForestConfig,
@@ -193,6 +193,7 @@ class EstimatorSpec:
     seed: int = 0
 
     def __post_init__(self):
+        check_seed(self.seed)
         if self.family not in FAMILIES:
             raise ModelSpecError(f"unknown model family {self.family!r}")
         if self.task not in (TASK_CLASSIFICATION, TASK_REGRESSION):

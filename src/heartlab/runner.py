@@ -37,6 +37,7 @@ from .data import (
     FixtureSpec,
     SCHEMAS,
     SplitSpec,
+    check_seed,
     load_csv,
     make_fixture,
     train_test_split,
@@ -95,6 +96,7 @@ class _Fixture(FixtureSpec):
 
     def __post_init__(self):
         super().__post_init__()
+        check_seed(self.seed)
         if self.n < 4:
             raise ConfigError(f"fixture needs n >= 4, got {self.n}")
 
@@ -403,6 +405,13 @@ def run_experiment(cfg: RunConfig) -> ReportBundle:
         requests = _explain_tracks(cfg, tracks)
 
         stage_box[0] = "fit"
+        for track_name, td in tracks.items():  # checked before any fit
+            for name, spec in cfg.models:
+                if spec.family == "knn" and spec.config.k > td.train.n_rows:
+                    exc = ConfigError(f"model {name!r}: k must be in 1..{td.train.n_rows} for "
+                                      f"the {track_name} training partition, got {spec.config.k}")
+                    exc.heartlab_model = f"{track_name}:{name}"  # as a failed fit is tagged
+                    raise exc
         results = {}
         for track_name, td in tracks.items():
             for name, spec in cfg.models:

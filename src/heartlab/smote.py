@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import knn_search
-from .data import Dataset
+from .data import Dataset, check_seed
 from .errors import ConfigError, ContractError, ResamplingError
 
 MODE_BALANCE = "balance"
@@ -40,6 +40,7 @@ class SmoteConfig:
     leak_free: bool = False
 
     def __post_init__(self):
+        check_seed(self.seed)
         if self.k < 1:
             raise ConfigError(f"smote k must be >= 1, got {self.k}")
         if self.mode not in (MODE_BALANCE, MODE_AUGMENT):

@@ -25,9 +25,7 @@ The package promises ten verifiable properties before a release:
 
 Checks 1, 2, 4, and 6-10 are self-contained. Check 3 and the real leg
 of check 5 need the user-supplied table: set HEARTLAB_HEART_CSV to its
-path, otherwise they skip with a notice. The 100k leg of check 4 skips
-on the pure-numpy backend (HEARTLAB_NO_NUMBA) where the stated time
-bound does not apply.
+path, otherwise they skip with a notice.
 
 Every expectation here is derived locally: hand-coded metric formulas,
 a permutation-enumeration shapley oracle, replayed oversampling draws,
@@ -45,7 +43,6 @@ import numpy as np
 import pytest
 
 from conftest import make_ds
-from heartlab._kernels import backend_name
 from heartlab.cli import main as cli_main
 from heartlab.ensembles import GbtConfig, LOSS_LOGISTIC, LOSS_SQUARED, fit_gbt
 from heartlab.explain import (
@@ -208,9 +205,6 @@ def test_criterion_04_synthetic_track_desk_scale(tmp_path):
 
 
 def test_criterion_04_synthetic_track_full_scale(tmp_path):
-    if backend_name() != "numba":
-        pytest.skip("criterion 04 full-scale leg is stated for the jit backend; "
-                    "unset HEARTLAB_NO_NUMBA to run the 100000-row bound")
     doc = {
         "dataset": {"fixture": {"n": 1000, "seed": 3}},
         "smote": {"mode": "augment", "target_total": 100000},

@@ -3,10 +3,8 @@
 Every model family runs on every task it supports, with SMOTE, one
 sampled SHAP request and one LIME request, so any change to fitting,
 prediction, persistence, metrics or explanation output shows up here as
-a named file whose sha256 moved. The run uses the numpy kernels
-(HEARTLAB_NO_NUMBA=1) so the manifest's kernel_backend is the same on
-every machine, and a relative output_dir so the manifest does not record
-a temporary path.
+a named file whose sha256 moved. The run uses a relative output_dir so
+the manifest does not record a temporary path.
 """
 
 import hashlib
@@ -144,7 +142,7 @@ DIGESTS = {
 
 def test_saved_bundle_bytes_are_pinned(tmp_path):
     (tmp_path / "cfg.json").write_text(json.dumps(CONFIG))
-    env = dict(os.environ, HEARTLAB_NO_NUMBA="1")
+    env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(SRC)] + [p for p in [env.get("PYTHONPATH")] if p])
     proc = subprocess.run(

@@ -1,10 +1,7 @@
-"""Backend equality: the jit kernels and the numpy-backend kernels must
-return bit-identical results, including on ties, constant columns, exact
-branch edges and NaN-free degenerate inputs. Each case compares the numpy
-implementation against the plain-python source of truth, which is the
-uncompiled source numba compiles, and the compiled function against both
-when numba is present. Every case runs without numba: each kernel,
-the SVM/SVR epochs included, has a numpy twin distinct from its source."""
+"""Oracle equality: each kernel must return bit-identical results to its
+`_*_py` loop oracle, including on ties, constant columns, exact branch
+edges and NaN-free degenerate inputs. Each kernel, the SVM/SVR epochs
+included, is a function distinct from its oracle."""
 
 import os
 import subprocess
@@ -43,22 +40,18 @@ def _random_case(seed, n=80, m=5, n_classes=3, ties=True):
 def test_split_classification_backends_agree(seed):
     X, y, _, idx, feats = _random_case(seed)
     for min_leaf in (1, 3, 9):
-        b = K.split_classification_numpy(X, y, idx, feats, 3, min_leaf)
+        b = K.split_classification(X, y, idx, feats, 3, min_leaf)
         c = K._split_classification_py(X, y, idx, feats, 3, min_leaf)
         assert b == c
-        if K._HAVE_NUMBA:
-            assert K.split_classification_jit(X, y, idx, feats, 3, min_leaf) == c
 
 
 @pytest.mark.parametrize("seed", range(12))
 def test_split_regression_backends_agree(seed):
     X, _, y, idx, feats = _random_case(seed)
     for min_leaf in (1, 3, 9):
-        b = K.split_regression_numpy(X, y, idx, feats, min_leaf)
+        b = K.split_regression(X, y, idx, feats, min_leaf)
         c = K._split_regression_py(X, y, idx, feats, min_leaf)
         assert b == c
-        if K._HAVE_NUMBA:
-            assert K.split_regression_jit(X, y, idx, feats, min_leaf) == c
 
 
 def test_split_tie_break_prefers_lowest_feature():
@@ -93,12 +86,10 @@ def test_tree_route_backends_agree(seed):
         right[i] = 2 * i + 2
     X = np.ascontiguousarray(g.normal(size=(200, 4)))
     X[:50] = np.round(X[:50])  # exact threshold hits
-    b = K.tree_route_numpy(feat, thr, left, right, X)
+    b = K.tree_route(feat, thr, left, right, X)
     c = K._tree_route_py(feat, thr, left, right, X)
     assert np.array_equal(b, c)
     assert np.all(feat[b] == -1)
-    if K._HAVE_NUMBA:
-        assert np.array_equal(K.tree_route_jit(feat, thr, left, right, X), c)
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -108,10 +99,8 @@ def test_knn_backends_agree(seed):
     queries = np.ascontiguousarray(np.round(g.normal(size=(25, 3)), 1))
     for k in (1, 4, 7):
         ic, dc = K._knn_search_py(train, queries, k)
-        backends = [K.knn_search_numpy] + ([K.knn_search_jit] if K._HAVE_NUMBA else [])
-        for search in backends:
-            i, d = search(train, queries, k)
-            assert np.array_equal(i, ic) and np.array_equal(d, dc)
+        i, d = K.knn_search(train, queries, k)
+        assert np.array_equal(i, ic) and np.array_equal(d, dc)
 
 
 def test_knn_tie_break_lowest_index():
@@ -142,9 +131,7 @@ def test_svm_epoch_backends_agree(seed):
     y = np.where(g.random(n) < 0.5, -1.0, 1.0)
     order = g.permutation(n).astype(np.int64)
     want = _run_epoch(K._svm_epoch_py, X, y, order, 0.05)
-    assert _same_epoch(_run_epoch(K.svm_epoch_numpy, X, y, order, 0.05), want)
-    if K._HAVE_NUMBA:
-        assert _same_epoch(_run_epoch(K.svm_epoch_jit, X, y, order, 0.05), want)
+    assert _same_epoch(_run_epoch(K.svm_epoch, X, y, order, 0.05), want)
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -155,9 +142,7 @@ def test_svr_epoch_backends_agree(seed):
     y = g.normal(size=n)
     order = g.permutation(n).astype(np.int64)
     want = _run_epoch(K._svr_epoch_py, X, y, order, 0.05, 0.1)
-    assert _same_epoch(_run_epoch(K.svr_epoch_numpy, X, y, order, 0.05, 0.1), want)
-    if K._HAVE_NUMBA:
-        assert _same_epoch(_run_epoch(K.svr_epoch_jit, X, y, order, 0.05, 0.1), want)
+    assert _same_epoch(_run_epoch(K.svr_epoch, X, y, order, 0.05, 0.1), want)
 
 
 @st.composite
@@ -177,8 +162,8 @@ def _tied_epoch_case(draw):
 @given(case=_tied_epoch_case())
 def test_epoch_kernels_match_python_loop_on_ties(case):
     X, y_cls, y_reg, order, eps = case
-    for fn, py, y, params in ((K.svm_epoch_numpy, K._svm_epoch_py, y_cls, (1.0,)),
-                              (K.svr_epoch_numpy, K._svr_epoch_py, y_reg, (1.0, eps))):
+    for fn, py, y, params in ((K.svm_epoch, K._svm_epoch_py, y_cls, (1.0,)),
+                              (K.svr_epoch, K._svr_epoch_py, y_reg, (1.0, eps))):
         assert _same_epoch(_run_epoch(fn, X, y, order, *params),
                            _run_epoch(py, X, y, order, *params))
 
@@ -193,8 +178,8 @@ def test_epoch_kernels_on_exact_branch_edges(x, w0, b0):
     """margin == 1 and resid == eps take no step (scale 0 zeroes w), in
     both loops."""
     X, order = np.array([x]), np.array([0])
-    for fn, y, params in ((K.svm_epoch_numpy, 1.0, (1.0,)), (K._svm_epoch_py, 1.0, (1.0,)),
-                          (K.svr_epoch_numpy, 1.25, (1.0, 0.25)),
+    for fn, y, params in ((K.svm_epoch, 1.0, (1.0,)), (K._svm_epoch_py, 1.0, (1.0,)),
+                          (K.svr_epoch, 1.25, (1.0, 0.25)),
                           (K._svr_epoch_py, 1.25, (1.0, 0.25))):
         w, b = np.array(w0), np.array([b0])
         assert fn(X, np.array([y]), order, w, b, np.zeros(len(x)), np.zeros(1), *params, 0) == 1
@@ -210,8 +195,8 @@ def test_epoch_kernels_block_size_does_not_matter(block):
     y_reg = np.round(g.normal(size=n), 1)
     order = g.permutation(n).astype(np.int64)
     with mock.patch.object(K, "_EPOCH_BLOCK", block):
-        got = (_run_epoch(K.svm_epoch_numpy, X, y_cls, order, 0.05, t0=19),
-               _run_epoch(K.svr_epoch_numpy, X, y_reg, order, 0.05, 0.1, t0=19))
+        got = (_run_epoch(K.svm_epoch, X, y_cls, order, 0.05, t0=19),
+               _run_epoch(K.svr_epoch, X, y_reg, order, 0.05, 0.1, t0=19))
     assert _same_epoch(got[0], _run_epoch(K._svm_epoch_py, X, y_cls, order, 0.05, t0=19))
     assert _same_epoch(got[1], _run_epoch(K._svr_epoch_py, X, y_reg, order, 0.05, 0.1, t0=19))
 
@@ -224,18 +209,13 @@ def test_linear_fits_identical_with_python_loop_kernel(monkeypatch, fit_name, ke
     y = (X[:, 0] + g.normal(size=120) > 0).astype(np.float64) if kernel == "svm_epoch" \
         else X @ g.normal(size=5) + g.normal(size=120)
     config = linear.PenaltyConfig(epochs=4, seed=2)
-    monkeypatch.setattr(linear, kernel, getattr(K, f"{kernel}_numpy"))
+    monkeypatch.setattr(linear, kernel, getattr(K, kernel))
     new = getattr(linear, fit_name)(X, y, config)
     monkeypatch.setattr(linear, kernel, getattr(K, f"_{kernel}_py"))
     old = getattr(linear, fit_name)(X, y, config)
     assert np.array_equal(new.weights, old.weights)
     assert new.intercept == old.intercept
     assert new.objective_trace == old.objective_trace
-
-
-def test_backend_name_matches_flag():
-    assert K.backend_name() in ("numba", "numpy")
-    assert (K.backend_name() == "numba") == K.NUMBA_ENABLED
 
 
 # -- presorted split search and partial-selection kNN ---------------------------
@@ -261,15 +241,12 @@ def test_split_kernels_with_and_without_lists_agree(case):
     lists = node_lists(X, idx)
     with mock.patch.object(K, "_SPLIT_BLOCK", block):
         cls = [fn(X, y_cls, idx, feats, 3, min_leaf, *extra)
-               for fn in (K.split_classification_numpy, K._split_classification_py)
+               for fn in (K.split_classification, K._split_classification_py)
                for extra in ((), (lists,))]
         reg = [fn(X, y_reg, idx, feats, min_leaf, *extra)
-               for fn in (K.split_regression_numpy, K._split_regression_py)
+               for fn in (K.split_regression, K._split_regression_py)
                for extra in ((), (lists,))]
     assert cls[1:] == cls[:-1] and reg[1:] == reg[:-1]
-    if K._HAVE_NUMBA:
-        assert K.split_classification_jit(X, y_cls, idx, feats, 3, min_leaf, lists) == cls[0]
-        assert K.split_regression_jit(X, y_reg, idx, feats, min_leaf, lists) == reg[0]
 
 
 @st.composite
@@ -296,11 +273,7 @@ def test_weighted_split_backends_agree(case):
     lists = node_lists(X, idx)
     want = K._split_classification_py(X, y, idx, feats, n_classes, min_leaf, lists, w)
     with mock.patch.object(K, "_SPLIT_BLOCK", block):
-        assert K.split_classification_numpy(X, y, idx, feats, n_classes, min_leaf, lists,
-                                            w) == want
-    if K._HAVE_NUMBA:
-        assert K.split_classification_jit(X, y, idx, feats, n_classes, min_leaf, lists,
-                                          w) == want
+        assert K.split_classification(X, y, idx, feats, n_classes, min_leaf, lists, w) == want
 
 
 @settings(max_examples=200, deadline=None)
@@ -312,10 +285,10 @@ def test_weighted_split_equals_split_of_the_copies(case):
     copies = np.repeat(idx, w[idx])  # ascending, so ties stay in row order
     Xc, yc = np.ascontiguousarray(X[copies]), y[copies]
     all_rows = np.arange(copies.size, dtype=np.int64)
-    want = K.split_classification_numpy(Xc, yc, all_rows, feats, n_classes, min_leaf,
-                                        trees.presort(Xc))
-    got = K.split_classification_numpy(X, y, idx, feats, n_classes, min_leaf,
-                                       node_lists(X, idx), w)
+    want = K.split_classification(Xc, yc, all_rows, feats, n_classes, min_leaf,
+                                  trees.presort(Xc))
+    got = K.split_classification(X, y, idx, feats, n_classes, min_leaf,
+                                 node_lists(X, idx), w)
     assert got == want
     assert K._split_classification_py(X, y, idx, feats, n_classes, min_leaf,
                                       node_lists(X, idx), w) == want
@@ -347,8 +320,8 @@ def _level_case(draw):
 @given(case=_level_case())
 def test_level_split_equals_one_node_calls(case):
     """One call over a level's side-by-side nodes returns, node by node,
-    what a call for that node alone does, on both backends and at any
-    block size."""
+    what a call for that node alone does, for the kernel and its loop
+    oracle and at any block size."""
     X, y, w, nodes, feats, n_classes, min_leaf, block = case
     idx = np.concatenate(nodes)
     starts = np.concatenate([[0], np.cumsum([node.size for node in nodes])])
@@ -356,17 +329,14 @@ def test_level_split_equals_one_node_calls(case):
     want = [K._split_classification_py(X, y, node, feats[:, i], n_classes, min_leaf,
                                        node_lists(X, node), w) for i, node in enumerate(nodes)]
     with mock.patch.object(K, "_SPLIT_BLOCK", block):
-        alone = [K.split_classification_numpy(X, y, node, feats[:, i], n_classes, min_leaf,
-                                              node_lists(X, node), w)
+        alone = [K.split_classification(X, y, node, feats[:, i], n_classes, min_leaf,
+                                        node_lists(X, node), w)
                  for i, node in enumerate(nodes)]
-        level = K.split_classification_numpy(X, y, idx, feats, n_classes, min_leaf, lists, w,
-                                             starts)
+        level = K.split_classification(X, y, idx, feats, n_classes, min_leaf, lists, w,
+                                       starts)
     assert alone == want
     levels = [level, K._split_classification_py(X, y, idx, feats, n_classes, min_leaf, lists, w,
                                                 starts)]
-    if K._HAVE_NUMBA:
-        levels.append(K.split_classification_jit(X, y, idx, feats, n_classes, min_leaf, lists,
-                                                 w, starts))
     for got in levels:
         assert [a.dtype for a in got] == [np.int64, np.float64, np.float64]
         assert list(zip(*(a.tolist() for a in got))) == want
@@ -377,7 +347,7 @@ def test_unweighted_split_is_unit_weights():
     lists = node_lists(X, idx)
     ones = np.ones(X.shape[0], dtype=np.int64)
     for min_leaf in (1, 3):
-        for fn in (K.split_classification_numpy, K._split_classification_py):
+        for fn in (K.split_classification, K._split_classification_py):
             assert (fn(X, y, idx, feats, 3, min_leaf, lists)
                     == fn(X, y, idx, feats, 3, min_leaf, lists, ones))
 
@@ -399,7 +369,7 @@ def test_knn_partial_selection_matches_python_loop(case):
     train, queries, k, block = case
     want_idx, want_d = K._knn_search_py(train, queries, k)
     with mock.patch.object(K, "_KNN_BLOCK", block):  # 1 and nt: one query row per block
-        got_idx, got_d = K.knn_search_numpy(train, queries, k)
+        got_idx, got_d = K.knn_search(train, queries, k)
     assert np.array_equal(got_idx, want_idx) and np.array_equal(got_d, want_d)
 
 

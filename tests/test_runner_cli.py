@@ -202,7 +202,7 @@ def test_manifest_contents(fixture_run):
     doc, cfg, bundle = fixture_run
     man = json.loads((Path(cfg.output_dir) / "manifest.json").read_text())
     assert man["status"] == "ok"
-    assert man["kernel_backend"] in ("numba", "numpy")
+    assert man["kernel_backend"] == "numpy"
     assert man["seeds"]["master"] == 11
     assert man["seeds"]["split"] == derive_seed(11, "split")
     assert len(man["conventions"]) == 9
@@ -593,6 +593,13 @@ def _explain(**request):
      "'learning_rate'"),
     (_set_model(2, "knn", "classification", k=True), "models[2]", "'k'"),
     (_explain(method="shap", n_permutations=True), "explain[0].n_permutations", "True"),
+    # seeds numpy's generators and the uint64 tree keys cannot take
+    (lambda d: d["models"][0].update(seed=-1), "models[0]", "seed must be in [0, 2**64), got -1"),
+    (lambda d: d["models"][1].update(seed=2 ** 64), "models[1]", "seed must be in [0, 2**64)"),
+    (lambda d: d["models"][1].update(family="gbt", hyperparams={}, seed=2 ** 64), "models[1]",
+     "seed must be in [0, 2**64)"),
+    (lambda d: d["dataset"]["fixture"].update(seed=-1), "dataset.fixture", "seed must be in"),
+    (lambda d: d["smote"].update(seed=-1), "smote", "seed must be in [0, 2**64), got -1"),
 ], ids=["cart-max_depth", "rf-n_trees", "gbt-learning_rate", "svm-epochs",
         "train_fraction", "smote-k", "iqr_factor", "lime-n_samples", "shap-background_size",
         "shap-n_permutations", "shap-mode", "lime-shap-option", "knn-k", "knn-weighting",
@@ -604,7 +611,8 @@ def _explain(**request):
         "rf-feature_subsample-true", "cart-feature_subsample-true", "rf-n_trees-true",
         "explain-rows-true", "smote-k-true", "seed-true", "iqr_factor-true",
         "gbt-n_rounds-true", "gbt-learning_rate-true", "knn-k-true",
-        "shap-n_permutations-true"])
+        "shap-n_permutations-true", "rf-seed-negative", "cart-seed-2**64", "gbt-seed-2**64",
+        "fixture-seed-negative", "smote-seed-negative"])
 def test_cli_out_of_range_config_value_exits_2(tmp_path, capsys, mutate, where, key):
     _assert_refused_while_parsing(tmp_path, capsys, mutate, where, key)
 
@@ -682,6 +690,27 @@ def test_cli_fixture_negative_noise_exits_2(tmp_path, capsys):
     assert main(["fixture", str(out), "--n", "50", "--seed", "9", "--noise", "-1"]) == 2
     assert "noise_sigma must be finite and >= 0" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_cli_fixture_negative_seed_exits_2(tmp_path, capsys):
+    out = tmp_path / "neg.csv"
+    assert main(["fixture", str(out), "--n", "50", "--seed", "-1"]) == 2
+    assert "seed must be in [0, 2**64), got -1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_knn_k_above_the_training_rows_fails_before_any_fit(tmp_path, capsys, monkeypatch):
+    fitted = []
+    monkeypatch.setattr(runner, "fit", lambda *args: fitted.append(args))
+    doc = _doc(tmp_path)
+    doc["models"] = [doc["models"][0], {"name": "near", "family": "knn",
+                                        "task": "classification", "hyperparams": {"k": 100000}}]
+    assert main(["run", str(_write_cfg(tmp_path, doc))]) == 2
+    err = capsys.readouterr().err
+    assert "model 'near': k must be in 1.." in err and "the real training partition" in err
+    assert fitted == []
+    man = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert (man["status"], man["stage"], man["model"]) == ("failed", "fit", f"{TRACK_REAL}:near")
 
 
 def test_cli_explain_saved_model(tmp_path, capsys):
