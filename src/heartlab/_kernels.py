@@ -2,9 +2,11 @@
 
 Every kernel `<name>` has a plain loop twin `_<name>_py`, the reference
 that tests/test_kernels.py and `perfbench/kernels.py` compare it with.
-`<name>` is vectorized for splits, routing and kNN; for the sequential
-SVM/SVR epochs it is the same scalar loop on Python floats. Each
-accumulates floats in the loop's order, so the two agree bit for bit.
+`<name>` is vectorized for splits, routing and kNN. The sequential
+Pegasos epoch is one kernel for both the SVM's hinge and the SVR's tube,
+the same scalar loop on Python floats; svm_epoch and svr_epoch (and
+their oracles) only name its loss. Each kernel accumulates floats in the
+loop's order, so the two agree bit for bit.
 
 The split kernels read each feature's rows from sorted lists that the
 caller keeps (a forest or boosting run sorts X once; trees.py partitions the
@@ -409,9 +411,14 @@ def knn_search(train, queries, k):
 
 
 # ---------------------------------------------------------------------------
-# Pegasos-style primal subgradient epochs for the linear SVM / SVR.
-# Mutates w (and the running averages) in place; returns the step counter.
-# The update is sequential, so svm_epoch and svr_epoch run the _py loops' scalar
+# One averaged Pegasos epoch (Shalev-Shwartz et al. 2011) for both linear
+# SVM losses; svm_epoch and svr_epoch are its two entry points. The loss
+# only picks the subgradient g: with eps None the hinge on y in {-1, +1}
+# (g = y while y*margin < 1), else the eps-tube (g = +-1 while
+# |y - margin| > eps). A step with g != 0 sets w = scale*w + (eta*g)*x and
+# b += eta*g. Mutates w (and the running averages) in place; returns the
+# step counter.
+# The update is sequential, so pegasos_epoch runs the _py loop's scalar
 # arithmetic, in the same order, on Python floats: IEEE doubles rounded like
 # numpy's float64 scalars, but far cheaper to index. Rows become lists in
 # epoch order, at most _EPOCH_BLOCK at a time; w, b and the averages are
@@ -421,7 +428,7 @@ def knn_search(train, queries, k):
 _EPOCH_BLOCK = 2 ** 8  # rows of X converted to Python floats at a time
 
 
-def _svm_epoch_py(X, y, order, w, b, wavg, bavg, lam, t0):
+def _pegasos_epoch_py(X, y, order, w, b, wavg, bavg, lam, eps, t0):
     n, m = X.shape
     t = t0
     for s in range(n):
@@ -431,38 +438,12 @@ def _svm_epoch_py(X, y, order, w, b, wavg, bavg, lam, t0):
         margin = b[0]
         for j in range(m):
             margin += w[j] * X[i, j]
-        scale = 1.0 - eta * lam
-        if y[i] * margin < 1.0:
-            for j in range(m):
-                w[j] = scale * w[j] + eta * y[i] * X[i, j]
-            b[0] = b[0] + eta * y[i]
+        if eps is None:
+            g = y[i] if y[i] * margin < 1.0 else 0.0
         else:
-            for j in range(m):
-                w[j] = scale * w[j]
-        for j in range(m):
-            wavg[j] += (w[j] - wavg[j]) / t
-        bavg[0] += (b[0] - bavg[0]) / t
-    return t
-
-
-def _svr_epoch_py(X, y, order, w, b, wavg, bavg, lam, eps, t0):
-    n, m = X.shape
-    t = t0
-    for s in range(n):
-        i = order[s]
-        t += 1
-        eta = 1.0 / (lam * t)
-        pred = b[0]
-        for j in range(m):
-            pred += w[j] * X[i, j]
-        resid = y[i] - pred
+            resid = y[i] - margin
+            g = 1.0 if resid > eps else -1.0 if resid < -eps else 0.0
         scale = 1.0 - eta * lam
-        if resid > eps:
-            g = 1.0
-        elif resid < -eps:
-            g = -1.0
-        else:
-            g = 0.0
         if g != 0.0:
             for j in range(m):
                 w[j] = scale * w[j] + eta * g * X[i, j]
@@ -483,7 +464,7 @@ def _epoch_rows(X, y, order):
         yield from zip(X.take(o, axis=0).tolist(), y.take(o).tolist())
 
 
-def svm_epoch(X, y, order, w, b, wavg, bavg, lam, t0):
+def pegasos_epoch(X, y, order, w, b, wavg, bavg, lam, eps, t0):
     w_, wavg_, b_, bavg_ = w.tolist(), wavg.tolist(), float(b[0]), float(bavg[0])
     t = t0
     for x, yi in _epoch_rows(X, y, order):
@@ -492,9 +473,14 @@ def svm_epoch(X, y, order, w, b, wavg, bavg, lam, t0):
         margin = b_
         for wj, xj in zip(w_, x):  # not sum(): it must add in this order, uncompensated
             margin += wj * xj
+        if eps is None:
+            g = yi if yi * margin < 1.0 else 0.0
+        else:
+            resid = yi - margin
+            g = 1.0 if resid > eps else -1.0 if resid < -eps else 0.0
         scale = 1.0 - eta * lam
-        if yi * margin < 1.0:
-            c = eta * yi  # eta * y[i] * X[i, j] rounds left to right: same floats
+        if g != 0.0:
+            c = eta * g  # eta * g * X[i, j] rounds left to right: same floats
             w_ = [scale * wj + c * xj for wj, xj in zip(w_, x)]
             b_ = b_ + c
         else:
@@ -503,27 +489,22 @@ def svm_epoch(X, y, order, w, b, wavg, bavg, lam, t0):
         bavg_ += (b_ - bavg_) / t
     w[:], wavg[:], b[0], bavg[0] = w_, wavg_, b_, bavg_
     return t
+
+
+# The two losses by name: heartlab.linear fits with svm_epoch and svr_epoch,
+# and perfbench traces those two there and times all four against each other.
+
+def svm_epoch(X, y, order, w, b, wavg, bavg, lam, t0):
+    return pegasos_epoch(X, y, order, w, b, wavg, bavg, lam, None, t0)
 
 
 def svr_epoch(X, y, order, w, b, wavg, bavg, lam, eps, t0):
-    w_, wavg_, b_, bavg_ = w.tolist(), wavg.tolist(), float(b[0]), float(bavg[0])
-    t = t0
-    for x, yi in _epoch_rows(X, y, order):
-        t += 1
-        eta = 1.0 / (lam * t)
-        pred = b_
-        for wj, xj in zip(w_, x):
-            pred += wj * xj
-        resid = yi - pred
-        scale = 1.0 - eta * lam
-        g = 1.0 if resid > eps else -1.0 if resid < -eps else 0.0
-        if g != 0.0:
-            c = eta * g
-            w_ = [scale * wj + c * xj for wj, xj in zip(w_, x)]
-            b_ = b_ + c
-        else:
-            w_ = [scale * wj for wj in w_]
-        wavg_ = [a + (wj - a) / t for a, wj in zip(wavg_, w_)]
-        bavg_ += (b_ - bavg_) / t
-    w[:], wavg[:], b[0], bavg[0] = w_, wavg_, b_, bavg_
-    return t
+    return pegasos_epoch(X, y, order, w, b, wavg, bavg, lam, eps, t0)
+
+
+def _svm_epoch_py(X, y, order, w, b, wavg, bavg, lam, t0):
+    return _pegasos_epoch_py(X, y, order, w, b, wavg, bavg, lam, None, t0)
+
+
+def _svr_epoch_py(X, y, order, w, b, wavg, bavg, lam, eps, t0):
+    return _pegasos_epoch_py(X, y, order, w, b, wavg, bavg, lam, eps, t0)

@@ -206,12 +206,13 @@ class EstimatorSpec:
 def lossless(kind, value):
     """kind(value), refusing what would lose or invent information: a
     fractional int, a list made from a string or an object, a dict from
-    anything but a dict, a bool from anything but true and false (or 1
-    and 0), a number from a bool, a float that is NaN or infinite."""
+    anything but a dict, a str from anything but a str, a bool from
+    anything but true and false (or 1 and 0), a number from a bool, a float
+    that is NaN or infinite."""
     if (kind is bool and value not in (True, False)
             or kind in (int, float) and isinstance(value, bool)
             or kind is list and not isinstance(value, (list, tuple))
-            or kind is dict and not isinstance(value, dict)):
+            or kind in (dict, str) and not isinstance(value, kind)):
         raise ValueError(value)
     out = kind(value)
     if (kind is int and isinstance(value, float) and out != value
@@ -397,7 +398,7 @@ def load_model(payload: bytes) -> TrainedModel:
         s = doc["spec"]
         spec = EstimatorSpec(family=s["family"], task=s["task"],
                              hyperparams=dict(s.get("hyperparams", {})),
-                             seed=int(s.get("seed", 0)))
+                             seed=lossless(int, s.get("seed", 0)))
         params = _load_params(spec.family, doc["params"])
         fingerprint = dict(doc["fingerprint"])
     except (KeyError, TypeError, ValueError, ConfigError, ModelSpecError) as exc:

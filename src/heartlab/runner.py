@@ -163,10 +163,10 @@ def parse_config(doc: dict, seed_override: int | None = None) -> RunConfig:
         raise ConfigError("dataset section needs a 'path' or a 'fixture'")
     _want(ds, {"path", "schema", "fixture"}, "dataset")
     if "path" in ds:
-        schema = str(ds.get("schema", "heart16"))
+        schema = _conv(str, ds.get("schema", "heart16"), "dataset.schema")
         if schema not in SCHEMAS:
             raise ConfigError(f"unknown schema {schema!r}")
-        dataset = {"path": str(ds["path"]), "schema": schema}
+        dataset = {"path": _conv(str, ds["path"], "dataset.path"), "schema": schema}
     else:
         dataset = {"fixture": asdict(_section(ds["fixture"], "dataset.fixture", _Fixture,
                                               seed=derive_seed(master, "fixture")))}
@@ -187,7 +187,8 @@ def parse_config(doc: dict, seed_override: int | None = None) -> RunConfig:
         _want(m, {"name", "family", "task", "hyperparams", "seed"}, f"models[{i}]")
         if "family" not in m or "task" not in m:
             raise ConfigError(f"models[{i}] needs 'family' and 'task'")
-        name = str(m.get("name", m["family"]))
+        family = _conv(str, m["family"], f"models[{i}].family")
+        name = _conv(str, m.get("name", family), f"models[{i}].name")
         if name in seen:
             raise ConfigError(f"duplicate model name {name!r}; give explicit names")
         seen.add(name)
@@ -195,7 +196,7 @@ def parse_config(doc: dict, seed_override: int | None = None) -> RunConfig:
         seed = (_conv(int, m["seed"], f"models[{i}].seed") if "seed" in m
                 else derive_seed(master, f"model:{name}"))
         try:
-            spec = EstimatorSpec(family=str(m["family"]), task=m["task"],
+            spec = EstimatorSpec(family=family, task=m["task"],
                                  hyperparams=hyperparams, seed=seed)
         except HeartlabError as exc:
             raise type(exc)(f"models[{i}]: {exc}") from None
@@ -205,13 +206,17 @@ def parse_config(doc: dict, seed_override: int | None = None) -> RunConfig:
     bad = [x for x in metric_sel if x not in METRIC_FIELDS]
     if bad:
         raise ConfigError(f"unknown metric {bad[0]!r}")
+    twice = [x for x in METRIC_FIELDS if metric_sel.count(x) > 1]
+    if twice:
+        raise ConfigError(f"metrics lists {twice[0]!r} twice")
 
     ex_reqs = []
+    asked = {}  # (track, model, method) -> the explain index that asked first
     for i, e in enumerate(_conv(list, doc.get("explain") or [], "explain")):
         e = _conv(dict, e, f"explain[{i}]")
-        model = str(e.get("model"))
+        model = _conv(str, e.get("model"), f"explain[{i}].model")
         if model not in seen:
-            raise ConfigError(f"explain[{i}] references unknown model {e.get('model')!r}")
+            raise ConfigError(f"explain[{i}] references unknown model {model!r}")
         method = e.get("method", "shap")
         if method not in ("shap", "lime"):
             raise ConfigError(f"explain[{i}] method must be shap or lime")
@@ -220,6 +225,13 @@ def parse_config(doc: dict, seed_override: int | None = None) -> RunConfig:
             raise ConfigError(f"explain[{i}] track must be real or synthetic")
         rows = tuple(_conv(int, r, f"explain[{i}].rows")
                      for r in _conv(list, e.get("rows", [0]), f"explain[{i}].rows"))
+        if not rows:
+            raise ConfigError(f"explain[{i}].rows must name at least one row")
+        key = (track or _default_track(smote_cfg), model, method)
+        if key in asked:
+            raise ConfigError(f"explain[{asked[key]}] and explain[{i}] both ask for {method} "
+                              f"on {model!r} on the {key[0]} track; merge their rows")
+        asked[key] = i
         opts = {k: v for k, v in e.items() if k not in ("model", "method", "rows", "track")}
         config = replace(_section(opts, f"explain[{i}]", ShapConfig if method == "shap"
                                   else LimeConfig), seed=derive_seed(master, f"{method}:{model}"))
@@ -228,11 +240,11 @@ def parse_config(doc: dict, seed_override: int | None = None) -> RunConfig:
         if track == TRACK_SYNTHETIC and smote_cfg is None:
             raise ConfigError(f"explain[{i}] asks for the synthetic track but smote is off")
 
-    out = doc.get("output_dir")
+    out = _conv(str, doc.get("output_dir", ""), "output_dir")
     if not out:
         raise ConfigError("config needs an output_dir")
 
-    return RunConfig(dataset=dataset, models=tuple(models), output_dir=str(out),
+    return RunConfig(dataset=dataset, models=tuple(models), output_dir=out,
                      seed=master, split=split, preprocess=preprocess, smote=smote_cfg,
                      metrics=metric_sel, explain=tuple(ex_reqs))
 
@@ -474,14 +486,18 @@ def _conventions() -> list:
     ]
 
 
+def _default_track(smote_cfg: SmoteConfig | None) -> str:
+    """The track an explain request without one reads."""
+    return TRACK_REAL if smote_cfg is None else TRACK_SYNTHETIC
+
+
 def _explain_tracks(cfg: RunConfig, tracks: dict) -> list:
     """(request, track name) for each explain request, its rows and SHAP
     mode checked against that track's test partition, so a bad request
     fails before any fit."""
-    default_track = TRACK_SYNTHETIC if cfg.smote is not None else TRACK_REAL
     out = []
     for i, req in enumerate(cfg.explain):
-        track_name = req.track or default_track
+        track_name = req.track or _default_track(cfg.smote)
         n, m = tracks[track_name].test.rows.shape
         for row in req.rows:
             if not 0 <= row < n:

@@ -45,8 +45,8 @@ class SmoteConfig:
             raise ConfigError(f"smote k must be >= 1, got {self.k}")
         if self.mode not in (MODE_BALANCE, MODE_AUGMENT):
             raise ConfigError(f"smote mode must be balance or augment, got {self.mode!r}")
-        if self.mode == MODE_AUGMENT and self.target_total is None:
-            raise ConfigError("augment mode requires target_total")
+        if (self.mode == MODE_AUGMENT) != (self.target_total is not None):
+            raise ConfigError("target_total is required by augment mode and unused by balance mode")
 
 
 def nearest_same_class(ds: Dataset, row_index: int, k: int) -> list:

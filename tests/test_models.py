@@ -296,3 +296,11 @@ def test_missing_params_section_rejected(reg_ds):
     del doc["params"]
     with pytest.raises(ModelLoadError, match="malformed"):
         load_model(json.dumps(doc).encode())
+
+
+@pytest.mark.parametrize("seed", [2.5, True])
+def test_non_integer_seed_rejected(reg_ds, seed):
+    doc = json.loads(save_model(fit(EstimatorSpec("ols", TASK_REGRESSION), reg_ds)))
+    doc["spec"]["seed"] = seed  # a truncating int() loads these as 2 and 1
+    with pytest.raises(ModelLoadError, match="malformed"):
+        load_model(json.dumps(doc).encode())

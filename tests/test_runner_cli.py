@@ -500,10 +500,21 @@ def test_cli_rejects_exact_shap_above_the_cap_before_fitting(tmp_path, capsys, m
     (lambda d: d.update(explain=[{"model": "rf", "rows": ["first"]}]), "explain[0].rows"),
     (lambda d: d.update(explain=[{"model": "rf", "n_permutations": "many"}]),
      "explain[0].n_permutations"),
-    (lambda d: d["models"][0].update(family=["cart"]), "model family"),
+    (lambda d: d["models"][0].update(family=["cart"]), "models[0].family"),
     (lambda d: d.update(explain=[{"model": ["rf"]}]), "explain[0]"),
+    # JSON values that are not strings where a string is expected
+    (lambda d: d.update(output_dir=True), "output_dir must be str, got True"),
+    (lambda d: d.update(output_dir=5), "output_dir must be str, got 5"),
+    (lambda d: d["models"][0].update(name=None), "models[0].name must be str, got None"),
+    (lambda d: d.update(dataset={"path": 5}), "dataset.path must be str, got 5"),
+    (lambda d: d.update(dataset={"path": "heart.csv", "schema": 16}),
+     "dataset.schema must be str, got 16"),
+    (lambda d: d["smote"].update(mode=5), "smote.mode must be str, got 5"),
+    (lambda d: d.update(explain=[{"model": "rf", "mode": 1}]), "explain[0].mode must be str"),
+    (lambda d: d.update(explain=[{"model": 5}]), "explain[0].model must be str, got 5"),
 ])
-def test_cli_mistyped_config_value_exits_2(tmp_path, capsys, mutate, path):
+def test_cli_mistyped_config_value_exits_2(tmp_path, capsys, monkeypatch, mutate, path):
+    monkeypatch.chdir(tmp_path)  # a relative output_dir such as True stays in tmp_path
     _assert_refused_while_parsing(tmp_path, capsys, mutate, path)
 
 
@@ -600,6 +611,17 @@ def _explain(**request):
      "seed must be in [0, 2**64)"),
     (lambda d: d["dataset"]["fixture"].update(seed=-1), "dataset.fixture", "seed must be in"),
     (lambda d: d["smote"].update(seed=-1), "smote", "seed must be in [0, 2**64), got -1"),
+    # config that would be recorded but change nothing, or be lost
+    (lambda d: d.update(metrics=["accuracy", "accuracy"]), "metrics", "'accuracy' twice"),
+    (lambda d: d["smote"].update(target_total=5000), "smote", "target_total"),
+    (lambda d: d.update(explain=[{"model": "rf", "rows": []}]), "explain[0].rows",
+     "at least one row"),
+    (lambda d: d.update(explain=[{"model": "rf", "rows": [0]}, {"model": "rf", "rows": [1]}]),
+     "explain[0] and explain[1]", "shap on 'rf' on the synthetic track"),
+    (lambda d: d.update(smote=None, explain=[
+        {"model": "ols", "method": "lime", "track": "real", "rows": [0]},
+        {"model": "ols", "method": "lime", "rows": [1]}]),
+     "explain[0] and explain[1]", "lime on 'ols' on the real track"),
 ], ids=["cart-max_depth", "rf-n_trees", "gbt-learning_rate", "svm-epochs",
         "train_fraction", "smote-k", "iqr_factor", "lime-n_samples", "shap-background_size",
         "shap-n_permutations", "shap-mode", "lime-shap-option", "knn-k", "knn-weighting",
@@ -612,7 +634,9 @@ def _explain(**request):
         "explain-rows-true", "smote-k-true", "seed-true", "iqr_factor-true",
         "gbt-n_rounds-true", "gbt-learning_rate-true", "knn-k-true",
         "shap-n_permutations-true", "rf-seed-negative", "cart-seed-2**64", "gbt-seed-2**64",
-        "fixture-seed-negative", "smote-seed-negative"])
+        "fixture-seed-negative", "smote-seed-negative", "metrics-repeated",
+        "smote-target_total-balance", "explain-rows-empty", "explain-repeated",
+        "explain-repeated-default-track"])
 def test_cli_out_of_range_config_value_exits_2(tmp_path, capsys, mutate, where, key):
     _assert_refused_while_parsing(tmp_path, capsys, mutate, where, key)
 
