@@ -2,14 +2,14 @@
 
 The dataset is a plain float64 feature matrix plus optional integer class
 labels and an optional continuous target, described by a column schema.
-Categorical feature columns whose CSV cells are not numeric are carried as
-raw text (``Dataset.text_columns``) until the preprocessor encodes them;
-continuous columns must parse as floats.
+Text categories are carried raw (``Dataset.text_columns``) until the
+preprocessor encodes them; ``load_csv`` states how a CSV cell is read.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -116,11 +116,9 @@ class Dataset:
         for name, cells in self.text_columns.items():
             if len(cells) != n:
                 raise ContractError(f"text column {name!r} length differs from row count")
-        self.rows.flags.writeable = False
-        if self.labels is not None:
-            self.labels.flags.writeable = False
-        if self.targets is not None:
-            self.targets.flags.writeable = False
+        for arr in (self.rows, self.labels, self.targets):
+            if arr is not None:
+                arr.flags.writeable = False
 
     @property
     def n_rows(self) -> int:
@@ -170,21 +168,40 @@ class SplitSpec:
             raise ConfigError(f"train_fraction must be in (0,1), got {self.train_fraction}")
 
 
-def _parse_cell(text, row_i, col_name):
-    try:
-        return float(text)
-    except ValueError:
-        raise ParseError(f"row {row_i}, column {col_name!r}: cannot parse {text!r}") from None
+def _column(cells, name, empty=None, text_ok=False):
+    """Finite float64 values of a column's stripped cells. An empty cell is
+    NaN, or the ParseError "empty <empty>" when empty is given. With text_ok,
+    None when some non-empty cell is one float() cannot read: the column is
+    text. Any other unreadable or non-finite cell is a ParseError naming its
+    row and column."""
+    values = []
+    for c in cells:
+        try:
+            values.append(float(c) if c else math.nan)
+        except ValueError:
+            values.append(None)
+    if text_ok and None in values:
+        return None
+    for i, (c, v) in enumerate(zip(cells, values)):
+        if c == "" and empty:
+            raise ParseError(f"row {i}, column {name!r}: empty {empty}")
+        if v is None:
+            raise ParseError(f"row {i}, column {name!r}: cannot parse {c!r}")
+        if c and not math.isfinite(v):
+            raise ParseError(f"row {i}, column {name!r}: {c!r} is not a finite number")
+    return np.array(values, dtype=np.float64)
 
 
 def load_csv(path, schema: list[ColumnSchema]) -> Dataset:
     """Read a headered UTF-8 CSV into a Dataset.
 
-    The header must contain exactly the schema names, any order. Empty
-    feature cells become NaN missing markers. Non-numeric cells are a
-    ParseError for continuous columns; categorical/binary feature columns
-    fall back to text mode and are encoded later by the preprocessor.
-    Label and regression-target cells must always be present and numeric.
+    The header must contain exactly the schema names, any order. Cells are
+    stripped, and an empty cell means missing: NaN in a feature column until
+    the preprocessor imputes it, an error in the label or target column. A
+    cell that reads as NaN or +-inf is refused in every column. A non-numeric
+    cell makes a categorical or binary feature column text, encoded later by
+    the preprocessor, and is refused in any other column. Class labels must
+    be nonnegative integers below 2**63.
     """
     schema = validate_schema(schema)
     path = Path(path)
@@ -208,88 +225,46 @@ def load_csv(path, schema: list[ColumnSchema]) -> Dataset:
     extra = [h for i, h in enumerate(header) if h not in names or h in header[:i]]
     if extra:
         raise SchemaError(f"{'duplicate' if extra[0] in names else 'unexpected'} column: {extra[0]}")
-    pos = {n: header.index(n) for n in names}
-
-    n = len(raw)
-    feat_cols = [c for c in schema if c.role == ROLE_FEATURE]
-    label_col = next((c for c in schema if c.role == ROLE_CLASS_LABEL), None)
-    target_col = next((c for c in schema if c.role == ROLE_REGRESSION_TARGET), None)
-
     for i, row in enumerate(raw):
         if len(row) != len(header):
             raise ParseError(f"row {i}: expected {len(header)} cells, found {len(row)}")
+    cells = {h: [r[p].strip() for r in raw] for p, h in enumerate(header)}
 
-    rows = np.full((n, len(feat_cols)), np.nan, dtype=np.float64)
+    feat_cols = [c for c in schema if c.role == ROLE_FEATURE]
+    rows = np.full((len(raw), len(feat_cols)), np.nan, dtype=np.float64)
     text_columns: dict[str, list] = {}
     for j, col in enumerate(feat_cols):
-        p = pos[col.name]
-        cells = [r[p].strip() for r in raw]
-        numeric = True
-        if col.kind != KIND_CONTINUOUS:
-            for c in cells:
-                if c == "":
-                    continue
-                try:
-                    float(c)
-                except ValueError:
-                    numeric = False
-                    break
-        if numeric:
-            for i, c in enumerate(cells):
-                if c == "":
-                    continue  # missing marker stays NaN
-                rows[i, j] = _parse_cell(c, i, col.name)
+        values = _column(cells[col.name], col.name, text_ok=col.kind != KIND_CONTINUOUS)
+        if values is None:
+            text_columns[col.name] = [c or None for c in cells[col.name]]
         else:
-            text_columns[col.name] = [c if c != "" else None for c in cells]
+            rows[:, j] = values
 
-    labels = None
+    label_col = next((c.name for c in schema if c.role == ROLE_CLASS_LABEL), None)
+    target_col = next((c.name for c in schema if c.role == ROLE_REGRESSION_TARGET), None)
+    labels = targets = None
     if label_col is not None:
-        p = pos[label_col.name]
-        labels = np.empty(n, dtype=np.int64)
-        for i, r in enumerate(raw):
-            c = r[p].strip()
-            if c == "":
-                raise ParseError(f"row {i}, column {label_col.name!r}: empty class label")
-            v = _parse_cell(c, i, label_col.name)
-            if not 0 <= v < 2 ** 63 or v != int(v):
-                raise ParseError(
-                    f"row {i}, column {label_col.name!r}: class code must be a nonnegative integer, got {c!r}"
-                )
-            labels[i] = int(v)
-
-    targets = None
+        codes = _column(cells[label_col], label_col, "class label")
+        bad = np.flatnonzero((codes < 0) | (codes >= 2.0 ** 63) | (codes != np.trunc(codes)))
+        if bad.size:
+            raise ParseError(f"row {bad[0]}, column {label_col!r}: class code must be "
+                             f"a nonnegative integer, got {cells[label_col][bad[0]]!r}")
+        labels = codes.astype(np.int64)
     if target_col is not None:
-        p = pos[target_col.name]
-        targets = np.empty(n, dtype=np.float64)
-        for i, r in enumerate(raw):
-            c = r[p].strip()
-            if c == "":
-                raise ParseError(f"row {i}, column {target_col.name!r}: empty target value")
-            targets[i] = _parse_cell(c, i, target_col.name)
-
+        targets = _column(cells[target_col], target_col, "target value")
     return Dataset(schema=schema, rows=rows, labels=labels, targets=targets,
                    text_columns=text_columns)
 
 
 def write_csv(ds: Dataset, path) -> None:
     """Write a dataset back to CSV in schema order (used by the fixture CLI)."""
-    feat_names = ds.feature_names()
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow([c.name for c in ds.schema])
-        cols = []
-        for c in ds.schema:
-            if c.role == ROLE_FEATURE:
-                if c.name in ds.text_columns:
-                    cols.append(ds.text_columns[c.name])
-                else:
-                    cols.append(ds.rows[:, feat_names.index(c.name)])
-            elif c.role == ROLE_CLASS_LABEL:
-                cols.append(ds.labels)
-            elif c.role == ROLE_REGRESSION_TARGET:
-                cols.append(ds.targets)
-            else:
-                cols.append(np.full(ds.n_rows, np.nan))
+        by_name = {**dict(zip(ds.feature_names(), ds.rows.T)), **ds.text_columns}
+        by_role = {ROLE_CLASS_LABEL: ds.labels, ROLE_REGRESSION_TARGET: ds.targets}
+        cols = [by_name[c.name] if c.role == ROLE_FEATURE
+                else by_role.get(c.role, np.full(ds.n_rows, np.nan)) for c in ds.schema]
         for i in range(ds.n_rows):
             out = []
             for col in cols:

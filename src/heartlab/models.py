@@ -373,6 +373,24 @@ def _load_params(family: str, payload: dict):
     return _decode(fam.params_type, payload[fam.payload_key] if fam.payload_key else payload)
 
 
+def _check_params(params, n_cols: int) -> None:
+    """Refuse loaded weights that contradict the fingerprint's column count,
+    and trees that are not preorder node arrays on those columns: routing
+    would index past them or never reach a leaf."""
+    if isinstance(params, LinearModel) and params.weights.shape != (n_cols,):
+        raise ContractError(f"{params.weights.size} weights for {n_cols} columns")
+    for t in (params,) if isinstance(params, FlatTree) else getattr(params, "trees", ()):
+        n, inner = len(t.feature), np.flatnonzero(t.feature >= 0)
+        if n == 0 or any(len(a) != n for a in (t.threshold, t.left, t.right, t.leaf_value,
+                                                t.n_samples)):
+            raise ContractError("tree node arrays differ in length")
+        if t.feature.dtype.kind != "i" or ((t.feature < -1) | (t.feature >= n_cols)).any():
+            raise ContractError(f"tree feature index outside [-1, {n_cols})")
+        right = t.right[inner]
+        if (t.left[inner] != inner + 1).any() or not ((inner + 1 < right) & (right < n)).all():
+            raise ContractError("tree child index does not point forward")
+
+
 def save_model(model: TrainedModel) -> bytes:
     doc = {
         "format": FORMAT_TAG,
@@ -401,6 +419,7 @@ def load_model(payload: bytes) -> TrainedModel:
                              seed=lossless(int, s.get("seed", 0)))
         params = _load_params(spec.family, doc["params"])
         fingerprint = dict(doc["fingerprint"])
-    except (KeyError, TypeError, ValueError, ConfigError, ModelSpecError) as exc:
+        _check_params(params, len(fingerprint["columns"]))
+    except (KeyError, TypeError, ValueError, ConfigError, ContractError, ModelSpecError) as exc:
         raise ModelLoadError(f"malformed model payload: {exc}") from None
     return TrainedModel(spec=spec, params=params, fingerprint=fingerprint)

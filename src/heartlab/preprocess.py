@@ -174,15 +174,25 @@ def _impute(medians: dict, modes: dict, feat_cols, encoded: np.ndarray) -> np.nd
     return out
 
 
-def transform(state: PreprocessorState, ds: Dataset) -> Dataset:
-    """Encode, impute and scale; never removes rows."""
+def _apply(state: PreprocessorState, ds: Dataset, filtered: bool) -> Dataset:
+    """Encode, impute, drop rows outside the fitted outlier bounds when
+    filtered (bounds are in pre-scaling units), then scale."""
     if ds.feature_names() != state.feature_names:
         raise TransformError("dataset schema does not match fitted state")
     encoded = _encode(state.label_maps, ds)
     imputed = _impute(state.medians, state.modes, ds.feature_columns(), encoded)
-    if state.scale_enabled:
-        imputed = np.where(state.scaled, (imputed - state.means) / state.sds, imputed)
-    return ds.with_rows(imputed, labels=ds.labels, targets=ds.targets)
+    ds = ds.with_rows(imputed, labels=ds.labels, targets=ds.targets)
+    if filtered:
+        ds, _ = iqr_filter(ds, [b.column for b in state.iqr_bounds], bounds=state.iqr_bounds)
+    if not state.scale_enabled:
+        return ds
+    rows = np.where(state.scaled, (ds.rows - state.means) / state.sds, ds.rows)
+    return ds.with_rows(rows, labels=ds.labels, targets=ds.targets)
+
+
+def transform(state: PreprocessorState, ds: Dataset) -> Dataset:
+    """Encode, impute and scale; never removes rows."""
+    return _apply(state, ds, filtered=False)
 
 
 def iqr_filter(ds: Dataset, columns: list, factor: float = 1.5,
@@ -225,15 +235,5 @@ def iqr_filter(ds: Dataset, columns: list, factor: float = 1.5,
 
 def transform_filtered(state: PreprocessorState, train: Dataset) -> Dataset:
     """Training-partition variant of transform that also drops rows outside
-    the fitted outlier bounds (bounds are in pre-scaling units)."""
-    if train.feature_names() != state.feature_names:
-        raise TransformError("dataset schema does not match fitted state")
-    encoded = _encode(state.label_maps, train)
-    imputed = _impute(state.medians, state.modes, train.feature_columns(), encoded)
-    work = train.with_rows(imputed, labels=train.labels, targets=train.targets)
-    names = [b.column for b in state.iqr_bounds]
-    kept, _ = iqr_filter(work, names, bounds=state.iqr_bounds)
-    rows = kept.rows
-    if state.scale_enabled:
-        rows = np.where(state.scaled, (rows - state.means) / state.sds, rows)
-    return kept.with_rows(rows, labels=kept.labels, targets=kept.targets)
+    the fitted outlier bounds."""
+    return _apply(state, train, filtered=True)

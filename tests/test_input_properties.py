@@ -234,3 +234,17 @@ def test_load_csv_refuses_a_label_outside_int64(fixture_csv, label):
     path.write_text("\n".join([lines[0], ",".join(cells)] + lines[2:]))
     with pytest.raises(ParseError, match="row 0, column 'target'"):
         load_csv(path, SCHEMAS["heart16"])
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])
+@pytest.mark.parametrize("column", ["chol", "cp", "Heart Disease Risk Score"])
+def test_load_csv_refuses_a_non_finite_cell(fixture_csv, column, value):
+    # float() reads each of these; a continuous feature, a categorical one
+    # and the regression target must all refuse them rather than load NaN or inf
+    lines = fixture_csv.read_text().splitlines()
+    cells = lines[1].split(",")
+    cells[lines[0].split(",").index(column)] = value
+    path = fixture_csv.with_name("non_finite.csv")
+    path.write_text("\n".join([lines[0], ",".join(cells)] + lines[2:]))
+    with pytest.raises(ParseError, match=f"row 0, column '{column}'"):
+        load_csv(path, SCHEMAS["heart16"])

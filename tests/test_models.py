@@ -298,6 +298,27 @@ def test_missing_params_section_rejected(reg_ds):
         load_model(json.dumps(doc).encode())
 
 
+def test_linear_weights_other_than_the_fingerprint_columns_rejected(two_blob_ds):
+    doc = json.loads(save_model(fit(EstimatorSpec("logistic", TASK_CLASSIFICATION), two_blob_ds)))
+    doc["params"]["weights"] = doc["params"]["weights"][:1]  # would predict from one weight
+    with pytest.raises(ModelLoadError, match="malformed.*1 weights for 2 columns"):
+        load_model(json.dumps(doc).encode())
+
+
+@pytest.mark.parametrize("tamper, message", [
+    (lambda t: t["right"].__setitem__(0, len(t["feature"])), "child index"),  # IndexError
+    (lambda t: t["feature"].__setitem__(0, 40), "feature index"),              # IndexError
+    (lambda t: t["threshold"].pop(), "differ in length"),                      # IndexError
+    (lambda t: t["left"].__setitem__(0, 0), "child index"),                    # routes forever
+], ids=["right-past-the-end", "feature-40", "short-threshold", "left-is-self"])
+def test_tree_that_routing_cannot_follow_rejected(two_blob_ds, tamper, message):
+    doc = json.loads(save_model(fit(EstimatorSpec("cart", TASK_CLASSIFICATION), two_blob_ds)))
+    assert doc["params"]["tree"]["feature"][0] >= 0  # the root splits
+    tamper(doc["params"]["tree"])
+    with pytest.raises(ModelLoadError, match=f"malformed.*{message}"):
+        load_model(json.dumps(doc).encode())
+
+
 @pytest.mark.parametrize("seed", [2.5, True])
 def test_non_integer_seed_rejected(reg_ds, seed):
     doc = json.loads(save_model(fit(EstimatorSpec("ols", TASK_REGRESSION), reg_ds)))

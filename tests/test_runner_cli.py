@@ -8,6 +8,7 @@ import pytest
 
 from heartlab import ensembles, runner
 from heartlab.cli import main
+from heartlab.data import HEART16, load_csv, make_fixture, write_csv
 from heartlab.errors import ConfigError, ParseError
 from heartlab.runner import (
     METRIC_FIELDS,
@@ -43,6 +44,20 @@ def _write_cfg(tmp_path, doc, name="cfg.json"):
     p = tmp_path / name
     p.write_text(json.dumps(doc))
     return p
+
+
+def _fixture_cells(tmp_path, n=240):
+    """Path, header and data rows (lists of cells) of a heart16 fixture CSV."""
+    path = tmp_path / "heart.csv"
+    write_csv(make_fixture(n, seed=5), path)
+    with open(path, newline="") as fh:
+        header, *rows = csv.reader(fh)
+    return path, header, rows
+
+
+def _write_cells(path, header, rows):
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows([header] + rows)
 
 
 def _read_metrics(out_dir):
@@ -393,6 +408,45 @@ def test_cli_non_utf8_csv_exits_2(tmp_path, capsys):
     assert f"heartlab: error: {path} is not UTF-8 text" in capsys.readouterr().err
     man = json.loads((tmp_path / "out" / "manifest.json").read_text())
     assert (man["status"], man["stage"]) == ("failed", "load")
+
+
+@pytest.mark.parametrize("column, value", [
+    ("Heart Disease Risk Score", "nan"), ("cp", "inf"), ("chol", "nan")])
+def test_cli_non_finite_csv_cell_exits_2_before_any_fit(tmp_path, capsys, monkeypatch,
+                                                        column, value):
+    # float() reads each of these cells, so only the finiteness rule stops
+    # them: a target, a categorical feature and a continuous feature
+    fitted = []
+    monkeypatch.setattr(runner, "fit", lambda *args: fitted.append(args))
+    path, header, rows = _fixture_cells(tmp_path)
+    rows[3][header.index(column)] = value
+    _write_cells(path, header, rows)
+    doc = _doc(tmp_path, dataset={"path": str(path)})
+    assert main(["run", str(_write_cfg(tmp_path, doc))]) == 2
+    assert f"row 3, column '{column}'" in capsys.readouterr().err
+    assert fitted == []
+    man = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert (man["status"], man["stage"]) == ("failed", "load")
+
+
+def test_cli_run_on_text_categories(tmp_path):
+    path, header, rows = _fixture_cells(tmp_path)
+    words = {"sex": ["female", "male"],
+             "cp": ["typical", "atypical", "non-anginal", "asymptomatic"]}
+    for name, names in words.items():
+        j = header.index(name)
+        for row in rows:
+            row[j] = names[int(row[j])]
+    _write_cells(path, header, rows)
+    assert set(load_csv(path, HEART16).text_columns) == set(words)
+    doc = _doc(tmp_path, dataset={"path": str(path)}, models=[
+        {"name": "rf", "family": "random_forest", "task": "classification",
+         "hyperparams": {"n_trees": 5, "max_depth": 4}},
+        {"name": "ols", "family": "ols", "task": "regression"}])
+    assert main(["run", str(_write_cfg(tmp_path, doc))]) == 0
+    _, metrics = _read_metrics(doc["output_dir"])
+    assert sorted((r[0], r[1]) for r in metrics) == sorted(
+        (track, name) for track in (TRACK_REAL, TRACK_SYNTHETIC) for name in ("rf", "ols"))
 
 
 def test_explain_row_out_of_range(tmp_path):
