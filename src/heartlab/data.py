@@ -201,7 +201,7 @@ def load_csv(path, schema: list[ColumnSchema]) -> Dataset:
     cell that reads as NaN or +-inf is refused in every column. A non-numeric
     cell makes a categorical or binary feature column text, encoded later by
     the preprocessor, and is refused in any other column. Class labels must
-    be nonnegative integers below 2**63.
+    be nonnegative integers below 2**63, and 0 or 1 in a binary column.
     """
     schema = validate_schema(schema)
     path = Path(path)
@@ -240,15 +240,17 @@ def load_csv(path, schema: list[ColumnSchema]) -> Dataset:
         else:
             rows[:, j] = values
 
-    label_col = next((c.name for c in schema if c.role == ROLE_CLASS_LABEL), None)
+    label = next((c for c in schema if c.role == ROLE_CLASS_LABEL), None)
     target_col = next((c.name for c in schema if c.role == ROLE_REGRESSION_TARGET), None)
     labels = targets = None
-    if label_col is not None:
-        codes = _column(cells[label_col], label_col, "class label")
-        bad = np.flatnonzero((codes < 0) | (codes >= 2.0 ** 63) | (codes != np.trunc(codes)))
+    if label is not None:
+        codes = _column(cells[label.name], label.name, "class label")
+        top = 2.0 if label.kind == KIND_BINARY else 2.0 ** 63
+        bad = np.flatnonzero((codes < 0) | (codes >= top) | (codes != np.trunc(codes)))
         if bad.size:
-            raise ParseError(f"row {bad[0]}, column {label_col!r}: class code must be "
-                             f"a nonnegative integer, got {cells[label_col][bad[0]]!r}")
+            raise ParseError(f"row {bad[0]}, column {label.name!r}: class code must be "
+                             f"{'0 or 1' if top == 2 else 'a nonnegative integer'}, "
+                             f"got {cells[label.name][bad[0]]!r}")
         labels = codes.astype(np.int64)
     if target_col is not None:
         targets = _column(cells[target_col], target_col, "target value")

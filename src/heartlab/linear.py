@@ -79,18 +79,19 @@ class LinearModel:
         return out + self.intercept
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        raw = self.decision_function(X)
         if self.family in (FAMILY_LOGISTIC, FAMILY_SVM):
-            return (raw > 0.0).astype(np.int64)
-        return raw
+            return self.scored(X)[0]
+        return self.decision_function(X)
 
-    def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        """Logistic link of the margin: calibrated for logistic regression,
-        monotone but uncalibrated for the SVM."""
+    def scored(self, X: np.ndarray) -> tuple:
+        """Labels and the logistic link of the margin, from one decision
+        function: calibrated for logistic regression, monotone but
+        uncalibrated for the SVM. A label is margin > 0, not p > 0.5: a
+        margin in (0, 1e-16) has p exactly 0.5."""
         if self.family not in (FAMILY_LOGISTIC, FAMILY_SVM):
             raise ConfigError(f"{self.family} does not produce probabilities")
-        p = sigmoid(self.decision_function(X))
-        return np.column_stack([1.0 - p, p])
+        raw = self.decision_function(X)
+        return (raw > 0.0).astype(np.int64), sigmoid(raw)
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:

@@ -1,10 +1,13 @@
 """Uniform estimator layer over all eleven families: one registry record
-per family (supported tasks, typed hyperparameter defaults, fit, predict,
-probabilities, persistence), named specs, and versioned JSON persistence.
+per family (supported tasks, typed hyperparameter defaults, fit, scored
+output, persistence), named specs, and versioned JSON persistence.
 
 A TrainedModel carries a fingerprint of the training columns; predict
-refuses datasets whose feature columns differ. predict_proba returns the
-positive-class probability. The SVM maps its margin through a fixed
+refuses datasets whose feature columns differ. A classifier's labels and
+positive-class probability come from one pass of its output (one route
+per tree, one gbt raw score, one linear margin, one posterior, one
+neighbor search): predict, predict_proba, predict_scored and
+scalar_output all read it. The SVM maps its margin through a fixed
 logistic link, which is monotone but uncalibrated.
 """
 
@@ -48,7 +51,6 @@ from .neighbors import (
     fit_gnb,
     fit_knn,
     gnb_proba,
-    predict_gnb_batch,
     predict_knn_batch,
 )
 from .trees import (
@@ -68,10 +70,9 @@ class Family:
     """Everything the estimator layer knows about one model family.
 
     fit(spec, X, y, config) gets the rows, the task's labels or targets and
-    config(spec, hp): a config dataclass or hp, defaults filled in. predict(params, X)
-    and proba(params, X) take a float64 matrix, and proba (classification
-    families only) returns the positive-class probability; scored(params,
-    X), when set, returns both labels and probabilities from one pass.
+    config(spec, hp): a config dataclass or hp, defaults filled in. On a
+    float64 matrix, predict(params, X) gives regression predictions and
+    scored(params, X) a classifier's (labels, positive-class probability).
     Fitted parameters are saved field by field, under payload_key if set.
     """
 
@@ -81,8 +82,7 @@ class Family:
     params_type: type
     config: Callable = lambda spec, hp: hp
     predict: Callable = lambda p, X: p.predict(X)
-    proba: Callable | None = None
-    scored: Callable | None = None
+    scored: Callable = lambda p, X: p.scored(X)
     payload_key: str | None = None
 
 
@@ -99,9 +99,10 @@ def _positive(mat: np.ndarray) -> np.ndarray:
     return mat[:, 1]
 
 
-def _knn_predict(p: KnnModel, X: np.ndarray) -> np.ndarray:
-    out = predict_knn_batch(p, X)
-    return out[0] if p.task == TASK_CLASSIFICATION else out
+def _by_argmax(mat: np.ndarray):
+    """Labels (argmax, ties to the lower code) and the class-1 column of a
+    per-class matrix."""
+    return np.argmax(mat, axis=1).astype(np.int64), _positive(mat)
 
 
 def _knn_scored(p: KnnModel, X: np.ndarray):
@@ -138,16 +139,16 @@ FAMILIES = {
         _BOTH, _defaults(CartConfig, *_TREE_KEYS, "feature_subsample"),
         lambda spec, X, y, cfg: fit_cart_matrix(X, y, cfg, spec.task),
         FlatTree, config=lambda spec, hp: CartConfig(seed=spec.seed, **hp),
-        proba=lambda p, X: _positive(p.predict_value(X)), payload_key="tree"),
+        scored=lambda p, X: _by_argmax(p.predict_value(X)), payload_key="tree"),
     "random_forest": Family(
         _BOTH, {**_defaults(ForestConfig, "n_trees", "bootstrap", "feature_subsample"),
                 **_defaults(CartConfig, *_TREE_KEYS)},
         lambda spec, X, y, cfg: fit_random_forest(X, y, cfg, spec.task), Forest,
-        config=_forest_config, proba=lambda p, X: _positive(p.predict_proba(X))),
+        config=_forest_config, scored=lambda p, X: _by_argmax(p.predict_proba(X))),
     "gbt": Family(
         _BOTH, _defaults(GbtConfig, "n_rounds", "learning_rate", "max_depth", "lambda_leaf"),
         lambda spec, X, y, cfg: fit_gbt(X, y, cfg), GbtModel,
-        config=_gbt_config, proba=lambda p, X: _positive(p.predict_proba(X))),
+        config=_gbt_config, scored=lambda p, X: _by_argmax(p.predict_proba(X))),
     "ols": Family(_REG, {}, lambda spec, X, y, cfg: fit_ols(X, y), LinearModel),
     "ridge": Family(
         _REG, _defaults(fit_ridge, "lam"),
@@ -160,7 +161,7 @@ FAMILIES = {
     "linear_svm": Family(
         _CLS, _defaults(PenaltyConfig, "lam_svm", "epochs"),
         lambda spec, X, y, cfg: fit_linear_svm(X, y, cfg), LinearModel,
-        config=_penalty_config, proba=lambda p, X: _positive(p.predict_proba(X))),
+        config=_penalty_config),
     "linear_svr": Family(
         _REG, _defaults(PenaltyConfig, "lam_svm", "eps", "epochs"),
         lambda spec, X, y, cfg: fit_linear_svr(X, y, cfg), LinearModel,
@@ -169,15 +170,14 @@ FAMILIES = {
         _BOTH, _defaults(fit_knn, "k", "weighting"),
         lambda spec, X, y, cfg: fit_knn(X, y, cfg.k, cfg.weighting, spec.task), KnnModel,
         config=lambda spec, hp: KnnConfig(**hp),
-        predict=_knn_predict, proba=lambda p, X: _knn_scored(p, X)[1], scored=_knn_scored),
+        predict=predict_knn_batch, scored=_knn_scored),
     "gaussian_nb": Family(
         _CLS, {}, lambda spec, X, y, cfg: fit_gnb(X, y), GaussianNbModel,
-        predict=predict_gnb_batch, proba=lambda p, X: _positive(gnb_proba(p, X))),
+        scored=lambda p, X: _by_argmax(gnb_proba(p, X))),
     "logistic": Family(
         _CLS, _defaults(PenaltyConfig, "tol", "max_iter", "ridge"),
         lambda spec, X, y, cfg: fit_logistic(X, y, cfg), LinearModel,
-        config=lambda spec, hp: PenaltyConfig(lam=0.0, seed=spec.seed, **hp),
-        proba=lambda p, X: _positive(p.predict_proba(X))),
+        config=lambda spec, hp: PenaltyConfig(lam=0.0, seed=spec.seed, **hp)),
 }
 ALL_FAMILIES = tuple(FAMILIES)
 
@@ -250,12 +250,6 @@ class TrainedModel:
     params: object
     fingerprint: dict  # n_rows trained on, feature names, sha of the names
 
-    def predict(self, ds: Dataset) -> np.ndarray:
-        return predict(self, ds)
-
-    def predict_proba(self, ds: Dataset) -> np.ndarray:
-        return predict_proba(self, ds)
-
 
 def _fingerprint(ds: Dataset) -> dict:
     names = ds.feature_names()
@@ -292,33 +286,30 @@ def _predict_matrix(model: TrainedModel, X: np.ndarray) -> np.ndarray:
         model.params, np.ascontiguousarray(X, dtype=np.float64))
 
 
-def _proba_matrix(model: TrainedModel, X: np.ndarray) -> np.ndarray:
-    return FAMILIES[model.spec.family].proba(
+def _scored_matrix(model: TrainedModel, X: np.ndarray):
+    return FAMILIES[model.spec.family].scored(
         model.params, np.ascontiguousarray(X, dtype=np.float64))
 
 
 def predict(model: TrainedModel, ds: Dataset) -> np.ndarray:
+    if model.spec.task == TASK_CLASSIFICATION:
+        return predict_scored(model, ds)[0]
     _check_fingerprint(model, ds)
     return _predict_matrix(model, ds.rows)
 
 
 def predict_proba(model: TrainedModel, ds: Dataset) -> np.ndarray:
     """Positive-class probability per row (class code 1)."""
-    if model.spec.task != TASK_CLASSIFICATION:
-        raise ContractError("probabilities are defined for classification models only")
-    _check_fingerprint(model, ds)
-    return _proba_matrix(model, ds.rows)
+    return predict_scored(model, ds)[1]
 
 
 def predict_scored(model: TrainedModel, ds: Dataset):
-    """(labels, positive-class probabilities) of a classification model from
-    one pass over the rows when its family has one (knn: one neighbor
-    search for both), else None."""
-    scored = FAMILIES[model.spec.family].scored
-    if scored is None or model.spec.task != TASK_CLASSIFICATION:
-        return None
+    """(labels, positive-class probabilities) of a classification model,
+    from one pass over the rows."""
+    if model.spec.task != TASK_CLASSIFICATION:
+        raise ContractError("probabilities are defined for classification models only")
     _check_fingerprint(model, ds)
-    return scored(model.params, np.ascontiguousarray(ds.rows, dtype=np.float64))
+    return _scored_matrix(model, ds.rows)
 
 
 def scalar_output(model: TrainedModel):
@@ -327,7 +318,7 @@ def scalar_output(model: TrainedModel):
     regression. Skips the fingerprint check (perturbed rows share the
     training columns by construction)."""
     if model.spec.task == TASK_CLASSIFICATION:
-        return lambda X: _proba_matrix(model, X)
+        return lambda X: _scored_matrix(model, X)[1]
     return lambda X: _predict_matrix(model, X)
 
 
@@ -374,12 +365,21 @@ def _load_params(family: str, payload: dict):
 
 
 def _check_params(params, n_cols: int) -> None:
-    """Refuse loaded weights that contradict the fingerprint's column count,
-    and trees that are not preorder node arrays on those columns: routing
-    would index past them or never reach a leaf."""
+    """Refuse loaded parameters whose shapes contradict the fingerprint's
+    column count or each other, and trees that are not preorder node arrays
+    on those columns: routing would index past them or never reach a leaf."""
     if isinstance(params, LinearModel) and params.weights.shape != (n_cols,):
         raise ContractError(f"{params.weights.size} weights for {n_cols} columns")
+    if isinstance(params, GaussianNbModel) and not (params.priors.ndim == 1 and (
+            params.priors.shape + (n_cols,) == params.means.shape == params.variances.shape)):
+        raise ContractError(f"naive bayes parameters are not one class count by {n_cols} columns")
+    if isinstance(params, KnnModel) and (params.X.shape[1:] != (n_cols,)
+                                         or params.y.shape != params.X.shape[:1]):
+        raise ContractError(f"knn needs {n_cols} columns and one label or target per row")
     for t in (params,) if isinstance(params, FlatTree) else getattr(params, "trees", ()):
+        if isinstance(params, Forest) and (t.leaf_value.ndim == 2
+                                           and t.leaf_value.shape[1] > params.n_classes):
+            raise ContractError(f"tree leaves hold more than {params.n_classes} classes")
         n, inner = len(t.feature), np.flatnonzero(t.feature >= 0)
         if n == 0 or any(len(a) != n for a in (t.threshold, t.left, t.right, t.leaf_value,
                                                 t.n_samples)):

@@ -154,7 +154,3 @@ def predict_gnb(model: GaussianNbModel, x) -> tuple:
     p = gnb_proba(model, x)[0]
     c = int(np.argmax(p))
     return c, float(p[c])
-
-
-def predict_gnb_batch(model: GaussianNbModel, X: np.ndarray) -> np.ndarray:
-    return np.argmax(gnb_proba(model, X), axis=1).astype(np.int64)

@@ -61,7 +61,8 @@ from .metrics import (
     residuals,
     roc_curve,
 )
-from .models import EstimatorSpec, TrainedModel, fit, lossless, predict, predict_proba, predict_scored
+from .models import EstimatorSpec, TrainedModel, fit, lossless, predict, predict_scored
+from .models import predict_proba  # unused; perfbench/tracer.py wraps it
 from .preprocess import PreprocessConfig, fit_preprocessor, transform, transform_filtered
 from .smote import MODE_AUGMENT, SmoteConfig, smote
 from .trees import TASK_CLASSIFICATION
@@ -306,8 +307,7 @@ def _evaluate(name: str, spec: EstimatorSpec, model: TrainedModel,
     values = {k: None for k in METRIC_FIELDS}
     cm = roc = res = None
     if spec.task == TASK_CLASSIFICATION:
-        both = predict_scored(model, test)  # knn: one neighbor search for both
-        pred, scores = both or (predict(model, test), predict_proba(model, test))
+        pred, scores = predict_scored(model, test)
         cm = confusion_matrix(test.labels, pred, positive_class=1)
         values.update(classification_metrics(cm))
         try:

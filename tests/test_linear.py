@@ -167,8 +167,8 @@ def test_logistic_constant_features_give_base_rate():
     y = np.array([1] * 10 + [0] * 30)
     m = fit_logistic(X, y)
     assert abs(m.intercept + np.log(3.0)) < 1e-8  # log(10/30)
-    proba = m.predict_proba(X)
-    assert np.allclose(proba[:, 1], 0.25, atol=1e-8)
+    proba = m.scored(X)[1]
+    assert np.allclose(proba, 0.25, atol=1e-8)
 
 
 def test_logistic_gradient_zero_at_optimum(rng):
@@ -195,9 +195,9 @@ def test_logistic_separable_predicts_perfectly(two_blob_ds):
     m = fit_logistic(two_blob_ds.rows, two_blob_ds.labels)
     pred = m.predict(two_blob_ds.rows)
     assert np.array_equal(pred, two_blob_ds.labels)
-    proba = m.predict_proba(two_blob_ds.rows)
-    assert np.array_equal(pred, (proba[:, 1] > 0.5).astype(np.int64))
-    assert np.allclose(proba.sum(axis=1), 1.0, atol=1e-12)
+    labels, proba = m.scored(two_blob_ds.rows)
+    assert np.array_equal(pred, labels)
+    assert np.array_equal(pred, (proba > 0.5).astype(np.int64))
 
 
 def test_logistic_ridge_shrinks_weights(rng):
@@ -303,7 +303,7 @@ def test_proba_only_for_logistic(rng):
     X = rng.normal(size=(20, 2))
     m = fit_ols(X, X[:, 0])
     with pytest.raises(ConfigError):
-        m.predict_proba(X)
+        m.scored(X)
 
 
 def test_shape_mismatch_rejected(rng):

@@ -13,9 +13,11 @@ from heartlab.models import (
     load_model,
     predict,
     predict_proba,
+    predict_scored,
     save_model,
     scalar_output,
 )
+from heartlab.linear import LinearModel
 from heartlab.trees import TASK_CLASSIFICATION, TASK_REGRESSION
 
 from conftest import make_ds
@@ -238,6 +240,27 @@ def test_scalar_output_views(two_blob_ds, reg_ds):
     assert np.array_equal(g(np.asarray(reg_ds.rows)), predict(mr, reg_ds))
 
 
+@pytest.mark.parametrize("spec", CLS_SPECS + [
+    EstimatorSpec("knn", TASK_CLASSIFICATION, {"k": 3, "weighting": "inverse-distance"}),
+], ids=lambda s: f"{s.family}-{s.hyperparams.get('weighting', '')}".rstrip("-"))
+def test_scored_is_predict_and_proba_bit_for_bit(two_blob_ds, spec):
+    m = fit(spec, two_blob_ds)
+    labels, proba = predict_scored(m, two_blob_ds)
+    assert labels.dtype == np.int64
+    assert np.array_equal(labels, predict(m, two_blob_ds))
+    assert np.array_equal(proba, predict_proba(m, two_blob_ds))
+    assert np.array_equal(scalar_output(m)(two_blob_ds.rows), proba)
+    if hasattr(m.params, "predict"):  # the family's own label rule, e.g. gbt's p > 0.5
+        assert np.array_equal(labels, m.params.predict(two_blob_ds.rows))
+
+
+def test_linear_label_is_the_margin_sign_not_p_above_half():
+    params = LinearModel(weights=np.array([1.0]), intercept=0.0, family="logistic")
+    labels, proba = FAMILIES["logistic"].scored(params, np.array([[1e-17], [9e-17], [0.0]]))
+    assert labels.tolist() == [1, 1, 0]
+    assert proba.tolist() == [0.5, 0.5, 0.5]
+
+
 def test_save_load_round_trip_all_families(two_blob_ds, reg_ds):
     seen = set()
     for spec, ds in [(s, two_blob_ds) for s in CLS_SPECS] + [(s, reg_ds) for s in REG_SPECS]:
@@ -315,6 +338,32 @@ def test_tree_that_routing_cannot_follow_rejected(two_blob_ds, tamper, message):
     doc = json.loads(save_model(fit(EstimatorSpec("cart", TASK_CLASSIFICATION), two_blob_ds)))
     assert doc["params"]["tree"]["feature"][0] >= 0  # the root splits
     tamper(doc["params"]["tree"])
+    with pytest.raises(ModelLoadError, match=f"malformed.*{message}"):
+        load_model(json.dumps(doc).encode())
+
+
+@pytest.mark.parametrize("spec, tamper, message", [
+    # each of these loaded before; the comment says what predict_proba then did
+    (EstimatorSpec("gaussian_nb", TASK_CLASSIFICATION),
+     lambda p: p["means"].__setitem__(slice(None), [m[:1] for m in p["means"]]),
+     "naive bayes"),                                      # broadcast: wrong output
+    (EstimatorSpec("gaussian_nb", TASK_CLASSIFICATION),
+     lambda p: p["priors"].pop(), "naive bayes"),                           # wrong output
+    (EstimatorSpec("gaussian_nb", TASK_CLASSIFICATION),
+     lambda p: p["variances"].pop(), "naive bayes"),                        # IndexError
+    (EstimatorSpec("random_forest", TASK_CLASSIFICATION, {"n_trees": 3}),
+     lambda p: p.__setitem__("n_classes", 1), "more than 1 classes"),       # IndexError
+    (EstimatorSpec("knn", TASK_CLASSIFICATION, {"k": 3}),
+     lambda p: p["y"].__setitem__(slice(10, None), []), "one label"),       # IndexError
+    (EstimatorSpec("knn", TASK_CLASSIFICATION, {"k": 3}),
+     lambda p: p["X"].__setitem__(slice(None), [r[:1] for r in p["X"]]),
+     "2 columns"),                                                          # ContractError
+], ids=["nb-means-one-column", "nb-one-prior", "nb-one-variance-row", "rf-one-class",
+        "knn-ten-labels", "knn-one-column"])
+def test_parameters_that_contradict_each_other_or_the_columns_rejected(
+        two_blob_ds, spec, tamper, message):
+    doc = json.loads(save_model(fit(spec, two_blob_ds)))
+    tamper(doc["params"])
     with pytest.raises(ModelLoadError, match=f"malformed.*{message}"):
         load_model(json.dumps(doc).encode())
 

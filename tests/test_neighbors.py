@@ -14,7 +14,6 @@ from heartlab.neighbors import (
     gnb_log_scores,
     gnb_proba,
     predict_gnb,
-    predict_gnb_batch,
     predict_knn,
     predict_knn_batch,
 )
@@ -224,7 +223,7 @@ def test_gnb_score_shift_invariance(rng):
     m = fit_gnb(X, y)
     Q = rng.normal(size=(15, 3))
     scores = gnb_log_scores(m, Q)
-    assert np.array_equal(np.argmax(scores, axis=1), predict_gnb_batch(m, Q))
+    assert np.argmax(scores, axis=1).tolist() == [predict_gnb(m, q)[0] for q in Q]
     assert np.array_equal(np.argmax(scores, axis=1), np.argmax(scores + 7.25, axis=1))
 
 

@@ -429,6 +429,22 @@ def test_cli_non_finite_csv_cell_exits_2_before_any_fit(tmp_path, capsys, monkey
     assert (man["status"], man["stage"]) == ("failed", "load")
 
 
+@pytest.mark.parametrize("code", ["7", "4000000000000"])
+def test_cli_class_code_outside_binary_exits_2(tmp_path, capsys, code):
+    # both got past load: 7 failed only at a fit, and 4e12 made trees._grow's
+    # bincount ask for terabytes
+    path, header, rows = _fixture_cells(tmp_path)
+    for row in rows[3:42]:
+        row[header.index("target")] = code
+    _write_cells(path, header, rows)
+    doc = _doc(tmp_path, dataset={"path": str(path)})
+    assert main(["run", str(_write_cfg(tmp_path, doc))]) == 2
+    assert f"row 3, column 'target': class code must be 0 or 1, got '{code}'" in (
+        capsys.readouterr().err)
+    man = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert (man["status"], man["stage"]) == ("failed", "load")
+
+
 def test_cli_run_on_text_categories(tmp_path):
     path, header, rows = _fixture_cells(tmp_path)
     words = {"sex": ["female", "male"],
