@@ -16,6 +16,9 @@ one-node loop over the level's nodes. Equal feature values are listed in row
 order, so prefix sums over ties visit rows in the same order on both
 implementations and tie-breaking between equal-gain splits cannot diverge.
 
+Tree routing is predicated: leaves are their own children, so every routed
+row takes the same step per level; rows are compacted once half sit at leaves.
+
 The numpy kNN search selects each query's k nearest with argpartition and
 orders only those by (distance, index); a query whose k-th distance is
 tied by more rows than fit falls back to a stable argsort of its row.
@@ -311,8 +314,19 @@ def split_regression(X, y, idx, feats, min_leaf, sorted_rows=None):
 
 # ---------------------------------------------------------------------------
 # Tree routing: follow a flattened node table root-to-leaf for each row.
-# feat[node] < 0 marks a leaf. x[feat] <= thr routes left.
+# feat[node] < 0 marks a leaf. x[feat] <= thr routes left, so NaN goes right.
+# The kernel predicates (Asadi, Lin & de Vries 2014): child[2*node + (x <= thr)]
+# is the right child in slot 0 and the left in slot 1; a leaf is its own child
+# in both and reads column 0. Each level, every routed row reads X flat at
+# row*m + feature, compares and takes its child; finished rows are written out
+# and the rest compacted once _ROUTE_COMPACT of the routed rows are finished.
 # ---------------------------------------------------------------------------
+
+# A half steps at most twice the unfinished rows. Medians of 21 runs, 2 cores,
+# 16,384 spliced fixture rows, at shares 1/4, 1/2, 3/4 and 1: rf of 100
+# depth-12 trees 180, 157, 145 and 158 ms; gbt of 100 depth-3 trees 47, 45,
+# 46 and 51 ms. 1/2 and 3/4 differ by less than their quartiles.
+_ROUTE_COMPACT = 0.5
 
 
 def _tree_route_py(feat, thr, left, right, X):
@@ -330,15 +344,23 @@ def _tree_route_py(feat, thr, left, right, X):
 
 
 def tree_route(feat, thr, left, right, X):
-    n = X.shape[0]
-    node = np.zeros(n, np.int64)
-    active = np.nonzero(feat[node] >= 0)[0]
-    while active.size:
-        nd = node[active]
-        go_left = X[active, feat[nd]] <= thr[nd]
-        node[active] = np.where(go_left, left[nd], right[nd])
-        active = active[feat[node[active]] >= 0]
-    return node
+    n, m = X.shape
+    leaf, own = feat < 0, np.arange(feat.size)
+    child = 2 * np.column_stack([np.where(leaf, own, right), np.where(leaf, own, left)]).ravel()
+    look, cut, leaf = np.where(leaf, 0, feat).repeat(2), thr.repeat(2), leaf.repeat(2)
+    values, out = X.ravel(), np.empty(n, np.int64)
+    rows, slot = np.arange(n), np.zeros(n, np.int64)  # slot: twice the row's node
+    at = rows * m  # the row's offset in values
+    while True:
+        done = leaf.take(slot)
+        n_done = np.count_nonzero(done)
+        if n_done >= _ROUTE_COMPACT * slot.size:
+            out[rows[done]] = slot[done] >> 1
+            if n_done == slot.size:
+                return out
+            keep = np.flatnonzero(~done)
+            rows, slot, at = rows.take(keep), slot.take(keep), at.take(keep)
+        slot = child.take(slot + (values.take(at + look.take(slot)) <= cut.take(slot)))
 
 
 # ---------------------------------------------------------------------------

@@ -79,9 +79,9 @@ class Forest:
         if self.task != TASK_CLASSIFICATION:
             raise ContractError("probabilities are defined for classification only")
         votes = np.zeros((X.shape[0], self.n_classes), dtype=np.float64)
+        rows = np.arange(X.shape[0])
         for tree in self.trees:
-            labels = tree.predict(X)
-            votes[np.arange(X.shape[0]), labels] += 1.0
+            votes[rows, tree.predict(X)] += 1.0
         return votes / len(self.trees)
 
     def predict(self, X: np.ndarray) -> np.ndarray:
@@ -164,22 +164,20 @@ class GbtModel:
     config: GbtConfig
     train_losses: tuple  # length n_rounds + 1, loss before any round first
 
-    def _raw(self, X: np.ndarray, m: int | None = None) -> np.ndarray:
-        m = len(self.trees) if m is None else m
+    def _raw(self, X: np.ndarray) -> np.ndarray:
+        X = np.ascontiguousarray(X, dtype=np.float64)
         out = np.full(X.shape[0], self.base_score, dtype=np.float64)
-        for tree in self.trees[:m]:
+        for tree in self.trees:
             out += self.config.learning_rate * tree.predict_value(X)
         return out
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         if self.config.loss != LOSS_LOGISTIC:
             raise ContractError("probabilities are defined for the logistic loss only")
-        X = np.ascontiguousarray(X, dtype=np.float64)
         p = sigmoid(self._raw(X))
         return np.column_stack([1.0 - p, p])
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        X = np.ascontiguousarray(X, dtype=np.float64)
         raw = self._raw(X)
         if self.config.loss == LOSS_LOGISTIC:
             return (sigmoid(raw) > 0.5).astype(np.int64)
@@ -242,14 +240,3 @@ def fit_gbt(X: np.ndarray, y: np.ndarray, config: GbtConfig = GbtConfig()) -> Gb
     return GbtModel(base_score=base, trees=tuple(trees), config=config,
                     train_losses=tuple(losses))
 
-
-def staged_predict(model: GbtModel, X: np.ndarray, m: int) -> np.ndarray:
-    """Prediction of the ensemble truncated after m rounds; m=0 is the base
-    score (base-rate probability under the logistic loss)."""
-    if not 0 <= m <= len(model.trees):
-        raise ContractError(f"round {m} out of range 0..{len(model.trees)}")
-    X = np.ascontiguousarray(X, dtype=np.float64)
-    raw = model._raw(X, m)
-    if model.config.loss == LOSS_LOGISTIC:
-        return sigmoid(raw)
-    return raw

@@ -366,16 +366,27 @@ def _load_params(family: str, payload: dict):
 
 def _check_params(params, n_cols: int) -> None:
     """Refuse loaded parameters whose shapes contradict the fingerprint's
-    column count or each other, and trees that are not preorder node arrays
-    on those columns: routing would index past them or never reach a leaf."""
+    column count or each other, values that make outputs NaN or index past
+    the classes, and trees that are not preorder node arrays on those
+    columns: routing would index past them or never reach a leaf."""
     if isinstance(params, LinearModel) and params.weights.shape != (n_cols,):
         raise ContractError(f"{params.weights.size} weights for {n_cols} columns")
+    if isinstance(params, LinearModel) and not np.isfinite([*params.weights,
+                                                            params.intercept]).all():
+        raise ContractError("linear weights and intercept must be finite")
     if isinstance(params, GaussianNbModel) and not (params.priors.ndim == 1 and (
             params.priors.shape + (n_cols,) == params.means.shape == params.variances.shape)):
         raise ContractError(f"naive bayes parameters are not one class count by {n_cols} columns")
+    if isinstance(params, GaussianNbModel) and not (  # a finite sum of priors >= 0: each finite
+            (0 <= params.priors).all() and 0 < params.priors.sum() < np.inf
+            and 0 < params.variances.min() <= params.variances.max() < np.inf):
+        raise ContractError("naive bayes variance or prior out of range")
     if isinstance(params, KnnModel) and (params.X.shape[1:] != (n_cols,)
                                          or params.y.shape != params.X.shape[:1]):
         raise ContractError(f"knn needs {n_cols} columns and one label or target per row")
+    if isinstance(params, KnnModel) and params.task == TASK_CLASSIFICATION and not (
+            params.y.dtype.kind == "i" and ((0 <= params.y) & (params.y < params.n_classes)).all()):
+        raise ContractError(f"knn labels must be integers in 0..{params.n_classes - 1}")
     for t in (params,) if isinstance(params, FlatTree) else getattr(params, "trees", ()):
         if isinstance(params, Forest) and (t.leaf_value.ndim == 2
                                            and t.leaf_value.shape[1] > params.n_classes):

@@ -83,17 +83,6 @@ def predict_knn_batch(model: KnnModel, X: np.ndarray):
     return np.sum(vals * wts, axis=1) / np.sum(wts, axis=1)
 
 
-def predict_knn(model: KnnModel, x, task: str | None = None):
-    """Single-row convenience wrapper; task must match the model's."""
-    if task is not None and task != model.task:
-        raise ConfigError(f"model was fitted for {model.task}, queried for {task}")
-    x = np.asarray(x, dtype=np.float64).reshape(1, -1)
-    out = predict_knn_batch(model, x)
-    if model.task == TASK_CLASSIFICATION:
-        return int(out[0][0])
-    return float(out[0])
-
-
 @dataclass(frozen=True)
 class GaussianNbModel:
     priors: np.ndarray       # per class, sums to 1
@@ -146,11 +135,3 @@ def gnb_proba(model: GaussianNbModel, X: np.ndarray) -> np.ndarray:
     ex = np.exp(scores - top)
     return ex / ex.sum(axis=1, keepdims=True)
 
-
-def predict_gnb(model: GaussianNbModel, x) -> tuple:
-    """Most probable class for one row (argmax ties to the lower code) and
-    its posterior probability."""
-    x = np.asarray(x, dtype=np.float64).reshape(1, -1)
-    p = gnb_proba(model, x)[0]
-    c = int(np.argmax(p))
-    return c, float(p[c])

@@ -75,10 +75,9 @@ class FlatTree:
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         """Majority class per row (ties toward the lower code), or the leaf mean."""
-        vals = self.predict_value(X)
-        if self.task == TASK_CLASSIFICATION:
-            return np.argmax(vals, axis=1).astype(np.int64)
-        return vals
+        if self.task == TASK_CLASSIFICATION:  # each node's label, then each row's
+            return np.argmax(self.leaf_value, axis=1).take(self.route(X))
+        return self.predict_value(X)
 
 
 def gini(counts) -> float:

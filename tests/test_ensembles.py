@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -9,9 +11,8 @@ from heartlab.ensembles import (
     default_jobs,
     fit_gbt,
     fit_random_forest,
-    staged_predict,
 )
-from heartlab.errors import ConfigError, ContractError, FitError
+from heartlab.errors import ConfigError, FitError
 from heartlab.trees import (
     CartConfig,
     TASK_CLASSIFICATION,
@@ -126,7 +127,8 @@ def test_gbt_base_score_is_mean(rng):
     ds = make_ds(rows, targets=targets)
     model = fit_gbt(ds.rows, ds.targets, GbtConfig(n_rounds=1, loss="squared"))
     assert abs(model.base_score - float(targets.mean())) < 1e-12
-    assert np.allclose(staged_predict(model, ds.rows, 0), targets.mean(), atol=1e-12)
+    base = replace(model, trees=model.trees[:0])
+    assert np.allclose(base.predict(ds.rows), targets.mean(), atol=1e-12)
 
 
 def test_gbt_staged_losses_non_increasing(rng):
@@ -145,13 +147,9 @@ def test_gbt_staged_predict_matches_loss_trace(rng):
     ds = make_ds(rows, targets=targets)
     model = fit_gbt(ds.rows, ds.targets, GbtConfig(n_rounds=10, learning_rate=0.5, loss="squared"))
     for m in (0, 3, 10):
-        pred = staged_predict(model, ds.rows, m)
+        pred = replace(model, trees=model.trees[:m]).predict(ds.rows)
         loss = float(np.mean((targets - pred) ** 2))
         assert abs(loss - model.train_losses[m]) < 1e-12
-    with pytest.raises(ContractError):
-        staged_predict(model, ds.rows, 11)
-    with pytest.raises(ContractError):
-        staged_predict(model, ds.rows, -1)
 
 
 # -- gradient boosting: logistic loss -----------------------------------------

@@ -90,6 +90,58 @@ def test_tree_route_backends_agree(seed):
     c = K._tree_route_py(feat, thr, left, right, X)
     assert np.array_equal(b, c)
     assert np.all(feat[b] == -1)
+    X[:4, :] = [[np.nan] * 4, [np.inf] * 4, [-np.inf] * 4, [np.nan, np.inf, -np.inf, 0.0]]
+    assert np.array_equal(K.tree_route(feat, thr, left, right, X),
+                          K._tree_route_py(feat, thr, left, right, X))
+
+
+def _same_route(feat, thr, left, right, X):
+    got = K.tree_route(feat, thr, left, right, X)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, K._tree_route_py(feat, thr, left, right, X))
+    return got
+
+
+def test_tree_route_one_sided_chain():
+    # preorder chain: node 2i splits, its left child 2i + 1 is a leaf and its
+    # right child 2i + 2 splits again, 24 levels down to a last leaf
+    depth, m = 24, 3
+    n_nodes = 2 * depth + 1
+    feat = np.full(n_nodes, -1, dtype=np.int64)
+    thr, left, right = np.zeros(n_nodes), np.zeros(n_nodes, np.int64), np.zeros(n_nodes, np.int64)
+    for i in range(depth):
+        feat[2 * i], thr[2 * i] = i % m, float(i)
+        left[2 * i], right[2 * i] = 2 * i + 1, 2 * i + 2
+    g = np.random.default_rng(0)
+    X = g.uniform(-5.0, 0.0, size=(400, m))  # most rows leave at the first leaf
+    X[:40] = g.integers(0, depth + 3, size=(40, 1))  # a long tail, exact hits included
+    X[40:44] = [np.nan, np.inf, -np.inf]
+    got = _same_route(feat, thr, left, right, X)
+    assert (got == 1).mean() > 0.8 and got.max() == n_nodes - 1
+
+
+def test_tree_route_root_leaf_and_no_rows():
+    leaf = (np.array([-1]), np.zeros(1), np.zeros(1, np.int64), np.zeros(1, np.int64))
+    assert _same_route(*leaf, np.ones((5, 2))).tolist() == [0] * 5
+    assert _same_route(*leaf, np.ones((3, 0))).tolist() == [0] * 3
+    heap = (np.array([1, -1, -1]), np.array([0.5, 0.0, 0.0]), np.array([1, 0, 0]),
+            np.array([2, 0, 0]))
+    assert _same_route(*heap, np.empty((0, 2))).shape == (0,)
+
+
+def test_tree_route_fitted_forest_and_boosting_trees():
+    from heartlab.data import make_fixture
+    from heartlab.ensembles import GbtConfig, ForestConfig, fit_gbt, fit_random_forest
+
+    ds = make_fixture(300, seed=7)
+    X, y = ds.rows, ds.labels
+    rf = fit_random_forest(X, y, ForestConfig(n_trees=20, seed=7))
+    gbt = fit_gbt(X, y, GbtConfig(n_rounds=20, loss="logistic", seed=7))
+    g = np.random.default_rng(1)
+    spliced = np.where(g.random(X.shape) < 0.5, X, X[g.permutation(X.shape[0])])
+    Q = np.ascontiguousarray(np.vstack([X, spliced]))
+    for t in rf.trees + gbt.trees:
+        _same_route(t.feature, t.threshold, t.left, t.right, Q)
 
 
 @pytest.mark.parametrize("seed", range(8))

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from heartlab.cli import main
 from heartlab.data import FixtureSpec, make_fixture, planted_coefficients
 from heartlab.errors import ContractError, FitError, ModelLoadError, ModelSpecError
 from heartlab.models import (
@@ -340,6 +341,48 @@ def test_tree_that_routing_cannot_follow_rejected(two_blob_ds, tamper, message):
     tamper(doc["params"]["tree"])
     with pytest.raises(ModelLoadError, match=f"malformed.*{message}"):
         load_model(json.dumps(doc).encode())
+
+
+@pytest.fixture(scope="module")
+def saved_run(tmp_path_factory):
+    """A run's saved models (knn, naive Bayes, logistic) and its config,
+    whose explain request any of them can answer."""
+    tmp = tmp_path_factory.mktemp("saved")
+    doc = {"dataset": {"fixture": {"n": 160, "seed": 5}}, "seed": 11,
+           "output_dir": str(tmp / "out"),
+           "models": [{"name": "near", "family": "knn", "task": "classification",
+                       "hyperparams": {"k": 3}},
+                      {"name": "nb", "family": "gaussian_nb", "task": "classification"},
+                      {"name": "logit", "family": "logistic", "task": "classification"}],
+           "explain": [{"model": "logit", "method": "lime", "rows": [0], "n_samples": 100}]}
+    cfg = tmp / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    assert main(["run", str(cfg), "--save-models"]) == 0
+    return tmp, cfg
+
+
+@pytest.mark.parametrize("name, tamper, message", [
+    # each of these loaded before; the comment says what predict_proba then did
+    ("near", lambda p: p["y"].__setitem__(0, 5), "knn labels"),              # IndexError
+    ("near", lambda p: p["y"].__setitem__(0, 0.5), "knn labels"),            # IndexError
+    ("nb", lambda p: p["variances"][0].__setitem__(0, -1.0), "naive bayes"),  # NaN
+    ("nb", lambda p: p.__setitem__("priors", [0.0, 0.0]), "naive bayes"),    # NaN
+    ("logit", lambda p: p["weights"].__setitem__(0, float("nan")), "finite"),  # NaN
+    ("logit", lambda p: p.__setitem__("intercept", float("inf")), "finite"),   # NaN
+], ids=["knn-label-5", "knn-label-half", "nb-variance-negative", "nb-priors-zero",
+        "logit-weight-nan", "logit-intercept-inf"])
+def test_saved_values_that_break_outputs_rejected_by_explain(saved_run, capsys, name, tamper,
+                                                             message):
+    tmp, cfg = saved_run
+    doc = json.loads((tmp / "out" / f"model_real_{name}.json").read_text())
+    assert main(["explain", str(tmp / "out" / f"model_real_{name}.json"), str(cfg)]) == 0
+    tamper(doc["params"])
+    bad = tmp / f"tampered_{name}.json"
+    bad.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["explain", str(bad), str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "malformed model payload" in err and message in err
 
 
 @pytest.mark.parametrize("spec, tamper, message", [

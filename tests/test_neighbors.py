@@ -13,8 +13,6 @@ from heartlab.neighbors import (
     fit_knn,
     gnb_log_scores,
     gnb_proba,
-    predict_gnb,
-    predict_knn,
     predict_knn_batch,
 )
 from heartlab.trees import TASK_CLASSIFICATION, TASK_REGRESSION
@@ -44,30 +42,29 @@ def test_k1_exact_match_returns_that_label():
     rows = np.array([[0.0, 0.0], [5.0, 5.0], [9.0, 1.0]])
     ds = make_ds(rows, labels=np.array([2, 0, 1]))
     m = fit_knn(ds.rows, ds.labels, k=1)
-    assert predict_knn(m, [5.0, 5.0]) == 0
-    assert predict_knn(m, [0.0, 0.0]) == 2
+    assert predict_knn_batch(m, [[5.0, 5.0], [0.0, 0.0]])[0].tolist() == [0, 2]
 
 
 def test_uniform_regression_mean_of_neighbors():
     rows = np.array([[0.0], [1.0], [2.0], [50.0]])
     ds = make_ds(rows, targets=np.array([1.0, 2.0, 3.0, 99.0]))
     m = fit_knn(ds.rows, ds.targets, k=3, task=TASK_REGRESSION)
-    assert predict_knn(m, [1.0]) == pytest.approx(2.0, abs=1e-12)
+    assert predict_knn_batch(m, [[1.0]])[0] == pytest.approx(2.0, abs=1e-12)
 
 
 def test_vote_tie_goes_to_lower_class_code():
     rows = np.array([[0.0, 0.0], [2.0, 0.0]])
     m = fit_knn(rows, np.array([0, 1]), k=2)
-    assert predict_knn(m, [1.0, 0.0]) == 0
+    assert predict_knn_batch(m, [[1.0, 0.0]])[0][0] == 0
     # swap which point carries which label; the tie-break is on class code
     m2 = fit_knn(rows, np.array([1, 0]), k=2)
-    assert predict_knn(m2, [1.0, 0.0]) == 0
+    assert predict_knn_batch(m2, [[1.0, 0.0]])[0][0] == 0
 
 
 def test_distance_tie_breaks_to_lower_row_index():
     rows = np.array([[3.0, 3.0], [3.0, 3.0], [8.0, 8.0]])
     m = fit_knn(rows, np.array([1, 0, 0]), k=1)
-    assert predict_knn(m, [3.0, 3.0]) == 1
+    assert predict_knn_batch(m, [[3.0, 3.0]])[0][0] == 1
 
 
 def test_inverse_distance_can_overturn_uniform_vote():
@@ -75,9 +72,9 @@ def test_inverse_distance_can_overturn_uniform_vote():
     labels = np.array([1, 0, 0])
     uni = fit_knn(rows, labels, k=3, weighting=WEIGHT_UNIFORM)
     inv = fit_knn(rows, labels, k=3, weighting=WEIGHT_INVERSE)
-    q = [0.0, 0.0]
-    assert predict_knn(uni, q) == 0
-    assert predict_knn(inv, q) == 1
+    q = [[0.0, 0.0]]
+    assert predict_knn_batch(uni, q)[0][0] == 0
+    assert predict_knn_batch(inv, q)[0][0] == 1
 
 
 def test_inverse_distance_regression_hand_case():
@@ -85,14 +82,14 @@ def test_inverse_distance_regression_hand_case():
     ds = make_ds(rows, targets=np.array([0.0, 3.0, 77.0]))
     m = fit_knn(ds.rows, ds.targets, k=2, weighting=WEIGHT_INVERSE, task=TASK_REGRESSION)
     # weights 1/1 and 1/2 -> (0*1 + 3*0.5) / 1.5 = 1.0
-    assert predict_knn(m, [0.0]) == pytest.approx(1.0, abs=1e-9)
+    assert predict_knn_batch(m, [[0.0]])[0] == pytest.approx(1.0, abs=1e-9)
 
 
 def test_inverse_distance_exact_match_dominates():
     rows = np.array([[0.0], [1.0], [2.0]])
     ds = make_ds(rows, targets=np.array([5.0, -3.0, 8.0]))
     m = fit_knn(ds.rows, ds.targets, k=3, weighting=WEIGHT_INVERSE, task=TASK_REGRESSION)
-    assert predict_knn(m, [1.0]) == pytest.approx(-3.0, abs=1e-6)
+    assert predict_knn_batch(m, [[1.0]])[0] == pytest.approx(-3.0, abs=1e-6)
 
 
 def test_matches_naive_oracle_classification(rng):
@@ -153,13 +150,6 @@ def test_knn_query_width_mismatch(rng):
         predict_knn_batch(m, rng.normal(size=(2, 4)))
 
 
-def test_knn_task_mismatch_rejected(rng):
-    ds = make_ds(rng.normal(size=(6, 2)), labels=np.zeros(6, dtype=np.int64))
-    m = fit_knn(ds.rows, ds.labels, k=2)
-    with pytest.raises(ConfigError):
-        predict_knn(m, [0.0, 0.0], task=TASK_REGRESSION)
-
-
 def test_gnb_symmetric_classes_split_the_posterior():
     rows = np.array([[-1.5], [-0.5], [0.5], [1.5]])
     ds = make_ds(rows, labels=np.array([0, 0, 1, 1]))
@@ -173,9 +163,9 @@ def test_gnb_likelihood_dominance():
     rows = np.vstack([np.array([[-0.5], [0.5]]), np.array([[49.5], [50.5]])])
     ds = make_ds(rows, labels=np.array([0, 0, 1, 1]))
     m = fit_gnb(ds.rows, ds.labels)
-    c, p = predict_gnb(m, [0.0])
-    assert c == 0
-    assert p > 0.9999
+    p = gnb_proba(m, [[0.0]])[0]
+    assert np.argmax(p) == 0
+    assert p[0] > 0.9999
 
 
 def test_gnb_hand_computed_posterior():
@@ -196,8 +186,7 @@ def test_gnb_hand_computed_posterior():
     p = gnb_proba(m, q.reshape(1, -1))[0]
     assert p[0] == pytest.approx(j0 / (j0 + j1), abs=1e-9)
     assert p[1] == pytest.approx(j1 / (j0 + j1), abs=1e-9)
-    c, top = predict_gnb(m, q)
-    assert c == 0 and top == pytest.approx(p[0], abs=1e-12)
+    assert np.argmax(p) == 0
 
 
 def test_gnb_unequal_priors_enter_the_posterior():
@@ -223,7 +212,7 @@ def test_gnb_score_shift_invariance(rng):
     m = fit_gnb(X, y)
     Q = rng.normal(size=(15, 3))
     scores = gnb_log_scores(m, Q)
-    assert np.argmax(scores, axis=1).tolist() == [predict_gnb(m, q)[0] for q in Q]
+    assert np.array_equal(np.argmax(scores, axis=1), np.argmax(gnb_proba(m, Q), axis=1))
     assert np.array_equal(np.argmax(scores, axis=1), np.argmax(scores + 7.25, axis=1))
 
 

@@ -8,6 +8,7 @@ from heartlab import _kernels
 from heartlab.errors import ConfigError, ContractError
 from heartlab.trees import (
     CartConfig,
+    FlatTree,
     TASK_CLASSIFICATION,
     TASK_REGRESSION,
     child_keys,
@@ -277,6 +278,20 @@ def test_flat_tree_equals_recursive(task):
     slots = tree.route(Q)
     assert slots.tolist() == [tree_leaf(tree, Q[i]) for i in range(300)]
     assert np.all(tree.feature[slots] == -1)
+
+
+def test_flat_tree_labels_tied_leaves_to_the_lower_class():
+    # root on feature 0, its right child on feature 1; three leaves, two tied
+    tree = FlatTree(feature=np.array([0, -1, 1, -1, -1]),
+                    threshold=np.array([0.0, 0.0, 0.0, 0.0, 0.0]),
+                    left=np.array([1, 0, 3, 0, 0]), right=np.array([2, 0, 4, 0, 0]),
+                    leaf_value=np.array([[0, 0, 0], [0, 0.5, 0.5], [0, 0, 0],
+                                         [1 / 3, 1 / 3, 1 / 3], [0.25, 0.5, 0.25]]),
+                    n_samples=np.array([8, 2, 6, 3, 3]), task=TASK_CLASSIFICATION)
+    Q = np.array([[-1.0, 0.0], [1.0, -1.0], [1.0, 1.0], [0.0, np.nan]])
+    got = tree.predict(Q)
+    assert got.tolist() == [1, 0, 1, 1]
+    assert np.array_equal(got, np.argmax(tree.predict_value(Q), axis=1))
 
 
 # -- dataset front end and config --------------------------------------------
