@@ -16,7 +16,7 @@ from pathlib import Path
 
 from .data import FixtureSpec, check_seed, make_fixture, write_csv
 from .errors import ConfigError, HeartlabError
-from .models import _check_fingerprint, load_model, save_model
+from .models import _check_fingerprint, load_model, lossless, save_model
 from .runner import (
     METRIC_FIELDS,
     _explain_tracks,
@@ -149,9 +149,9 @@ def _cmd_report(args) -> int:
 
 def _number(path: Path, column: str, cell: str) -> float:
     try:
-        return float(cell)
+        return lossless(float, cell)
     except ValueError:
-        raise ConfigError(f"{path}: {column} cell {cell!r} is not a number") from None
+        raise ConfigError(f"{path}: {column} cell {cell!r} is not a finite number") from None
 
 
 def _rank_line(row: dict) -> str:

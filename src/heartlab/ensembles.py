@@ -42,6 +42,7 @@ from .trees import (
 
 LOSS_SQUARED = "squared"
 LOSS_LOGISTIC = "logistic"
+LOSS_OF_TASK = {TASK_CLASSIFICATION: LOSS_LOGISTIC, TASK_REGRESSION: LOSS_SQUARED}
 
 
 def default_jobs() -> int:  # read by perfbench/child.py
@@ -92,6 +93,15 @@ class Forest:
         for tree in self.trees:
             acc += tree.predict_value(X)
         return acc / len(self.trees)
+
+    def check(self, n_cols: int, task: str) -> None:
+        """Each tree's rules, n_trees `task` trees, and no leaf wider than n_classes."""
+        for tree in self.trees:
+            tree.check(n_cols, task)
+        if self.task != task or len(self.trees) != self.config.n_trees:
+            raise ContractError(f"forest does not hold {self.config.n_trees} {task} trees")
+        if any(t.leaf_value.shape[1:] > (self.n_classes,) for t in self.trees):
+            raise ContractError(f"tree leaves hold more than {self.n_classes} classes")
 
 
 def _resolve_subsample(spec, n_features: int, task: str):
@@ -162,7 +172,7 @@ class GbtModel:
     base_score: float
     trees: tuple[FlatTree, ...]
     config: GbtConfig
-    train_losses: tuple  # length n_rounds + 1, loss before any round first
+    train_losses: tuple[float, ...]  # length n_rounds + 1, loss before any round first
 
     def _raw(self, X: np.ndarray) -> np.ndarray:
         X = np.ascontiguousarray(X, dtype=np.float64)
@@ -182,6 +192,15 @@ class GbtModel:
         if self.config.loss == LOSS_LOGISTIC:
             return (sigmoid(raw) > 0.5).astype(np.int64)
         return raw
+
+    def check(self, n_cols: int, task: str) -> None:
+        """Each tree's rules, n_rounds trees, n_rounds + 1 losses, the loss of `task`."""
+        for tree in self.trees:
+            tree.check(n_cols, TASK_REGRESSION)
+        if len(self.trees) != self.config.n_rounds or len(self.train_losses) != len(self.trees) + 1:
+            raise ContractError(f"gbt does not hold {self.config.n_rounds} trees, one loss more")
+        if self.config.loss != LOSS_OF_TASK[task]:
+            raise ContractError(f"gbt loss {self.config.loss!r} does not fit the {task} task")
 
 
 def _squared_loss(y, raw) -> float:

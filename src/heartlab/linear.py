@@ -21,7 +21,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._kernels import svm_epoch, svr_epoch
-from .errors import ConfigError, FitError
+from .errors import ConfigError, ContractError, FitError
+from .trees import TASK_CLASSIFICATION
 
 FAMILY_OLS = "ols"
 FAMILY_RIDGE = "ridge"
@@ -29,6 +30,7 @@ FAMILY_LASSO = "lasso"
 FAMILY_LOGISTIC = "logistic"
 FAMILY_SVM = "linear_svm"
 FAMILY_SVR = "linear_svr"
+CLASSIFIERS = (FAMILY_LOGISTIC, FAMILY_SVM)
 
 
 @dataclass(frozen=True)
@@ -67,7 +69,7 @@ class LinearModel:
     converged: bool = True
     rank_deficient: bool = False
     n_iter: int = 0
-    objective_trace: tuple = field(default=())
+    objective_trace: tuple[float, ...] = field(default=())
 
     def decision_function(self, X: np.ndarray) -> np.ndarray:
         """w.x + b, summed over the features in ascending order without
@@ -79,7 +81,7 @@ class LinearModel:
         return out + self.intercept
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        if self.family in (FAMILY_LOGISTIC, FAMILY_SVM):
+        if self.family in CLASSIFIERS:
             return self.scored(X)[0]
         return self.decision_function(X)
 
@@ -88,10 +90,17 @@ class LinearModel:
         function: calibrated for logistic regression, monotone but
         uncalibrated for the SVM. A label is margin > 0, not p > 0.5: a
         margin in (0, 1e-16) has p exactly 0.5."""
-        if self.family not in (FAMILY_LOGISTIC, FAMILY_SVM):
+        if self.family not in CLASSIFIERS:
             raise ConfigError(f"{self.family} does not produce probabilities")
         raw = self.decision_function(X)
         return (raw > 0.0).astype(np.int64), sigmoid(raw)
+
+    def check(self, n_cols: int, task: str) -> None:
+        """One weight per column; a classifier family iff a classification task."""
+        if self.weights.shape != (n_cols,):
+            raise ContractError(f"{self.weights.size} weights for {n_cols} columns")
+        if (self.family in CLASSIFIERS) != (task == TASK_CLASSIFICATION):
+            raise ContractError(f"a {self.family} model does not serve the {task} task")
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:

@@ -9,6 +9,10 @@ per tree, one gbt raw score, one linear margin, one posterior, one
 neighbor search): predict, predict_proba, predict_scored and
 scalar_output all read it. The SVM maps its margin through a fixed
 logistic link, which is monotone but uncalibrated.
+
+Parameters are saved field by field and read back by annotation: scalars
+through lossless, arrays numeric and finite. Then the parameters' own
+check(n_cols, task) refuses what contradicts the fingerprint or the task.
 """
 
 from __future__ import annotations
@@ -28,12 +32,11 @@ from .ensembles import (
     ForestConfig,
     GbtConfig,
     GbtModel,
-    LOSS_LOGISTIC,
-    LOSS_SQUARED,
+    LOSS_OF_TASK,
     fit_gbt,
     fit_random_forest,
 )
-from .errors import ConfigError, ContractError, FitError, ModelLoadError, ModelSpecError
+from .errors import ContractError, FitError, HeartlabError, ModelLoadError, ModelSpecError
 from .linear import (
     LinearModel,
     PenaltyConfig,
@@ -94,9 +97,7 @@ def _defaults(owner, *names, **own) -> dict:
 
 
 def _positive(mat: np.ndarray) -> np.ndarray:
-    if mat.shape[1] < 2:
-        return np.zeros(mat.shape[0])
-    return mat[:, 1]
+    return mat[:, 1] if mat.shape[1] > 1 else np.zeros(mat.shape[0])
 
 
 def _by_argmax(mat: np.ndarray):
@@ -123,8 +124,7 @@ def _forest_config(spec, hp):
 
 
 def _gbt_config(spec, hp):
-    loss = LOSS_LOGISTIC if spec.task == TASK_CLASSIFICATION else LOSS_SQUARED
-    return GbtConfig(loss=loss, seed=spec.seed, **hp)
+    return GbtConfig(loss=LOSS_OF_TASK[spec.task], seed=spec.seed, **hp)
 
 
 def _penalty_config(spec, hp):
@@ -138,8 +138,7 @@ FAMILIES = {
     "cart": Family(
         _BOTH, _defaults(CartConfig, *_TREE_KEYS, "feature_subsample"),
         lambda spec, X, y, cfg: fit_cart_matrix(X, y, cfg, spec.task),
-        FlatTree, config=lambda spec, hp: CartConfig(seed=spec.seed, **hp),
-        scored=lambda p, X: _by_argmax(p.predict_value(X)), payload_key="tree"),
+        FlatTree, config=lambda spec, hp: CartConfig(seed=spec.seed, **hp), payload_key="tree"),
     "random_forest": Family(
         _BOTH, {**_defaults(ForestConfig, "n_trees", "bootstrap", "feature_subsample"),
                 **_defaults(CartConfig, *_TREE_KEYS)},
@@ -324,8 +323,6 @@ def scalar_output(model: TrainedModel):
 
 # ---------------------------------------------------------------------------
 # Persistence: versioned JSON, exact float round-trip via repr semantics.
-# Parameters are written as their dataclass fields and read back by the
-# field annotations.
 # ---------------------------------------------------------------------------
 
 
@@ -339,77 +336,37 @@ def _encode(value):
     return value
 
 
-def _decode(kind, value):
+def _decode(kind, value, name="params"):
+    """value read back as kind: each scalar by lossless, each array numeric and finite."""
     if is_dataclass(kind):
         hints = typing.get_type_hints(kind)
-        return kind(**{f.name: _decode(hints[f.name], value[f.name]) for f in fields(kind)})
+        return kind(**{f.name: _decode(hints[f.name], value[f.name], f.name)
+                       for f in fields(kind)})
     if kind is np.ndarray:
         arr = np.asarray(value)
-        return arr.astype(np.int64 if arr.dtype.kind in "iu" else np.float64)
+        if arr.dtype.kind not in "if" or not np.isfinite(arr).all():
+            raise ValueError(f"{name} is not an array of finite numbers")
+        return arr.astype(np.int64 if arr.dtype.kind == "i" else np.float64)
     if typing.get_origin(kind) is tuple:
-        return tuple(_decode(typing.get_args(kind)[0], v) for v in value)
-    if kind in (tuple, int, float, bool):
-        return kind(value)
+        return tuple(_decode(typing.get_args(kind)[0], v, name) for v in lossless(list, value))
+    if kind in (int, float, bool, str):
+        try:
+            return lossless(kind, value)
+        except (TypeError, ValueError, OverflowError):
+            kind_name = "finite float" if kind is float else kind.__name__
+            raise ValueError(f"{name} must be {kind_name}, got {value!r}") from None
     return value
 
 
-def _save_params(model: TrainedModel) -> dict:
-    key = FAMILIES[model.spec.family].payload_key
-    payload = _encode(model.params)
-    return {key: payload} if key else payload
-
-
-def _load_params(family: str, payload: dict):
-    fam = FAMILIES[family]
-    return _decode(fam.params_type, payload[fam.payload_key] if fam.payload_key else payload)
-
-
-def _check_params(params, n_cols: int) -> None:
-    """Refuse loaded parameters whose shapes contradict the fingerprint's
-    column count or each other, values that make outputs NaN or index past
-    the classes, and trees that are not preorder node arrays on those
-    columns: routing would index past them or never reach a leaf."""
-    if isinstance(params, LinearModel) and params.weights.shape != (n_cols,):
-        raise ContractError(f"{params.weights.size} weights for {n_cols} columns")
-    if isinstance(params, LinearModel) and not np.isfinite([*params.weights,
-                                                            params.intercept]).all():
-        raise ContractError("linear weights and intercept must be finite")
-    if isinstance(params, GaussianNbModel) and not (params.priors.ndim == 1 and (
-            params.priors.shape + (n_cols,) == params.means.shape == params.variances.shape)):
-        raise ContractError(f"naive bayes parameters are not one class count by {n_cols} columns")
-    if isinstance(params, GaussianNbModel) and not (  # a finite sum of priors >= 0: each finite
-            (0 <= params.priors).all() and 0 < params.priors.sum() < np.inf
-            and 0 < params.variances.min() <= params.variances.max() < np.inf):
-        raise ContractError("naive bayes variance or prior out of range")
-    if isinstance(params, KnnModel) and (params.X.shape[1:] != (n_cols,)
-                                         or params.y.shape != params.X.shape[:1]):
-        raise ContractError(f"knn needs {n_cols} columns and one label or target per row")
-    if isinstance(params, KnnModel) and params.task == TASK_CLASSIFICATION and not (
-            params.y.dtype.kind == "i" and ((0 <= params.y) & (params.y < params.n_classes)).all()):
-        raise ContractError(f"knn labels must be integers in 0..{params.n_classes - 1}")
-    for t in (params,) if isinstance(params, FlatTree) else getattr(params, "trees", ()):
-        if isinstance(params, Forest) and (t.leaf_value.ndim == 2
-                                           and t.leaf_value.shape[1] > params.n_classes):
-            raise ContractError(f"tree leaves hold more than {params.n_classes} classes")
-        n, inner = len(t.feature), np.flatnonzero(t.feature >= 0)
-        if n == 0 or any(len(a) != n for a in (t.threshold, t.left, t.right, t.leaf_value,
-                                                t.n_samples)):
-            raise ContractError("tree node arrays differ in length")
-        if t.feature.dtype.kind != "i" or ((t.feature < -1) | (t.feature >= n_cols)).any():
-            raise ContractError(f"tree feature index outside [-1, {n_cols})")
-        right = t.right[inner]
-        if (t.left[inner] != inner + 1).any() or not ((inner + 1 < right) & (right < n)).all():
-            raise ContractError("tree child index does not point forward")
-
-
 def save_model(model: TrainedModel) -> bytes:
+    key, params = FAMILIES[model.spec.family].payload_key, _encode(model.params)
     doc = {
         "format": FORMAT_TAG,
         "version": FORMAT_VERSION,
         "spec": {"family": model.spec.family, "task": model.spec.task,
                  "hyperparams": model.spec.hyperparams, "seed": model.spec.seed},
         "fingerprint": model.fingerprint,
-        "params": _save_params(model),
+        "params": {key: params} if key else params,
     }
     return json.dumps(doc, sort_keys=True).encode()
 
@@ -428,9 +385,10 @@ def load_model(payload: bytes) -> TrainedModel:
         spec = EstimatorSpec(family=s["family"], task=s["task"],
                              hyperparams=dict(s.get("hyperparams", {})),
                              seed=lossless(int, s.get("seed", 0)))
-        params = _load_params(spec.family, doc["params"])
+        fam, params = FAMILIES[spec.family], doc["params"]
+        params = _decode(fam.params_type, params[fam.payload_key] if fam.payload_key else params)
         fingerprint = dict(doc["fingerprint"])
-        _check_params(params, len(fingerprint["columns"]))
-    except (KeyError, TypeError, ValueError, ConfigError, ContractError, ModelSpecError) as exc:
+        params.check(len(fingerprint["columns"]), spec.task)
+    except (LookupError, TypeError, ValueError, OverflowError, HeartlabError) as exc:
         raise ModelLoadError(f"malformed model payload: {exc}") from None
     return TrainedModel(spec=spec, params=params, fingerprint=fingerprint)

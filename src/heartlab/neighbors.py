@@ -43,6 +43,14 @@ class KnnModel:
         if self.k > self.X.shape[0]:
             raise ConfigError(f"k must be in 1..{self.X.shape[0]}, got {self.k}")
 
+    def check(self, n_cols: int, task: str) -> None:
+        """n_cols-wide rows with one label (in 0..n_classes - 1) or target each."""
+        if self.task != task or self.X.shape[1:] != (n_cols,) or self.y.shape != self.X.shape[:1]:
+            raise ContractError(f"knn needs {task}, {n_cols} columns, one label or target per row")
+        if task == TASK_CLASSIFICATION and not (
+                self.y.dtype.kind == "i" and ((0 <= self.y) & (self.y < self.n_classes)).all()):
+            raise ContractError(f"knn labels must be integers in 0..{self.n_classes - 1}")
+
 
 def fit_knn(X: np.ndarray, y: np.ndarray, k: int = 5, weighting: str = WEIGHT_UNIFORM,
             task: str = TASK_CLASSIFICATION) -> KnnModel:
@@ -89,6 +97,14 @@ class GaussianNbModel:
     means: np.ndarray        # (n_classes, n_features)
     variances: np.ndarray    # floored population variances
     floor: float
+
+    def check(self, n_cols: int, task: str) -> None:
+        """Per class a prior (>= 0, positive sum), n_cols means and n_cols variances (> 0)."""
+        if not (self.priors.ndim == 1 and (
+                self.priors.shape + (n_cols,) == self.means.shape == self.variances.shape)):
+            raise ContractError(f"naive bayes parameters are not one class count by {n_cols} columns")
+        if not ((self.priors >= 0).all() and self.priors.sum() > 0 and (self.variances > 0).all()):
+            raise ContractError("naive bayes variance or prior out of range")
 
 
 def fit_gnb(X: np.ndarray, y: np.ndarray) -> GaussianNbModel:

@@ -79,6 +79,28 @@ class FlatTree:
             return np.argmax(self.leaf_value, axis=1).take(self.route(X))
         return self.predict_value(X)
 
+    def scored(self, X: np.ndarray) -> tuple:
+        """Majority class and class-1 proportion per row, from one route."""
+        at, value = self.route(X), self.leaf_value
+        share = value[:, 1].take(at) if value.shape[1] > 1 else np.zeros(at.size)
+        return np.argmax(value, axis=1).take(at), share
+
+    def check(self, n_cols: int, task: str) -> None:
+        """Refuse a tree on n_cols columns that routing could index past or never leave."""
+        n, inner = self.feature.size, np.flatnonzero(self.feature >= 0)
+        if n == 0 or self.leaf_value.shape[:1] != (n,) or any(a.shape != (n,) for a in (
+                self.feature, self.threshold, self.left, self.right, self.n_samples)):
+            raise ContractError("tree node arrays differ in length")
+        if self.task != task or 0 in self.leaf_value.shape or (
+                self.leaf_value.ndim != (2 if task == TASK_CLASSIFICATION else 1)):
+            raise ContractError(f"tree is not a {task} tree")
+        if any(a.dtype.kind != "i" for a in (self.feature, self.left, self.right)) or (
+                (self.feature < -1) | (self.feature >= n_cols)).any():
+            raise ContractError(f"tree feature index outside [-1, {n_cols}) or an index not an int")
+        right = self.right[inner]
+        if (self.left[inner] != inner + 1).any() or not ((inner + 1 < right) & (right < n)).all():
+            raise ContractError("tree child index does not point forward")
+
 
 def gini(counts) -> float:
     """1 - sum(p_c^2) impurity of a count vector."""

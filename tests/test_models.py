@@ -264,7 +264,9 @@ def test_linear_label_is_the_margin_sign_not_p_above_half():
 
 def test_save_load_round_trip_all_families(two_blob_ds, reg_ds):
     seen = set()
-    for spec, ds in [(s, two_blob_ds) for s in CLS_SPECS] + [(s, reg_ds) for s in REG_SPECS]:
+    ridge_as_ols = EstimatorSpec("ridge", TASK_REGRESSION, {"lam": 0})  # saves family "ols"
+    for spec, ds in [(s, two_blob_ds) for s in CLS_SPECS] + [
+            (s, reg_ds) for s in REG_SPECS + [ridge_as_ols]]:
         m = fit(spec, ds)
         m2 = load_model(save_model(m))
         assert np.array_equal(predict(m, ds), predict(m2, ds)), spec.family
@@ -369,8 +371,10 @@ def saved_run(tmp_path_factory):
     ("nb", lambda p: p.__setitem__("priors", [0.0, 0.0]), "naive bayes"),    # NaN
     ("logit", lambda p: p["weights"].__setitem__(0, float("nan")), "finite"),  # NaN
     ("logit", lambda p: p.__setitem__("intercept", float("inf")), "finite"),   # NaN
+    ("nb", lambda p: p["means"][0].__setitem__(0, float("nan")), "means is not an array"),  # NaN
+    ("near", lambda p: p.__setitem__("k", 2.9), "k must be int, got 2.9"),   # loaded as k = 2
 ], ids=["knn-label-5", "knn-label-half", "nb-variance-negative", "nb-priors-zero",
-        "logit-weight-nan", "logit-intercept-inf"])
+        "logit-weight-nan", "logit-intercept-inf", "nb-mean-nan", "knn-k-fractional"])
 def test_saved_values_that_break_outputs_rejected_by_explain(saved_run, capsys, name, tamper,
                                                              message):
     tmp, cfg = saved_run
@@ -411,7 +415,48 @@ def test_parameters_that_contradict_each_other_or_the_columns_rejected(
         load_model(json.dumps(doc).encode())
 
 
-@pytest.mark.parametrize("seed", [2.5, True])
+@pytest.mark.parametrize("spec, tamper, message", [
+    # each of these loaded before; the comment says what predict or predict_proba then did
+    (EstimatorSpec("gbt", TASK_REGRESSION, {"n_rounds": 3}),
+     lambda p: p.__setitem__("base_score", float("nan")), "base_score must be finite float"),  # NaN
+    (EstimatorSpec("cart", TASK_REGRESSION, {"max_depth": 3}),
+     lambda p: p["tree"]["leaf_value"].__setitem__(-1, float("inf")),
+     "leaf_value is not an array of finite numbers"),        # inf for the rows in that leaf
+    (EstimatorSpec("knn", TASK_REGRESSION, {"k": 3}),
+     lambda p: p["y"].__setitem__(0, float("nan")), "y is not an array of finite"),  # NaN
+    (EstimatorSpec("gaussian_nb", TASK_CLASSIFICATION),
+     lambda p: p["means"][1].__setitem__(0, float("nan")), "means is not an array"),  # NaN
+    (EstimatorSpec("knn", TASK_CLASSIFICATION, {"k": 3}),
+     lambda p: p.__setitem__("k", 2.9), "k must be int, got 2.9"),          # k = 2
+    (EstimatorSpec("random_forest", TASK_REGRESSION, {"n_trees": 3}),
+     lambda p: p["config"].__setitem__("bootstrap", "no"), "bootstrap must be bool"),  # True
+    (EstimatorSpec("lasso", TASK_REGRESSION),
+     lambda p: p.__setitem__("converged", "false"), "converged must be bool"),  # True
+    (EstimatorSpec("ols", TASK_REGRESSION),
+     lambda p: p.__setitem__("family", "logistic"),
+     "a logistic model does not serve the regression task"),               # 0/1 labels
+    (EstimatorSpec("knn", TASK_CLASSIFICATION, {"k": 3}),
+     lambda p: p.__setitem__("task", "regression"),
+     "knn needs classification"),                                           # ValueError
+    (EstimatorSpec("random_forest", TASK_CLASSIFICATION, {"n_trees": 3}),
+     lambda p: p.__setitem__("trees", []), "forest does not hold 3 classification trees"),  # NaN
+    (EstimatorSpec("gbt", TASK_CLASSIFICATION, {"n_rounds": 3}),
+     lambda p: p["config"].__setitem__("loss", "squared"),
+     "gbt loss 'squared' does not fit the classification task"),  # ContractError at predict
+    (EstimatorSpec("knn", TASK_CLASSIFICATION, {"k": 3}),
+     lambda p: p.__setitem__("X", 5.0), "model payload"),  # IndexError while loading
+], ids=["gbt-base-nan", "cart-leaf-inf", "knn-target-nan", "nb-mean-nan", "knn-k-fractional",
+        "rf-bootstrap-no", "lasso-converged-false", "ols-as-logistic", "knn-task-regression",
+        "rf-no-trees", "gbt-classifier-squared-loss", "knn-rows-a-scalar"])
+def test_saved_values_that_break_load_rules_rejected(two_blob_ds, reg_ds, spec, tamper, message):
+    ds = two_blob_ds if spec.task == TASK_CLASSIFICATION else reg_ds
+    doc = json.loads(save_model(fit(spec, ds)))
+    tamper(doc["params"])
+    with pytest.raises(ModelLoadError, match=f"malformed.*{message}"):
+        load_model(json.dumps(doc).encode())
+
+
+@pytest.mark.parametrize("seed", [2.5, True, float("inf")])  # inf: OverflowError before
 def test_non_integer_seed_rejected(reg_ds, seed):
     doc = json.loads(save_model(fit(EstimatorSpec("ols", TASK_REGRESSION), reg_ds)))
     doc["spec"]["seed"] = seed  # a truncating int() loads these as 2 and 1

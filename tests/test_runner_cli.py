@@ -520,7 +520,9 @@ def test_cli_exit_codes(tmp_path, capsys):
     (b"track,task,accuracy\nreal,classification,0.5\n", "has no 'model' column"),
     (b"track,task,model,accuracy\nreal,classification,rf,\xff\n", "is not UTF-8 text"),
     (b"track,task,model,accuracy\nreal,classification\n", "row 1 does not have one cell"),
-], ids=["non-numeric-cell", "no-model-column", "not-utf8", "short-row"])
+    (b"track,task,model,accuracy\nreal,classification,rf,nan\n",
+     "accuracy cell 'nan' is not a finite number"),
+], ids=["non-numeric-cell", "no-model-column", "not-utf8", "short-row", "nan-cell"])
 def test_cli_report_malformed_metrics_exits_2(tmp_path, capsys, text, message):
     (tmp_path / "metrics.csv").write_bytes(text)
     assert main(["report", str(tmp_path)]) == 2
