@@ -95,13 +95,13 @@ class Forest:
         return acc / len(self.trees)
 
     def check(self, n_cols: int, task: str) -> None:
-        """Each tree's rules, n_trees `task` trees, and no leaf wider than n_classes."""
+        """n_trees `task` trees, each by its own rules, no leaf wider than n_classes."""
         for tree in self.trees:
             tree.check(n_cols, task)
-        if self.task != task or len(self.trees) != self.config.n_trees:
-            raise ContractError(f"forest does not hold {self.config.n_trees} {task} trees")
-        if any(t.leaf_value.shape[1:] > (self.n_classes,) for t in self.trees):
-            raise ContractError(f"tree leaves hold more than {self.n_classes} classes")
+        if self.task != task or len(self.trees) != self.config.n_trees or any(
+                t.leaf_value.shape[1:] > (self.n_classes,) for t in self.trees):
+            raise ContractError(f"forest does not hold {self.config.n_trees} {task} trees "
+                                f"with leaves of no more than {self.n_classes} classes")
 
 
 def _resolve_subsample(spec, n_features: int, task: str):
@@ -194,13 +194,12 @@ class GbtModel:
         return raw
 
     def check(self, n_cols: int, task: str) -> None:
-        """Each tree's rules, n_rounds trees, n_rounds + 1 losses, the loss of `task`."""
+        """n_rounds regression trees, each by its own rules, one loss more, the loss of `task`."""
         for tree in self.trees:
             tree.check(n_cols, TASK_REGRESSION)
-        if len(self.trees) != self.config.n_rounds or len(self.train_losses) != len(self.trees) + 1:
-            raise ContractError(f"gbt does not hold {self.config.n_rounds} trees, one loss more")
-        if self.config.loss != LOSS_OF_TASK[task]:
-            raise ContractError(f"gbt loss {self.config.loss!r} does not fit the {task} task")
+        want = (self.config.n_rounds, self.config.n_rounds + 1, LOSS_OF_TASK[task])
+        if (len(self.trees), len(self.train_losses), self.config.loss) != want:
+            raise ContractError(f"gbt needs {want[0]} trees, {want[1]} losses and loss {want[2]!r}")
 
 
 def _squared_loss(y, raw) -> float:
@@ -248,7 +247,8 @@ def fit_gbt(X: np.ndarray, y: np.ndarray, config: GbtConfig = GbtConfig()) -> Gb
             den = np.zeros(flat.leaf_value.shape[0])
             np.add.at(num, ids, g)
             np.add.at(den, ids, p * (1.0 - p))
-            newton = num / (den + config.lambda_leaf)
+            newton = np.divide(num, den + config.lambda_leaf, out=np.zeros_like(num),
+                               where=flat.feature < 0)  # no row reaches an inner node
             flat = replace(flat, leaf_value=newton)
             raw = raw + config.learning_rate * newton[ids]
         else:

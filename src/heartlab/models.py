@@ -138,7 +138,8 @@ FAMILIES = {
     "cart": Family(
         _BOTH, _defaults(CartConfig, *_TREE_KEYS, "feature_subsample"),
         lambda spec, X, y, cfg: fit_cart_matrix(X, y, cfg, spec.task),
-        FlatTree, config=lambda spec, hp: CartConfig(seed=spec.seed, **hp), payload_key="tree"),
+        FlatTree, config=lambda spec, hp: CartConfig(seed=spec.seed, **hp),
+        scored=lambda p, X: _by_argmax(p.predict_value(X)), payload_key="tree"),
     "random_forest": Family(
         _BOTH, {**_defaults(ForestConfig, "n_trees", "bootstrap", "feature_subsample"),
                 **_defaults(CartConfig, *_TREE_KEYS)},
@@ -207,17 +208,21 @@ def lossless(kind, value):
     fractional int, a list made from a string or an object, a dict from
     anything but a dict, a str from anything but a str, a bool from
     anything but true and false (or 1 and 0), a number from a bool, a float
-    that is NaN or infinite."""
-    if (kind is bool and value not in (True, False)
-            or kind in (int, float) and isinstance(value, bool)
-            or kind is list and not isinstance(value, (list, tuple))
-            or kind in (dict, str) and not isinstance(value, kind)):
-        raise ValueError(value)
-    out = kind(value)
-    if (kind is int and isinstance(value, float) and out != value
-            or kind is float and not np.isfinite(out)):
-        raise ValueError(value)
-    return out
+    that is NaN or infinite. Each refusal is a ValueError that names the kind."""
+    try:
+        if (kind is bool and value not in (True, False)
+                or kind in (int, float) and isinstance(value, bool)
+                or kind is list and not isinstance(value, (list, tuple))
+                or kind in (dict, str) and not isinstance(value, kind)):
+            raise ValueError
+        out = kind(value)
+        if (kind is int and isinstance(value, float) and out != value
+                or kind is float and not np.isfinite(out)):
+            raise ValueError
+        return out
+    except (TypeError, ValueError, OverflowError):
+        kind_name = "finite float" if kind is float else kind.__name__
+        raise ValueError(f"must be {kind_name}, got {value!r}") from None
 
 
 def _resolve(spec: EstimatorSpec) -> dict:
@@ -235,10 +240,9 @@ def _resolve(spec: EstimatorSpec) -> dict:
         if kind in (bool, int, float):
             try:
                 value = lossless(kind, value)
-            except (TypeError, ValueError, OverflowError):
+            except ValueError as exc:
                 raise ModelSpecError(
-                    f"hyperparameter {key!r} for family {spec.family!r} must be "
-                    f"{'finite float' if kind is float else kind.__name__}, got {value!r}") from None
+                    f"hyperparameter {key!r} for family {spec.family!r} {exc}") from None
         hp[key] = value
     return hp
 
@@ -352,9 +356,8 @@ def _decode(kind, value, name="params"):
     if kind in (int, float, bool, str):
         try:
             return lossless(kind, value)
-        except (TypeError, ValueError, OverflowError):
-            kind_name = "finite float" if kind is float else kind.__name__
-            raise ValueError(f"{name} must be {kind_name}, got {value!r}") from None
+        except ValueError as exc:
+            raise ValueError(f"{name} {exc}") from None
     return value
 
 

@@ -100,11 +100,10 @@ class GaussianNbModel:
 
     def check(self, n_cols: int, task: str) -> None:
         """Per class a prior (>= 0, positive sum), n_cols means and n_cols variances (> 0)."""
-        if not (self.priors.ndim == 1 and (
-                self.priors.shape + (n_cols,) == self.means.shape == self.variances.shape)):
-            raise ContractError(f"naive bayes parameters are not one class count by {n_cols} columns")
-        if not ((self.priors >= 0).all() and self.priors.sum() > 0 and (self.variances > 0).all()):
-            raise ContractError("naive bayes variance or prior out of range")
+        if not (self.priors.ndim == 1 and (self.priors >= 0).all() and self.priors.sum() > 0
+                and self.priors.shape + (n_cols,) == self.means.shape == self.variances.shape
+                and (self.variances > 0).all()):
+            raise ContractError(f"naive bayes needs a prior >= 0, {n_cols} means and variances > 0")
 
 
 def fit_gnb(X: np.ndarray, y: np.ndarray) -> GaussianNbModel:

@@ -128,7 +128,7 @@ def _conv(hint, value, path: str):
         return None
     try:
         return lossless(kinds[0], value)
-    except (TypeError, ValueError, OverflowError):
+    except ValueError:
         name = " or ".join({type(None): "null", float: "finite float"}.get(k, k.__name__)
                            for k in kinds)
         raise ConfigError(f"{path} must be {name}, got {value!r}") from None

@@ -79,20 +79,13 @@ class FlatTree:
             return np.argmax(self.leaf_value, axis=1).take(self.route(X))
         return self.predict_value(X)
 
-    def scored(self, X: np.ndarray) -> tuple:
-        """Majority class and class-1 proportion per row, from one route."""
-        at, value = self.route(X), self.leaf_value
-        share = value[:, 1].take(at) if value.shape[1] > 1 else np.zeros(at.size)
-        return np.argmax(value, axis=1).take(at), share
-
     def check(self, n_cols: int, task: str) -> None:
-        """Refuse a tree on n_cols columns that routing could index past or never leave."""
-        n, inner = self.feature.size, np.flatnonzero(self.feature >= 0)
-        if n == 0 or self.leaf_value.shape[:1] != (n,) or any(a.shape != (n,) for a in (
+        """Refuse a tree of another task, or one that routing could index past or never leave."""
+        n, inner, leaf = self.feature.size, np.flatnonzero(self.feature >= 0), self.leaf_value
+        if n == 0 or leaf.shape[:1] != (n,) or any(a.shape != (n,) for a in (
                 self.feature, self.threshold, self.left, self.right, self.n_samples)):
             raise ContractError("tree node arrays differ in length")
-        if self.task != task or 0 in self.leaf_value.shape or (
-                self.leaf_value.ndim != (2 if task == TASK_CLASSIFICATION else 1)):
+        if self.task != task or leaf.ndim != 1 + (task == TASK_CLASSIFICATION) or not leaf.size:
             raise ContractError(f"tree is not a {task} tree")
         if any(a.dtype.kind != "i" for a in (self.feature, self.left, self.right)) or (
                 (self.feature < -1) | (self.feature >= n_cols)).any():

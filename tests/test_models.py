@@ -265,7 +265,8 @@ def test_linear_label_is_the_margin_sign_not_p_above_half():
 def test_save_load_round_trip_all_families(two_blob_ds, reg_ds):
     seen = set()
     ridge_as_ols = EstimatorSpec("ridge", TASK_REGRESSION, {"lam": 0})  # saves family "ols"
-    for spec, ds in [(s, two_blob_ds) for s in CLS_SPECS] + [
+    unregularised_gbt = EstimatorSpec("gbt", TASK_CLASSIFICATION, {"lambda_leaf": 0})
+    for spec, ds in [(s, two_blob_ds) for s in CLS_SPECS + [unregularised_gbt]] + [
             (s, reg_ds) for s in REG_SPECS + [ridge_as_ols]]:
         m = fit(spec, ds)
         m2 = load_model(save_model(m))
@@ -442,7 +443,7 @@ def test_parameters_that_contradict_each_other_or_the_columns_rejected(
      lambda p: p.__setitem__("trees", []), "forest does not hold 3 classification trees"),  # NaN
     (EstimatorSpec("gbt", TASK_CLASSIFICATION, {"n_rounds": 3}),
      lambda p: p["config"].__setitem__("loss", "squared"),
-     "gbt loss 'squared' does not fit the classification task"),  # ContractError at predict
+     "gbt needs 3 trees, 4 losses and loss 'logistic'"),  # ContractError at predict
     (EstimatorSpec("knn", TASK_CLASSIFICATION, {"k": 3}),
      lambda p: p.__setitem__("X", 5.0), "model payload"),  # IndexError while loading
 ], ids=["gbt-base-nan", "cart-leaf-inf", "knn-target-nan", "nb-mean-nan", "knn-k-fractional",
