@@ -30,7 +30,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import ConfigError, ContractError, FitError
-from .linear import sigmoid
+from .linear import check_binary, sigmoid
 from .trees import (
     CartConfig,
     FlatTree,
@@ -94,14 +94,17 @@ class Forest:
             acc += tree.predict_value(X)
         return acc / len(self.trees)
 
-    def check(self, n_cols: int, task: str) -> None:
-        """n_trees `task` trees, each by its own rules, no leaf wider than n_classes."""
+    def check(self, n_cols: int, task: str, config: ForestConfig) -> None:
+        """n_trees `task` trees, each by its own rules, no leaf wider than
+        n_classes, fitted with config."""
         for tree in self.trees:
             tree.check(n_cols, task)
         if self.task != task or len(self.trees) != self.config.n_trees or any(
                 t.leaf_value.shape[1:] > (self.n_classes,) for t in self.trees):
             raise ContractError(f"forest does not hold {self.config.n_trees} {task} trees "
                                 f"with leaves of no more than {self.n_classes} classes")
+        if self.config != config:
+            raise ContractError(f"forest config {self.config} is not the spec's {config}")
 
 
 def _resolve_subsample(spec, n_features: int, task: str):
@@ -117,8 +120,6 @@ def fit_random_forest(X: np.ndarray, y: np.ndarray, config: ForestConfig = Fores
     """y holds int labels (classification) or float targets (regression)."""
     X = np.ascontiguousarray(X, dtype=np.float64)
     n = X.shape[0]
-    if n == 0:
-        raise FitError("cannot fit a forest on empty data")
     n_classes = int(y.max()) + 1 if task == TASK_CLASSIFICATION else 0
     sub = _resolve_subsample(config.feature_subsample, X.shape[1], task)
     cart = replace(config.cart, feature_subsample=sub)
@@ -193,13 +194,16 @@ class GbtModel:
             return (sigmoid(raw) > 0.5).astype(np.int64)
         return raw
 
-    def check(self, n_cols: int, task: str) -> None:
-        """n_rounds regression trees, each by its own rules, one loss more, the loss of `task`."""
+    def check(self, n_cols: int, task: str, config: GbtConfig) -> None:
+        """n_rounds regression trees, each by its own rules, one loss more,
+        the loss of `task`, fitted with config."""
         for tree in self.trees:
             tree.check(n_cols, TASK_REGRESSION)
         want = (self.config.n_rounds, self.config.n_rounds + 1, LOSS_OF_TASK[task])
         if (len(self.trees), len(self.train_losses), self.config.loss) != want:
             raise ContractError(f"gbt needs {want[0]} trees, {want[1]} losses and loss {want[2]!r}")
+        if self.config != config:
+            raise ContractError(f"gbt config {self.config} is not the spec's {config}")
 
 
 def _squared_loss(y, raw) -> float:
@@ -215,21 +219,15 @@ def _log_loss(y, raw) -> float:
 def fit_gbt(X: np.ndarray, y: np.ndarray, config: GbtConfig = GbtConfig()) -> GbtModel:
     """y holds 0/1 labels (logistic loss) or float targets (squared loss)."""
     X = np.ascontiguousarray(X, dtype=np.float64)
-    if X.shape[0] == 0:
-        raise FitError("cannot fit gbt on empty data")
+    y = np.asarray(y, dtype=np.float64)
     cart = CartConfig(max_depth=config.max_depth, seed=config.seed)
 
     if config.loss == LOSS_LOGISTIC:
-        if not np.all((y == 0) | (y == 1)):
-            raise FitError("logistic gbt requires binary 0/1 labels")
-        y = np.asarray(y, dtype=np.float64)
+        check_binary(y, "logistic gbt")
         base_rate = float(y.mean())
-        if base_rate in (0.0, 1.0):
-            raise FitError("logistic gbt needs both classes present")
         base = math.log(base_rate / (1.0 - base_rate))
         loss_fn = _log_loss
     else:
-        y = np.asarray(y, dtype=np.float64)
         base = float(y.mean())
         loss_fn = _squared_loss
 
@@ -247,8 +245,12 @@ def fit_gbt(X: np.ndarray, y: np.ndarray, config: GbtConfig = GbtConfig()) -> Gb
             den = np.zeros(flat.leaf_value.shape[0])
             np.add.at(num, ids, g)
             np.add.at(den, ids, p * (1.0 - p))
-            newton = np.divide(num, den + config.lambda_leaf, out=np.zeros_like(num),
-                               where=flat.feature < 0)  # no row reaches an inner node
+            with np.errstate(divide="ignore", invalid="ignore"):
+                newton = np.divide(num, den + config.lambda_leaf, out=np.zeros_like(num),
+                                   where=flat.feature < 0)  # no row reaches an inner node
+            if not np.isfinite(newton).all():  # p(1 - p) is 0 on every row of a leaf
+                raise FitError(f"gbt round {m + 1}: a Newton leaf step is not finite "
+                               f"at lambda_leaf {config.lambda_leaf}")
             flat = replace(flat, leaf_value=newton)
             raw = raw + config.learning_rate * newton[ids]
         else:

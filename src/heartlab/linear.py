@@ -95,7 +95,7 @@ class LinearModel:
         raw = self.decision_function(X)
         return (raw > 0.0).astype(np.int64), sigmoid(raw)
 
-    def check(self, n_cols: int, task: str) -> None:
+    def check(self, n_cols: int, task: str, config=None) -> None:
         """One weight per column; a classifier family iff a classification task."""
         if self.weights.shape != (n_cols,):
             raise ContractError(f"{self.weights.size} weights for {n_cols} columns")
@@ -119,11 +119,17 @@ def _check_xy(X, y) -> tuple:
     y = np.ascontiguousarray(y, dtype=np.float64)
     if X.ndim != 2:
         raise FitError("X must be a 2-D matrix")
-    if X.shape[0] == 0:
-        raise FitError("cannot fit on zero rows")
     if y.shape != (X.shape[0],):
         raise FitError("target length differs from row count")
     return X, y
+
+
+def check_binary(y: np.ndarray, what: str) -> None:
+    """Refuse labels other than 0 and 1, or labels of one class only."""
+    if not np.all((y == 0) | (y == 1)):
+        raise FitError(f"{what} requires binary 0/1 labels")
+    if y.min() == y.max():
+        raise FitError(f"{what} needs both classes present")
 
 
 def fit_ridge(X, targets, lam: float = 1.0) -> LinearModel:
@@ -241,10 +247,7 @@ def fit_logistic(X, labels, config: PenaltyConfig = PenaltyConfig(lam=0.0)) -> L
     term (config.ridge) for separable data. Convergence criterion is the
     infinity norm of the mean-scaled gradient below tol."""
     X, y = _check_xy(X, labels)
-    if not np.all((y == 0.0) | (y == 1.0)):
-        raise FitError("logistic regression requires binary 0/1 labels")
-    if y.min() == y.max():
-        raise FitError("logistic regression needs both classes present")
+    check_binary(y, "logistic regression")
     n, m = X.shape
     A = np.column_stack([np.ones(n), X])
     ridge_vec = np.concatenate([[0.0], np.full(m, config.ridge)])
@@ -312,10 +315,7 @@ def _pegasos(X, y, config: PenaltyConfig, family: str, epoch, loss, *eps) -> Lin
 def fit_linear_svm(X, labels, config: PenaltyConfig = PenaltyConfig()) -> LinearModel:
     """Hinge loss over {-1,+1} labels, by the averaged Pegasos epochs."""
     X, y = _check_xy(X, labels)
-    if not np.all((y == 0.0) | (y == 1.0)):
-        raise FitError("linear svm requires binary 0/1 labels")
-    if y.min() == y.max():
-        raise FitError("linear svm needs both classes present")
+    check_binary(y, "linear svm")
     yy = np.where(y == 1.0, 1.0, -1.0)
     return _pegasos(X, yy, config, FAMILY_SVM, svm_epoch, lambda raw: 1.0 - yy * raw)
 

@@ -12,7 +12,8 @@ logistic link, which is monotone but uncalibrated.
 
 Parameters are saved field by field and read back by annotation: scalars
 through lossless, arrays numeric and finite. Then the parameters' own
-check(n_cols, task) refuses what contradicts the fingerprint or the task.
+check(n_cols, task, config) refuses what contradicts the fingerprint, the
+task or the hyperparameters the spec resolves to.
 """
 
 from __future__ import annotations
@@ -280,6 +281,8 @@ def _labels_or_targets(spec: EstimatorSpec, ds: Dataset):
 def fit(spec: EstimatorSpec, ds: Dataset) -> TrainedModel:
     """Fit with the family's routine; deterministic given spec.seed."""
     y = _labels_or_targets(spec, ds)
+    if ds.n_rows == 0:
+        raise FitError(f"cannot fit {spec.family} on empty data")
     params = FAMILIES[spec.family].fit(spec, ds.rows, y, spec.config)
     return TrainedModel(spec=spec, params=params, fingerprint=_fingerprint(ds))
 
@@ -391,7 +394,7 @@ def load_model(payload: bytes) -> TrainedModel:
         fam, params = FAMILIES[spec.family], doc["params"]
         params = _decode(fam.params_type, params[fam.payload_key] if fam.payload_key else params)
         fingerprint = dict(doc["fingerprint"])
-        params.check(len(fingerprint["columns"]), spec.task)
+        params.check(len(fingerprint["columns"]), spec.task, spec.config)
     except (LookupError, TypeError, ValueError, OverflowError, HeartlabError) as exc:
         raise ModelLoadError(f"malformed model payload: {exc}") from None
     return TrainedModel(spec=spec, params=params, fingerprint=fingerprint)

@@ -43,20 +43,21 @@ class KnnModel:
         if self.k > self.X.shape[0]:
             raise ConfigError(f"k must be in 1..{self.X.shape[0]}, got {self.k}")
 
-    def check(self, n_cols: int, task: str) -> None:
-        """n_cols-wide rows with one label (in 0..n_classes - 1) or target each."""
+    def check(self, n_cols: int, task: str, config: KnnConfig) -> None:
+        """n_cols-wide rows with one label (in 0..n_classes - 1) or target
+        each, and config's k and weighting."""
         if self.task != task or self.X.shape[1:] != (n_cols,) or self.y.shape != self.X.shape[:1]:
             raise ContractError(f"knn needs {task}, {n_cols} columns, one label or target per row")
         if task == TASK_CLASSIFICATION and not (
                 self.y.dtype.kind == "i" and ((0 <= self.y) & (self.y < self.n_classes)).all()):
             raise ContractError(f"knn labels must be integers in 0..{self.n_classes - 1}")
+        if KnnConfig(self.k, self.weighting) != config:
+            raise ContractError(f"knn {KnnConfig(self.k, self.weighting)} is not the spec's {config}")
 
 
 def fit_knn(X: np.ndarray, y: np.ndarray, k: int = 5, weighting: str = WEIGHT_UNIFORM,
             task: str = TASK_CLASSIFICATION) -> KnnModel:
     """y holds int labels (classification) or float targets (regression)."""
-    if X.shape[0] == 0:
-        raise FitError("cannot fit knn on empty data")
     n_classes = int(y.max()) + 1 if task == TASK_CLASSIFICATION else 0
     return KnnModel(X=np.ascontiguousarray(X, dtype=np.float64), y=y,
                     k=k, weighting=weighting, task=task, n_classes=n_classes)
@@ -98,7 +99,7 @@ class GaussianNbModel:
     variances: np.ndarray    # floored population variances
     floor: float
 
-    def check(self, n_cols: int, task: str) -> None:
+    def check(self, n_cols: int, task: str, config=None) -> None:
         """Per class a prior (>= 0, positive sum), n_cols means and n_cols variances (> 0)."""
         if not (self.priors.ndim == 1 and (self.priors >= 0).all() and self.priors.sum() > 0
                 and self.priors.shape + (n_cols,) == self.means.shape == self.variances.shape
@@ -110,8 +111,6 @@ def fit_gnb(X: np.ndarray, y: np.ndarray) -> GaussianNbModel:
     """Per-class feature Gaussians for int labels y, with a variance floor of
     1e-9 times the largest overall feature variance (so constant-within-class
     features survive)."""
-    if X.shape[0] == 0:
-        raise FitError("cannot fit naive bayes on empty data")
     n_classes = int(y.max()) + 1
     n, m = X.shape
     overall = np.mean((X - X.mean(axis=0)) ** 2, axis=0)

@@ -55,18 +55,17 @@ class IqrBounds:
 
 @dataclass(frozen=True)
 class PreprocessorState:
-    """Frozen statistics fitted on one training partition."""
+    """Frozen statistics fitted on one training partition, one entry per
+    feature column in each array."""
 
-    feature_names: list
+    features: list            # the fitted feature ColumnSchemas
     label_maps: dict          # column -> {text: code}, codes lexicographic
-    medians: dict             # continuous column -> median of non-missing train cells
-    modes: dict               # categorical/binary column -> most frequent code (tie: smallest)
-    iqr_bounds: list          # IqrBounds, raw units, in config order
-    means: np.ndarray         # per feature column, after imputation + filtering
-    sds: np.ndarray           # population sd, 1.0 placeholder where excluded
-    scaled: np.ndarray        # bool per column; constant columns are False
+    fills: np.ndarray         # median (continuous) or mode (tie: smallest code) of train cells
+    lower: np.ndarray         # outlier bounds in raw units; -inf/inf where not filtered
+    upper: np.ndarray
+    means: np.ndarray         # after imputation + filtering; 0 where not scaled
+    sds: np.ndarray           # population sd; 1 where not scaled
     constant_columns: list = field(default_factory=list)
-    scale_enabled: bool = True
 
 
 def _mode(values: np.ndarray) -> float:
@@ -88,27 +87,25 @@ def fit_preprocessor(train: Dataset, config: PreprocessConfig = PreprocessConfig
 
     encoded = _encode(label_maps, train)
 
-    medians: dict = {}
-    modes: dict = {}
+    fills = np.empty(len(feat_cols))
     for j, col in enumerate(feat_cols):
         vals = encoded[:, j]
         present = vals[~np.isnan(vals)]
         if present.size == 0:
             raise FitError(f"column {col.name!r} has no observed values")
-        if col.kind == KIND_CONTINUOUS:
-            medians[col.name] = float(np.median(present))
-        else:
-            modes[col.name] = _mode(present)
-
-    imputed = _impute(medians, modes, feat_cols, encoded)
+        fills[j] = np.median(present) if col.kind == KIND_CONTINUOUS else _mode(present)
 
     iqr_names = config.iqr_columns
     if iqr_names is None:
         iqr_names = [c.name for c in feat_cols if c.kind == KIND_CONTINUOUS]
-    work = train.with_rows(imputed, labels=train.labels, targets=train.targets)
+    work = train.with_rows(np.where(np.isnan(encoded), fills, encoded))
     filtered, bounds = iqr_filter(work, iqr_names, config.iqr_factor)
     if filtered.n_rows == 0:
         raise FitError(f"outlier filter (iqr_factor {config.iqr_factor}) left no training rows")
+    lower, upper = np.full(len(feat_cols), -np.inf), np.full(len(feat_cols), np.inf)
+    for b in bounds:
+        j = work.feature_names().index(b.column)
+        lower[j], upper[j] = b.lower, b.upper
 
     means = filtered.rows.mean(axis=0)
     sds = np.sqrt(np.mean((filtered.rows - means) ** 2, axis=0))
@@ -117,19 +114,17 @@ def fit_preprocessor(train: Dataset, config: PreprocessConfig = PreprocessConfig
     spread = filtered.rows.max(axis=0) - filtered.rows.min(axis=0)
     scaled = (sds > 0.0) & (spread > 0.0)
     constant = [c.name for c, ok in zip(feat_cols, scaled) if not ok]
-    sds = np.where(scaled, sds, 1.0)
+    scaled &= config.scale
 
     return PreprocessorState(
-        feature_names=[c.name for c in feat_cols],
+        features=feat_cols,
         label_maps=label_maps,
-        medians=medians,
-        modes=modes,
-        iqr_bounds=bounds,
-        means=means,
-        sds=sds,
-        scaled=scaled,
+        fills=fills,
+        lower=lower,
+        upper=upper,
+        means=np.where(scaled, means, 0.0),
+        sds=np.where(scaled, sds, 1.0),
         constant_columns=constant,
-        scale_enabled=config.scale,
     )
 
 
@@ -161,33 +156,18 @@ def _encode(label_maps: dict, ds: Dataset) -> np.ndarray:
     return out
 
 
-def _impute(medians: dict, modes: dict, feat_cols, encoded: np.ndarray) -> np.ndarray:
-    out = encoded
-    for j, col in enumerate(feat_cols):
-        mask = np.isnan(out[:, j])
-        if not mask.any():
-            continue
-        fill = medians.get(col.name) if col.kind == KIND_CONTINUOUS else modes.get(col.name)
-        if fill is None:
-            raise TransformError(f"no imputation statistic for column {col.name!r}")
-        out[mask, j] = fill
-    return out
-
-
 def _apply(state: PreprocessorState, ds: Dataset, filtered: bool) -> Dataset:
-    """Encode, impute, drop rows outside the fitted outlier bounds when
-    filtered (bounds are in pre-scaling units), then scale."""
-    if ds.feature_names() != state.feature_names:
+    """Encode, fill missing cells, drop rows with a cell outside the fitted
+    outlier bounds when filtered (bounds are in pre-scaling units), then
+    scale. x - 0 and x / 1 are exact, so unscaled columns pass through."""
+    if ds.feature_columns() != state.features:
         raise TransformError("dataset schema does not match fitted state")
-    encoded = _encode(state.label_maps, ds)
-    imputed = _impute(state.medians, state.modes, ds.feature_columns(), encoded)
-    ds = ds.with_rows(imputed, labels=ds.labels, targets=ds.targets)
+    x = _encode(state.label_maps, ds)
+    ds = ds.with_rows(np.where(np.isnan(x), state.fills, x), labels=ds.labels, targets=ds.targets)
     if filtered:
-        ds, _ = iqr_filter(ds, [b.column for b in state.iqr_bounds], bounds=state.iqr_bounds)
-    if not state.scale_enabled:
-        return ds
-    rows = np.where(state.scaled, (ds.rows - state.means) / state.sds, ds.rows)
-    return ds.with_rows(rows, labels=ds.labels, targets=ds.targets)
+        x = ds.rows
+        ds = ds.take(np.flatnonzero(~((x < state.lower) | (x > state.upper)).any(axis=1)))
+    return ds.with_rows((ds.rows - state.means) / state.sds, labels=ds.labels, targets=ds.targets)
 
 
 def transform(state: PreprocessorState, ds: Dataset) -> Dataset:

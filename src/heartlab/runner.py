@@ -514,7 +514,7 @@ def _explain_tracks(cfg: RunConfig, tracks: dict) -> list:
 
 def _run_explain(cfg: RunConfig, req: ExplainRequest, model: TrainedModel,
                  td: TrackData) -> dict:
-    out = {"rows": {}, "request": req}
+    out = {"rows": {}}
     if req.method == "shap":
         background = sample_background(td.train.rows, req.config.background_size,
                                        seed=derive_seed(cfg.seed, f"shap-bg:{req.model}"))

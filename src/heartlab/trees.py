@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .errors import ConfigError, ContractError, FitError
+from .errors import ConfigError, ContractError
 
 TASK_CLASSIFICATION = "classification"
 TASK_REGRESSION = "regression"
@@ -79,14 +79,19 @@ class FlatTree:
             return np.argmax(self.leaf_value, axis=1).take(self.route(X))
         return self.predict_value(X)
 
-    def check(self, n_cols: int, task: str) -> None:
-        """Refuse a tree of another task, or one that routing could index past or never leave."""
+    def check(self, n_cols: int, task: str, config=None) -> None:
+        """Refuse a tree of another task, a classification leaf that is no
+        class-proportion vector, or a tree that routing could index past or
+        never leave. A tree saves no hyperparameters to hold to config."""
         n, inner, leaf = self.feature.size, np.flatnonzero(self.feature >= 0), self.leaf_value
         if n == 0 or leaf.shape[:1] != (n,) or any(a.shape != (n,) for a in (
                 self.feature, self.threshold, self.left, self.right, self.n_samples)):
             raise ContractError("tree node arrays differ in length")
         if self.task != task or leaf.ndim != 1 + (task == TASK_CLASSIFICATION) or not leaf.size:
             raise ContractError(f"tree is not a {task} tree")
+        if task == TASK_CLASSIFICATION and not ((leaf >= 0).all() and (
+                abs(leaf[self.feature < 0].sum(axis=1) - 1.0) <= 1e-9).all()):
+            raise ContractError("a classification leaf is not a vector of class proportions")
         if any(a.dtype.kind != "i" for a in (self.feature, self.left, self.right)) or (
                 (self.feature < -1) | (self.feature >= n_cols)).any():
             raise ContractError(f"tree feature index outside [-1, {n_cols}) or an index not an int")
@@ -257,8 +262,6 @@ def fit_cart_matrix(X: np.ndarray, y: np.ndarray, config: CartConfig, task: str,
     config.seed). sorted_rows is presort(X), passed by callers that fit many
     trees on one X. weights (classification only) count rows; leaves returns
     (tree, row -> leaf)."""
-    if X.shape[0] == 0:
-        raise FitError("cannot fit a tree on empty data")
     if task not in (TASK_CLASSIFICATION, TASK_REGRESSION):
         raise ConfigError(f"unknown task {task!r}")
     if weights is not None and task != TASK_CLASSIFICATION:

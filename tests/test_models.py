@@ -197,6 +197,16 @@ def test_fit_on_empty_data_raises_fit_error(family, task):
         fit(EstimatorSpec(family, task), empty)
 
 
+def test_gbt_newton_step_that_is_not_finite_is_a_fit_error():
+    # four separable points: by round 37 every p is exactly 0 or 1, so an
+    # unregularised leaf step is 0/0
+    ds = make_ds(np.arange(4.0).reshape(-1, 1), labels=np.array([0, 0, 1, 1]))
+    spec = EstimatorSpec("gbt", TASK_CLASSIFICATION,
+                         {"lambda_leaf": 0, "learning_rate": 1.0, "n_rounds": 50, "max_depth": 1})
+    with pytest.raises(FitError, match="gbt round 37: a Newton leaf step is not finite"):
+        fit(spec, ds)
+
+
 def test_proba_requires_classification(reg_ds):
     m = fit(EstimatorSpec("ols", TASK_REGRESSION), reg_ds)
     with pytest.raises(ContractError):
@@ -446,9 +456,26 @@ def test_parameters_that_contradict_each_other_or_the_columns_rejected(
      "gbt needs 3 trees, 4 losses and loss 'logistic'"),  # ContractError at predict
     (EstimatorSpec("knn", TASK_CLASSIFICATION, {"k": 3}),
      lambda p: p.__setitem__("X", 5.0), "model payload"),  # IndexError while loading
+    (EstimatorSpec("cart", TASK_CLASSIFICATION, {"max_depth": 3}),
+     lambda p: p["tree"]["leaf_value"].__setitem__(-1, [0.0, 7.5]),
+     "not a vector of class proportions"),                  # probability 7.5
+    (EstimatorSpec("random_forest", TASK_CLASSIFICATION, {"n_trees": 3}),
+     lambda p: p["trees"][0]["leaf_value"].__setitem__(-1, [1.5, -0.5]),
+     "not a vector of class proportions"),                  # a vote for class 0
+    (EstimatorSpec("knn", TASK_CLASSIFICATION, {"k": 3}),
+     lambda p: p.__setitem__("k", 7), r"knn KnnConfig\(k=7, .* is not the spec's"),  # 7 neighbors
+    (EstimatorSpec("random_forest", TASK_CLASSIFICATION, {"n_trees": 3}),
+     lambda p: (p["config"].__setitem__("n_trees", 2), p["trees"].pop()),
+     "forest config .*n_trees=2.* is not the spec's"),      # 2 trees voted
+    (EstimatorSpec("gbt", TASK_REGRESSION, {"n_rounds": 3}),
+     lambda p: (p["config"].__setitem__("n_rounds", 2), p["trees"].pop(),
+                p["train_losses"].pop()),
+     "gbt config .*n_rounds=2.* is not the spec's"),        # 2 rounds added up
 ], ids=["gbt-base-nan", "cart-leaf-inf", "knn-target-nan", "nb-mean-nan", "knn-k-fractional",
         "rf-bootstrap-no", "lasso-converged-false", "ols-as-logistic", "knn-task-regression",
-        "rf-no-trees", "gbt-classifier-squared-loss", "knn-rows-a-scalar"])
+        "rf-no-trees", "gbt-classifier-squared-loss", "knn-rows-a-scalar",
+        "cart-leaf-not-proportions", "rf-leaf-negative", "knn-k-not-the-spec",
+        "rf-n-trees-not-the-spec", "gbt-n-rounds-not-the-spec"])
 def test_saved_values_that_break_load_rules_rejected(two_blob_ds, reg_ds, spec, tamper, message):
     ds = two_blob_ds if spec.task == TASK_CLASSIFICATION else reg_ds
     doc = json.loads(save_model(fit(spec, ds)))

@@ -216,6 +216,30 @@ def test_schema_mismatch_rejected(rng):
         transform(state, other)
 
 
+def test_kind_mismatched_schema_rejected(rng):
+    # same names, no missing cell: the fitted column kinds decide
+    train = make_ds(rng.normal(size=(10, 2)))
+    other = make_ds(rng.normal(size=(10, 2)), kinds=["continuous", "binary"])
+    state = fit_preprocessor(train, PreprocessConfig(iqr_columns=[]))
+    with pytest.raises(TransformError, match="schema"):
+        transform(state, other)
+
+
+def test_transform_filtered_keeps_the_rows_iqr_filter_keeps(rng):
+    rows = rng.standard_t(2, size=(300, 3))  # heavy tails
+    rows[rng.random(rows.shape) < 0.1] = np.nan
+    train = make_ds(rows, labels=np.arange(300) % 2)
+    cols = ["f0", "f2", "f0"]
+    state = fit_preprocessor(train, PreprocessConfig(iqr_columns=cols, scale=False))
+    imputed = transform(state, train)  # scale off: encode and fill only
+    want, _ = iqr_filter(imputed, cols, bounds=iqr_filter(imputed, cols)[1])
+    got = transform_filtered(state, train)
+    assert 0 < got.n_rows < 300
+    assert np.array_equal(got.rows, want.rows) and np.array_equal(got.labels, want.labels)
+    scaled = fit_preprocessor(train, PreprocessConfig(iqr_columns=cols))
+    assert np.array_equal(transform_filtered(scaled, train).rows, transform(scaled, want).rows)
+
+
 def test_iqr_disabled_with_empty_list(rng):
     vals = np.concatenate([rng.normal(size=50), [9999.0]])
     train = make_ds(vals.reshape(-1, 1))

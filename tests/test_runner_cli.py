@@ -809,6 +809,17 @@ def test_cli_knn_k_above_the_training_rows_fails_before_any_fit(tmp_path, capsys
     assert (man["status"], man["stage"], man["model"]) == ("failed", "fit", f"{TRACK_REAL}:near")
 
 
+def test_cli_gbt_step_that_is_not_finite_exits_2_naming_the_model(tmp_path, capsys):
+    doc = _doc(tmp_path)
+    doc["models"] = [{"name": "boost", "family": "gbt", "task": "classification", "hyperparams": {
+        "lambda_leaf": 0, "learning_rate": 1.0, "n_rounds": 100, "max_depth": 6}}]
+    assert main(["run", str(_write_cfg(tmp_path, doc))]) == 2
+    assert "a Newton leaf step is not finite at lambda_leaf 0.0" in capsys.readouterr().err
+    man = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert (man["status"], man["stage"], man["model"]) == ("failed", "fit", f"{TRACK_REAL}:boost")
+    assert not (tmp_path / "out" / "metrics.csv").exists()
+
+
 def test_cli_explain_saved_model(tmp_path, capsys):
     run_doc = _doc(tmp_path)
     cfg_path = _write_cfg(tmp_path, run_doc)
