@@ -173,7 +173,8 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (HeartlabError, OSError, json.JSONDecodeError) as exc:
-        print(f"heartlab: error: {exc}", file=sys.stderr)
+        where = f"{exc.heartlab_model}: " if hasattr(exc, "heartlab_model") else ""
+        print(f"heartlab: error: {where}{exc}", file=sys.stderr)
         return 2
 
 

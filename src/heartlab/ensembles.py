@@ -36,6 +36,7 @@ from .trees import (
     FlatTree,
     TASK_CLASSIFICATION,
     TASK_REGRESSION,
+    by_argmax,
     fit_cart_matrix,
     presort,
 )
@@ -76,23 +77,19 @@ class Forest:
     n_classes: int
     config: ForestConfig
 
-    def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        if self.task != TASK_CLASSIFICATION:
-            raise ContractError("probabilities are defined for classification only")
+    def predict(self, X: np.ndarray) -> np.ndarray:
+        acc = np.zeros(X.shape[0], dtype=np.float64)
+        for tree in self.trees:
+            acc += tree.predict(X)
+        return acc / len(self.trees)
+
+    def scored(self, X: np.ndarray) -> tuple:
+        """Each tree votes its leaf's majority class; vote fractions are probabilities."""
         votes = np.zeros((X.shape[0], self.n_classes), dtype=np.float64)
         rows = np.arange(X.shape[0])
         for tree in self.trees:
-            votes[rows, tree.predict(X)] += 1.0
-        return votes / len(self.trees)
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        X = np.ascontiguousarray(X, dtype=np.float64)
-        if self.task == TASK_CLASSIFICATION:
-            return np.argmax(self.predict_proba(X), axis=1).astype(np.int64)
-        acc = np.zeros(X.shape[0], dtype=np.float64)
-        for tree in self.trees:
-            acc += tree.predict_value(X)
-        return acc / len(self.trees)
+            votes[rows, by_argmax(tree.leaf_value)[0].take(tree.route(X))] += 1.0
+        return by_argmax(votes / len(self.trees))
 
     def check(self, n_cols: int, task: str, config: ForestConfig) -> None:
         """n_trees `task` trees, each by its own rules, no leaf wider than
@@ -175,24 +172,16 @@ class GbtModel:
     config: GbtConfig
     train_losses: tuple[float, ...]  # length n_rounds + 1, loss before any round first
 
-    def _raw(self, X: np.ndarray) -> np.ndarray:
-        X = np.ascontiguousarray(X, dtype=np.float64)
+    def predict(self, X: np.ndarray) -> np.ndarray:
+        """The raw score: base plus the shrunk tree outputs."""
         out = np.full(X.shape[0], self.base_score, dtype=np.float64)
         for tree in self.trees:
-            out += self.config.learning_rate * tree.predict_value(X)
+            out += self.config.learning_rate * tree.predict(X)
         return out
 
-    def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        if self.config.loss != LOSS_LOGISTIC:
-            raise ContractError("probabilities are defined for the logistic loss only")
-        p = sigmoid(self._raw(X))
-        return np.column_stack([1.0 - p, p])
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        raw = self._raw(X)
-        if self.config.loss == LOSS_LOGISTIC:
-            return (sigmoid(raw) > 0.5).astype(np.int64)
-        return raw
+    def scored(self, X: np.ndarray) -> tuple:
+        p = sigmoid(self.predict(X))
+        return by_argmax(np.column_stack([1.0 - p, p]))
 
     def check(self, n_cols: int, task: str, config: GbtConfig) -> None:
         """n_rounds regression trees, each by its own rules, one loss more,

@@ -71,7 +71,7 @@ class LinearModel:
     n_iter: int = 0
     objective_trace: tuple[float, ...] = field(default=())
 
-    def decision_function(self, X: np.ndarray) -> np.ndarray:
+    def predict(self, X: np.ndarray) -> np.ndarray:
         """w.x + b, summed over the features in ascending order without
         BLAS: a row's output does not depend on the other rows of the call."""
         X = np.asarray(X, dtype=np.float64)
@@ -80,19 +80,12 @@ class LinearModel:
             out += X[:, j] * wj
         return out + self.intercept
 
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        if self.family in CLASSIFIERS:
-            return self.scored(X)[0]
-        return self.decision_function(X)
-
     def scored(self, X: np.ndarray) -> tuple:
-        """Labels and the logistic link of the margin, from one decision
-        function: calibrated for logistic regression, monotone but
-        uncalibrated for the SVM. A label is margin > 0, not p > 0.5: a
-        margin in (0, 1e-16) has p exactly 0.5."""
-        if self.family not in CLASSIFIERS:
-            raise ConfigError(f"{self.family} does not produce probabilities")
-        raw = self.decision_function(X)
+        """Labels and the logistic link of the margin w.x + b: calibrated
+        for logistic regression, monotone but uncalibrated for the SVM. A
+        label is margin > 0, not p > 0.5: a margin in (0, 1e-16) has p
+        exactly 0.5."""
+        raw = self.predict(X)
         return (raw > 0.0).astype(np.int64), sigmoid(raw)
 
     def check(self, n_cols: int, task: str, config=None) -> None:

@@ -1,14 +1,15 @@
 """Uniform estimator layer over all eleven families: one registry record
-per family (supported tasks, typed hyperparameter defaults, fit, scored
-output, persistence), named specs, and versioned JSON persistence.
+per family (supported tasks, typed hyperparameter defaults, fit,
+persistence), named specs, and versioned JSON persistence.
 
 A TrainedModel carries a fingerprint of the training columns; predict
-refuses datasets whose feature columns differ. A classifier's labels and
-positive-class probability come from one pass of its output (one route
-per tree, one gbt raw score, one linear margin, one posterior, one
-neighbor search): predict, predict_proba, predict_scored and
-scalar_output all read it. The SVM maps its margin through a fixed
-logistic link, which is monotone but uncalibrated.
+refuses datasets whose feature columns differ. Every parameter type has
+the same two output methods: predict(X) gives the regression value and
+scored(X) a classifier's labels and positive-class probability from one
+pass (one route per tree, one gbt raw score, one linear margin, one
+posterior, one neighbor search). predict, predict_proba, predict_scored
+and scalar_output call them and refuse a non-finite output. The SVM maps
+its margin through a fixed logistic link, monotone but uncalibrated.
 
 Parameters are saved field by field and read back by annotation: scalars
 through lossless, arrays numeric and finite. Then the parameters' own
@@ -54,8 +55,6 @@ from .neighbors import (
     KnnModel,
     fit_gnb,
     fit_knn,
-    gnb_proba,
-    predict_knn_batch,
 )
 from .trees import (
     CartConfig,
@@ -74,9 +73,7 @@ class Family:
     """Everything the estimator layer knows about one model family.
 
     fit(spec, X, y, config) gets the rows, the task's labels or targets and
-    config(spec, hp): a config dataclass or hp, defaults filled in. On a
-    float64 matrix, predict(params, X) gives regression predictions and
-    scored(params, X) a classifier's (labels, positive-class probability).
+    config(spec, hp): a config dataclass or hp, defaults filled in.
     Fitted parameters are saved field by field, under payload_key if set.
     """
 
@@ -85,8 +82,6 @@ class Family:
     fit: Callable
     params_type: type
     config: Callable = lambda spec, hp: hp
-    predict: Callable = lambda p, X: p.predict(X)
-    scored: Callable = lambda p, X: p.scored(X)
     payload_key: str | None = None
 
 
@@ -95,21 +90,6 @@ def _defaults(owner, *names, **own) -> dict:
     config class or fit function that owns them; `own` are set here."""
     params = inspect.signature(owner).parameters
     return {**{k: params[k].default for k in names}, **own}
-
-
-def _positive(mat: np.ndarray) -> np.ndarray:
-    return mat[:, 1] if mat.shape[1] > 1 else np.zeros(mat.shape[0])
-
-
-def _by_argmax(mat: np.ndarray):
-    """Labels (argmax, ties to the lower code) and the class-1 column of a
-    per-class matrix."""
-    return np.argmax(mat, axis=1).astype(np.int64), _positive(mat)
-
-
-def _knn_scored(p: KnnModel, X: np.ndarray):
-    labels, shares = predict_knn_batch(p, X)
-    return labels, _positive(shares)
 
 
 _BOTH = (TASK_CLASSIFICATION, TASK_REGRESSION)
@@ -139,17 +119,16 @@ FAMILIES = {
     "cart": Family(
         _BOTH, _defaults(CartConfig, *_TREE_KEYS, "feature_subsample"),
         lambda spec, X, y, cfg: fit_cart_matrix(X, y, cfg, spec.task),
-        FlatTree, config=lambda spec, hp: CartConfig(seed=spec.seed, **hp),
-        scored=lambda p, X: _by_argmax(p.predict_value(X)), payload_key="tree"),
+        FlatTree, config=lambda spec, hp: CartConfig(seed=spec.seed, **hp), payload_key="tree"),
     "random_forest": Family(
         _BOTH, {**_defaults(ForestConfig, "n_trees", "bootstrap", "feature_subsample"),
                 **_defaults(CartConfig, *_TREE_KEYS)},
         lambda spec, X, y, cfg: fit_random_forest(X, y, cfg, spec.task), Forest,
-        config=_forest_config, scored=lambda p, X: _by_argmax(p.predict_proba(X))),
+        config=_forest_config),
     "gbt": Family(
         _BOTH, _defaults(GbtConfig, "n_rounds", "learning_rate", "max_depth", "lambda_leaf"),
         lambda spec, X, y, cfg: fit_gbt(X, y, cfg), GbtModel,
-        config=_gbt_config, scored=lambda p, X: _by_argmax(p.predict_proba(X))),
+        config=_gbt_config),
     "ols": Family(_REG, {}, lambda spec, X, y, cfg: fit_ols(X, y), LinearModel),
     "ridge": Family(
         _REG, _defaults(fit_ridge, "lam"),
@@ -170,11 +149,9 @@ FAMILIES = {
     "knn": Family(
         _BOTH, _defaults(fit_knn, "k", "weighting"),
         lambda spec, X, y, cfg: fit_knn(X, y, cfg.k, cfg.weighting, spec.task), KnnModel,
-        config=lambda spec, hp: KnnConfig(**hp),
-        predict=predict_knn_batch, scored=_knn_scored),
+        config=lambda spec, hp: KnnConfig(**hp)),
     "gaussian_nb": Family(
-        _CLS, {}, lambda spec, X, y, cfg: fit_gnb(X, y), GaussianNbModel,
-        scored=lambda p, X: _by_argmax(gnb_proba(p, X))),
+        _CLS, {}, lambda spec, X, y, cfg: fit_gnb(X, y), GaussianNbModel),
     "logistic": Family(
         _CLS, _defaults(PenaltyConfig, "tol", "max_iter", "ridge"),
         lambda spec, X, y, cfg: fit_logistic(X, y, cfg), LinearModel,
@@ -262,8 +239,7 @@ def _fingerprint(ds: Dataset) -> dict:
 
 
 def _check_fingerprint(model: TrainedModel, ds: Dataset) -> None:
-    sha = hashlib.sha256("\x1f".join(ds.feature_names()).encode()).hexdigest()[:16]
-    if sha != model.fingerprint["columns_sha"]:
+    if _fingerprint(ds)["columns_sha"] != model.fingerprint["columns_sha"]:
         raise ContractError(
             "dataset columns differ from the columns the model was fitted on")
 
@@ -287,14 +263,19 @@ def fit(spec: EstimatorSpec, ds: Dataset) -> TrainedModel:
     return TrainedModel(spec=spec, params=params, fingerprint=_fingerprint(ds))
 
 
+def _finite(model: TrainedModel, out: np.ndarray) -> np.ndarray:
+    if not np.isfinite(out).all():
+        raise ContractError(f"{model.spec.family} model gave a non-finite output")
+    return out
+
+
 def _predict_matrix(model: TrainedModel, X: np.ndarray) -> np.ndarray:
-    return FAMILIES[model.spec.family].predict(
-        model.params, np.ascontiguousarray(X, dtype=np.float64))
+    return _finite(model, model.params.predict(np.ascontiguousarray(X, dtype=np.float64)))
 
 
 def _scored_matrix(model: TrainedModel, X: np.ndarray):
-    return FAMILIES[model.spec.family].scored(
-        model.params, np.ascontiguousarray(X, dtype=np.float64))
+    labels, proba = model.params.scored(np.ascontiguousarray(X, dtype=np.float64))
+    return labels, _finite(model, proba)
 
 
 def predict(model: TrainedModel, ds: Dataset) -> np.ndarray:

@@ -10,7 +10,7 @@ import numpy as np
 
 from ._kernels import knn_search
 from .errors import ConfigError, ContractError, FitError
-from .trees import TASK_CLASSIFICATION
+from .trees import TASK_CLASSIFICATION, by_argmax
 
 WEIGHT_UNIFORM = "uniform"
 WEIGHT_INVERSE = "inverse-distance"
@@ -54,6 +54,31 @@ class KnnModel:
         if KnnConfig(self.k, self.weighting) != config:
             raise ContractError(f"knn {KnnConfig(self.k, self.weighting)} is not the spec's {config}")
 
+    def _neighbors(self, X: np.ndarray) -> tuple:
+        """Each row's k nearest training rows (ties to the lower index), weighted."""
+        X = np.ascontiguousarray(X, dtype=np.float64)
+        if X.ndim != 2 or X.shape[1] != self.X.shape[1]:
+            raise ContractError("query width differs from training features")
+        idx, d2 = knn_search(self.X, X, self.k)
+        if self.weighting == WEIGHT_UNIFORM:
+            return idx, np.ones_like(d2)
+        return idx, 1.0 / (np.sqrt(d2) + 1e-12)
+
+    def predict(self, X: np.ndarray) -> np.ndarray:
+        """The weighted mean of the neighbors' targets."""
+        idx, wts = self._neighbors(X)
+        return np.sum(self.y[idx] * wts, axis=1) / np.sum(wts, axis=1)
+
+    def scored(self, X: np.ndarray) -> tuple:
+        """The label with the most weighted votes (ties to the lower code)
+        and class 1's share of the votes."""
+        idx, wts = self._neighbors(X)
+        votes = np.zeros((idx.shape[0], self.n_classes))
+        for slot in range(self.k):
+            votes[np.arange(idx.shape[0]), self.y[idx[:, slot]]] += wts[:, slot]
+        labels, ones = by_argmax(votes)
+        return labels, ones / votes.sum(axis=1)
+
 
 def fit_knn(X: np.ndarray, y: np.ndarray, k: int = 5, weighting: str = WEIGHT_UNIFORM,
             task: str = TASK_CLASSIFICATION) -> KnnModel:
@@ -61,35 +86,6 @@ def fit_knn(X: np.ndarray, y: np.ndarray, k: int = 5, weighting: str = WEIGHT_UN
     n_classes = int(y.max()) + 1 if task == TASK_CLASSIFICATION else 0
     return KnnModel(X=np.ascontiguousarray(X, dtype=np.float64), y=y,
                     k=k, weighting=weighting, task=task, n_classes=n_classes)
-
-
-def _neighbor_weights(model: KnnModel, d2: np.ndarray) -> np.ndarray:
-    if model.weighting == WEIGHT_UNIFORM:
-        return np.ones_like(d2)
-    return 1.0 / (np.sqrt(d2) + 1e-12)
-
-
-def predict_knn_batch(model: KnnModel, X: np.ndarray):
-    """Predictions for a query matrix. Classification returns (labels,
-    vote-share matrix); regression returns the weighted neighbor mean.
-
-    Neighbors are the k smallest Euclidean distances, ties broken by the
-    lower training-row index; vote ties go to the lower class code.
-    """
-    X = np.ascontiguousarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] != model.X.shape[1]:
-        raise ContractError("query width differs from training features")
-    idx, d2 = knn_search(model.X, X, model.k)
-    wts = _neighbor_weights(model, d2)
-    if model.task == TASK_CLASSIFICATION:
-        votes = np.zeros((X.shape[0], model.n_classes))
-        labels = model.y[idx]
-        for slot in range(model.k):
-            votes[np.arange(X.shape[0]), labels[:, slot]] += wts[:, slot]
-        pred = np.argmax(votes, axis=1).astype(np.int64)
-        return pred, votes / votes.sum(axis=1, keepdims=True)
-    vals = model.y[idx]
-    return np.sum(vals * wts, axis=1) / np.sum(wts, axis=1)
 
 
 @dataclass(frozen=True)
@@ -105,6 +101,26 @@ class GaussianNbModel:
                 and self.priors.shape + (n_cols,) == self.means.shape == self.variances.shape
                 and (self.variances > 0).all()):
             raise ContractError(f"naive bayes needs a prior >= 0, {n_cols} means and variances > 0")
+
+    def log_scores(self, X: np.ndarray) -> np.ndarray:
+        """(n, n_classes) joint log densities log prior + sum_f log N(x_f)."""
+        X = np.asarray(X, dtype=np.float64)
+        out = np.empty((X.shape[0], self.priors.size))
+        for c in range(self.priors.size):
+            var = self.variances[c]
+            diff = X - self.means[c]
+            ll = -0.5 * (np.log(2.0 * np.pi * var) + diff * diff / var).sum(axis=1)
+            out[:, c] = np.log(self.priors[c]) + ll
+        return out
+
+    def posterior(self, X: np.ndarray) -> np.ndarray:
+        """Posterior class probabilities via log-sum-exp normalization."""
+        scores = self.log_scores(X)
+        ex = np.exp(scores - scores.max(axis=1, keepdims=True))
+        return ex / ex.sum(axis=1, keepdims=True)
+
+    def scored(self, X: np.ndarray) -> tuple:
+        return by_argmax(self.posterior(X))
 
 
 def fit_gnb(X: np.ndarray, y: np.ndarray) -> GaussianNbModel:
@@ -128,24 +144,3 @@ def fit_gnb(X: np.ndarray, y: np.ndarray) -> GaussianNbModel:
         means[c] = rows.mean(axis=0)
         variances[c] = np.maximum(np.mean((rows - means[c]) ** 2, axis=0), floor)
     return GaussianNbModel(priors=priors, means=means, variances=variances, floor=floor)
-
-
-def gnb_log_scores(model: GaussianNbModel, X: np.ndarray) -> np.ndarray:
-    """(n, n_classes) joint log densities log prior + sum_f log N(x_f)."""
-    X = np.asarray(X, dtype=np.float64)
-    out = np.empty((X.shape[0], model.priors.size))
-    for c in range(model.priors.size):
-        var = model.variances[c]
-        diff = X - model.means[c]
-        ll = -0.5 * (np.log(2.0 * np.pi * var) + diff * diff / var).sum(axis=1)
-        out[:, c] = np.log(model.priors[c]) + ll
-    return out
-
-
-def gnb_proba(model: GaussianNbModel, X: np.ndarray) -> np.ndarray:
-    """Posterior class probabilities via log-sum-exp normalization."""
-    scores = gnb_log_scores(model, X)
-    top = scores.max(axis=1, keepdims=True)
-    ex = np.exp(scores - top)
-    return ex / ex.sum(axis=1, keepdims=True)
-

@@ -420,8 +420,8 @@ def run_experiment(cfg: RunConfig) -> ReportBundle:
         for track_name, td in tracks.items():  # checked before any fit
             for name, spec in cfg.models:
                 if spec.family == "knn" and spec.config.k > td.train.n_rows:
-                    exc = ConfigError(f"model {name!r}: k must be in 1..{td.train.n_rows} for "
-                                      f"the {track_name} training partition, got {spec.config.k}")
+                    exc = ConfigError(f"k must be in 1..{td.train.n_rows} for the {track_name} "
+                                      f"training partition, got {spec.config.k}")
                     exc.heartlab_model = f"{track_name}:{name}"  # as a failed fit is tagged
                     raise exc
         results = {}

@@ -74,11 +74,9 @@ def _class_neighbor_table(points: np.ndarray, k: int) -> np.ndarray:
     """
     n = points.shape[0]
     idx, _ = knn_search(points, points, min(k + 1, n))
-    out = np.empty((n, k), dtype=np.int64)
-    for i in range(n):
-        row = [j for j in idx[i] if j != i]
-        out[i] = row[:k]
-    return out
+    keep = idx != np.arange(n)[:, None]
+    keep[keep.all(axis=1), -1] = False
+    return idx[keep].reshape(n, k)
 
 
 def smote(ds: Dataset, config: SmoteConfig, lam_override: float | None = None) -> Dataset:

@@ -69,15 +69,12 @@ class FlatTree:
         return _kernels.tree_route(self.feature, self.threshold, self.left,
                                    self.right, X)
 
-    def predict_value(self, X: np.ndarray) -> np.ndarray:
-        """Leaf payload per row: proportion matrix or mean vector."""
+    def predict(self, X: np.ndarray) -> np.ndarray:
+        """Leaf payload per row: the leaf mean, or a proportion matrix."""
         return self.leaf_value[self.route(X)]
 
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        """Majority class per row (ties toward the lower code), or the leaf mean."""
-        if self.task == TASK_CLASSIFICATION:  # each node's label, then each row's
-            return np.argmax(self.leaf_value, axis=1).take(self.route(X))
-        return self.predict_value(X)
+    def scored(self, X: np.ndarray) -> tuple:
+        return by_argmax(self.predict(X))
 
     def check(self, n_cols: int, task: str, config=None) -> None:
         """Refuse a tree of another task, a classification leaf that is no
@@ -98,6 +95,13 @@ class FlatTree:
         right = self.right[inner]
         if (self.left[inner] != inner + 1).any() or not ((inner + 1 < right) & (right < n)).all():
             raise ContractError("tree child index does not point forward")
+
+
+def by_argmax(mat: np.ndarray) -> tuple:
+    """Labels (argmax, ties to the lower code) and the class-1 column of a
+    per-class matrix, zeros if it has one class only."""
+    return (np.argmax(mat, axis=1).astype(np.int64),
+            mat[:, 1] if mat.shape[1] > 1 else np.zeros(mat.shape[0]))
 
 
 def gini(counts) -> float:

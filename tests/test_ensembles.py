@@ -33,20 +33,20 @@ def test_degenerate_forest_equals_single_cart(two_blob_ds):
     tree = fit_cart_matrix(two_blob_ds.rows, two_blob_ds.labels, CartConfig(max_depth=5),
                            TASK_CLASSIFICATION)
     want = np.array([tree_predict_row(tree, r) for r in two_blob_ds.rows])
-    got = forest.predict(two_blob_ds.rows)
+    got = forest.scored(two_blob_ds.rows)[0]
     assert np.array_equal(got, want)
 
 
 def test_proba_is_vote_fraction(two_blob_ds):
     cfg = ForestConfig(n_trees=7, seed=3, cart=CartConfig(max_depth=4))
     forest = fit_random_forest(two_blob_ds.rows, two_blob_ds.labels, cfg, TASK_CLASSIFICATION)
-    proba = forest.predict_proba(two_blob_ds.rows)
-    assert proba.shape == (two_blob_ds.n_rows, 2)
-    assert np.allclose(proba.sum(axis=1), 1.0, atol=1e-12)
+    labels, proba = forest.scored(two_blob_ds.rows)
+    assert proba.shape == (two_blob_ds.n_rows,)
     votes = proba * 7
     assert np.allclose(votes, np.round(votes), atol=1e-9)  # sevenths exactly
-    assert np.array_equal(forest.predict(two_blob_ds.rows),
-                          np.argmax(proba, axis=1))
+    per_tree = np.stack([t.scored(two_blob_ds.rows)[0] for t in forest.trees])
+    assert np.array_equal(proba, (per_tree == 1).sum(axis=0) / 7)
+    assert np.array_equal(labels, (proba > 0.5).astype(np.int64))  # 7 votes never tie
 
 
 def test_forest_regression_is_mean_of_trees(rng):
@@ -55,7 +55,7 @@ def test_forest_regression_is_mean_of_trees(rng):
     ds = make_ds(rows, targets=targets)
     cfg = ForestConfig(n_trees=5, seed=1, cart=CartConfig(max_depth=4))
     forest = fit_random_forest(ds.rows, ds.targets, cfg, TASK_REGRESSION)
-    per_tree = np.stack([t.predict_value(ds.rows) for t in forest.trees])
+    per_tree = np.stack([t.predict(ds.rows) for t in forest.trees])
     assert np.allclose(forest.predict(ds.rows), per_tree.mean(axis=0), atol=1e-12)
 
 
@@ -70,8 +70,8 @@ def test_forest_deterministic_and_seed_sensitive(rng):
     fa2 = fit_random_forest(ds.rows, ds.labels, cfg_a, TASK_CLASSIFICATION)
     fb = fit_random_forest(ds.rows, ds.labels, cfg_b, TASK_CLASSIFICATION)
     q = rng.normal(size=(400, 4))
-    assert np.array_equal(fa1.predict_proba(q), fa2.predict_proba(q))
-    assert not np.array_equal(fa1.predict_proba(q), fb.predict_proba(q))
+    assert np.array_equal(fa1.scored(q)[1], fa2.scored(q)[1])
+    assert not np.array_equal(fa1.scored(q)[1], fb.scored(q)[1])
 
 
 def test_auto_subsample_resolution(rng):
@@ -85,7 +85,7 @@ def test_auto_subsample_resolution(rng):
     explicit = fit_random_forest(ds.rows, ds.labels,
                                  ForestConfig(n_trees=4, seed=7, feature_subsample=3),
                                  TASK_CLASSIFICATION)
-    assert np.array_equal(auto.predict_proba(rows), explicit.predict_proba(rows))
+    assert np.array_equal(auto.scored(rows)[1], explicit.scored(rows)[1])
     # regression auto is ceil(6/3) = 2
     ds_r = make_ds(rows, targets=rows[:, 0])
     auto_r = fit_random_forest(ds_r.rows, ds_r.targets,
@@ -160,7 +160,7 @@ def test_gbt_logistic_zero_information_gives_half(two_blob_ds):
     labels = np.array([0, 1] * 20)
     ds = make_ds(rows, labels=labels)
     model = fit_gbt(ds.rows, ds.labels, GbtConfig(n_rounds=5, loss="logistic"))
-    proba = model.predict_proba(rows)
+    proba = model.scored(rows)[1]
     assert np.allclose(proba, 0.5, atol=1e-12)
     assert model.base_score == 0.0  # log-odds of a balanced prior
 
@@ -176,12 +176,10 @@ def test_gbt_logistic_base_is_log_odds(rng):
 def test_gbt_logistic_separates_blobs(two_blob_ds):
     model = fit_gbt(two_blob_ds.rows, two_blob_ds.labels,
                     GbtConfig(n_rounds=20, learning_rate=0.3, loss="logistic"))
-    pred = model.predict(two_blob_ds.rows)
+    pred, proba = model.scored(two_blob_ds.rows)
     acc = float(np.mean(pred == two_blob_ds.labels))
     assert acc >= 0.99
-    proba = model.predict_proba(two_blob_ds.rows)
-    assert proba.shape == (120, 2)
-    assert np.allclose(proba.sum(axis=1), 1.0, atol=1e-12)
+    assert proba.shape == (120,)
     assert np.all((proba >= 0) & (proba <= 1))
     losses = np.asarray(model.train_losses)
     assert np.all(np.diff(losses) <= 1e-12)
@@ -189,9 +187,10 @@ def test_gbt_logistic_separates_blobs(two_blob_ds):
 
 def test_gbt_logistic_threshold_consistency(two_blob_ds):
     model = fit_gbt(two_blob_ds.rows, two_blob_ds.labels, GbtConfig(n_rounds=8, loss="logistic"))
-    proba = model.predict_proba(two_blob_ds.rows)[:, 1]
-    pred = model.predict(two_blob_ds.rows)
+    pred, proba = model.scored(two_blob_ds.rows)
     assert np.array_equal(pred, (proba > 0.5).astype(np.int64))
+    assert np.allclose(proba, 1.0 / (1.0 + np.exp(-model.predict(two_blob_ds.rows))),
+                       rtol=1e-12, atol=0.0)
 
 
 def test_gbt_logistic_rejects_bad_labels(rng):

@@ -34,7 +34,7 @@ def test_ols_exact_line():
     assert abs(m.weights[0] - 2.0) < 1e-12
     assert abs(m.intercept - 1.0) < 1e-12
     assert m.family == "ols"
-    assert np.allclose(m.decision_function(x), y, atol=1e-12)
+    assert np.allclose(m.predict(x), y, atol=1e-12)
 
 
 def test_ridge_zero_equals_ols(rng):
@@ -193,10 +193,9 @@ def test_logistic_gradient_zero_at_optimum(rng):
 
 def test_logistic_separable_predicts_perfectly(two_blob_ds):
     m = fit_logistic(two_blob_ds.rows, two_blob_ds.labels)
-    pred = m.predict(two_blob_ds.rows)
+    pred, proba = m.scored(two_blob_ds.rows)
     assert np.array_equal(pred, two_blob_ds.labels)
-    labels, proba = m.scored(two_blob_ds.rows)
-    assert np.array_equal(pred, labels)
+    assert np.array_equal(pred, (m.predict(two_blob_ds.rows) > 0.0).astype(np.int64))
     assert np.array_equal(pred, (proba > 0.5).astype(np.int64))
 
 
@@ -222,7 +221,7 @@ def test_logistic_rejects_single_class(rng):
 def test_svm_separates_blobs(two_blob_ds):
     m = fit_linear_svm(two_blob_ds.rows, two_blob_ds.labels,
                        PenaltyConfig(lam_svm=0.01, epochs=40))
-    pred = m.predict(two_blob_ds.rows)
+    pred = m.scored(two_blob_ds.rows)[0]
     acc = float(np.mean(pred == two_blob_ds.labels))
     assert acc >= 0.99
     assert set(np.unique(pred)) <= {0, 1}
@@ -261,7 +260,7 @@ def test_svr_fits_line(rng):
     x = rng.normal(size=(300, 1))
     y = 3.0 * x[:, 0] + 2.0 + 0.05 * rng.normal(size=300)
     m = fit_linear_svr(x, y, PenaltyConfig(lam_svm=0.001, eps=0.1, epochs=80))
-    pred = m.decision_function(x)
+    pred = m.predict(x)
     r2 = 1.0 - float(np.mean((y - pred) ** 2) / np.var(y))
     assert r2 > 0.95
     assert m.family == "linear_svr"
@@ -297,13 +296,6 @@ def test_penalty_config_validation():
         PenaltyConfig(epochs=0)
     with pytest.raises(ConfigError):
         PenaltyConfig(lam_svm=0.0)
-
-
-def test_proba_only_for_logistic(rng):
-    X = rng.normal(size=(20, 2))
-    m = fit_ols(X, X[:, 0])
-    with pytest.raises(ConfigError):
-        m.scored(X)
 
 
 def test_shape_mismatch_rejected(rng):

@@ -10,6 +10,7 @@ from heartlab.models import (
     ALL_FAMILIES,
     FAMILIES,
     EstimatorSpec,
+    TrainedModel,
     fit,
     load_model,
     predict,
@@ -236,7 +237,7 @@ def test_forest_proba_is_vote_fraction(two_blob_ds):
 def test_svm_proba_monotone_in_margin(two_blob_ds):
     spec = next(s for s in CLS_SPECS if s.family == "linear_svm")
     m = fit(spec, two_blob_ds)
-    margin = m.params.decision_function(np.asarray(two_blob_ds.rows))
+    margin = m.params.predict(np.asarray(two_blob_ds.rows))
     p = predict_proba(m, two_blob_ds)
     order = np.argsort(margin)
     assert np.all(np.diff(p[order]) >= 0.0)
@@ -261,13 +262,39 @@ def test_scored_is_predict_and_proba_bit_for_bit(two_blob_ds, spec):
     assert np.array_equal(labels, predict(m, two_blob_ds))
     assert np.array_equal(proba, predict_proba(m, two_blob_ds))
     assert np.array_equal(scalar_output(m)(two_blob_ds.rows), proba)
-    if hasattr(m.params, "predict"):  # the family's own label rule, e.g. gbt's p > 0.5
-        assert np.array_equal(labels, m.params.predict(two_blob_ds.rows))
+
+
+def _ridge_with_weight(w0):
+    ds = make_fixture(300, seed=7)
+    doc = json.loads(save_model(fit(EstimatorSpec("ridge", TASK_REGRESSION), ds)))
+    doc["params"]["weights"][0] = w0
+    return load_model(json.dumps(doc).encode()), ds
+
+
+def test_non_finite_output_of_a_loaded_model_is_refused():
+    m, ds = _ridge_with_weight(-1e308)  # finite, so it loads
+    assert np.isfinite(predict(_ridge_with_weight(-1.0)[0], ds)).all()
+    with pytest.raises(ContractError, match="ridge model gave a non-finite output"):
+        predict(m, ds)
+    with pytest.raises(ContractError, match="ridge model gave a non-finite output"):
+        scalar_output(m)(ds.rows)
+
+
+def test_non_finite_probability_is_refused(two_blob_ds):
+    m = fit(EstimatorSpec("logistic", TASK_CLASSIFICATION), two_blob_ds)
+    # inf - inf in the margin of every row with both features large
+    broken = LinearModel(weights=np.array([1e308, -1e308]), intercept=0.0, family="logistic")
+    m = TrainedModel(spec=m.spec, params=broken, fingerprint=m.fingerprint)
+    rows = np.full((3, 2), 4.0)
+    with pytest.raises(ContractError, match="logistic model gave a non-finite output"):
+        scalar_output(m)(rows)
+    with pytest.raises(ContractError, match="logistic model gave a non-finite output"):
+        predict(m, make_ds(rows, labels=np.array([0, 1, 0]), names=two_blob_ds.feature_names()))
 
 
 def test_linear_label_is_the_margin_sign_not_p_above_half():
     params = LinearModel(weights=np.array([1.0]), intercept=0.0, family="logistic")
-    labels, proba = FAMILIES["logistic"].scored(params, np.array([[1e-17], [9e-17], [0.0]]))
+    labels, proba = params.scored(np.array([[1e-17], [9e-17], [0.0]]))
     assert labels.tolist() == [1, 1, 0]
     assert proba.tolist() == [0.5, 0.5, 0.5]
 

@@ -803,7 +803,7 @@ def test_cli_knn_k_above_the_training_rows_fails_before_any_fit(tmp_path, capsys
                                         "task": "classification", "hyperparams": {"k": 100000}}]
     assert main(["run", str(_write_cfg(tmp_path, doc))]) == 2
     err = capsys.readouterr().err
-    assert "model 'near': k must be in 1.." in err and "the real training partition" in err
+    assert f"{TRACK_REAL}:near: k must be in 1.." in err and "the real training partition" in err
     assert fitted == []
     man = json.loads((tmp_path / "out" / "manifest.json").read_text())
     assert (man["status"], man["stage"], man["model"]) == ("failed", "fit", f"{TRACK_REAL}:near")
@@ -814,7 +814,9 @@ def test_cli_gbt_step_that_is_not_finite_exits_2_naming_the_model(tmp_path, caps
     doc["models"] = [{"name": "boost", "family": "gbt", "task": "classification", "hyperparams": {
         "lambda_leaf": 0, "learning_rate": 1.0, "n_rounds": 100, "max_depth": 6}}]
     assert main(["run", str(_write_cfg(tmp_path, doc))]) == 2
-    assert "a Newton leaf step is not finite at lambda_leaf 0.0" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "a Newton leaf step is not finite at lambda_leaf 0.0" in err
+    assert f"heartlab: error: {TRACK_REAL}:boost: gbt round " in err
     man = json.loads((tmp_path / "out" / "manifest.json").read_text())
     assert (man["status"], man["stage"], man["model"]) == ("failed", "fit", f"{TRACK_REAL}:boost")
     assert not (tmp_path / "out" / "metrics.csv").exists()
@@ -835,6 +837,21 @@ def test_cli_explain_saved_model(tmp_path, capsys):
     assert "explanations written" in capsys.readouterr().out
     for row in (0, 2):
         assert (tmp_path / "exp" / f"lime_synthetic_model_synthetic_logit_{row}.csv").exists()
+
+
+def test_cli_explain_refuses_a_non_finite_output(tmp_path, capsys):
+    doc = _doc(tmp_path)
+    doc["models"] = [{"name": "rr", "family": "ridge", "task": "regression"}]
+    assert main(["run", str(_write_cfg(tmp_path, doc)), "--save-models"]) == 0
+    model_file = tmp_path / "out" / "model_real_rr.json"
+    saved = json.loads(model_file.read_text())
+    saved["params"]["weights"][0] = -1e308  # finite, so it loads
+    model_file.write_text(json.dumps(saved))
+    exp_doc = _doc(tmp_path, output_dir=str(tmp_path / "exp"), models=doc["models"], explain=[
+        {"model": "rr", "method": "lime", "rows": [0], "n_samples": 100}])
+    capsys.readouterr()
+    assert main(["explain", str(model_file), str(_write_cfg(tmp_path, exp_doc, "e.json"))]) == 2
+    assert "heartlab: error: ridge model gave a non-finite output" in capsys.readouterr().err
 
 
 def test_cli_explain_requires_requests(tmp_path, capsys):

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from heartlab.errors import ConfigError, ContractError, ResamplingError
-from heartlab.smote import SmoteConfig, nearest_same_class, smote
+from heartlab._kernels import knn_search
+from heartlab.smote import SmoteConfig, _class_neighbor_table, nearest_same_class, smote
 
 from conftest import make_ds
 
@@ -41,6 +42,22 @@ def test_nearest_same_class_excludes_self_and_other_class():
         got = nearest_same_class(ds, i, 3)
         assert i not in got
         assert all(ds.labels[j] == ds.labels[i] for j in got)
+
+
+def test_class_neighbor_table_matches_the_row_loop():
+    # few distinct values, so distances tie and duplicates can push a row
+    # itself out of its k + 1 nearest
+    g = np.random.default_rng(0)
+    self_absent = 0
+    for _ in range(300):
+        n, m = int(g.integers(2, 25)), int(g.integers(1, 4))
+        k = int(g.integers(1, n))
+        points = g.integers(0, 3, size=(n, m)).astype(np.float64)
+        idx, _ = knn_search(points, points, k + 1)
+        want = np.array([[j for j in idx[i] if j != i][:k] for i in range(n)])
+        self_absent += int((idx != np.arange(n)[:, None]).all(axis=1).sum())
+        assert np.array_equal(_class_neighbor_table(points, k), want)
+    assert self_absent > 0
 
 
 def test_nearest_same_class_needs_enough_rows():

@@ -157,7 +157,7 @@ def test_two_point_split_at_midpoint():
     assert tree_predict_row(tree, np.array([0.2])) == 0
     assert tree_predict_row(tree, np.array([0.8])) == 1
     assert tree_predict_row(tree, np.array([0.5])) == 0  # boundary goes left
-    assert tree.predict(np.array([[0.2], [0.8], [0.5]])).tolist() == [0, 1, 0]
+    assert tree.scored(np.array([[0.2], [0.8], [0.5]]))[0].tolist() == [0, 1, 0]
 
 
 def test_and_function_learned_exactly():
@@ -261,10 +261,10 @@ def test_flat_tree_equals_recursive(task):
     tree, X, y = _grow_tree(9, task)
     g = np.random.default_rng(1)
     Q = np.ascontiguousarray(g.normal(size=(300, 5)))
-    got = tree.predict(Q)
     want = np.array([tree_predict_row(tree, Q[i]) for i in range(300)])
-    vals = tree.predict_value(Q)
+    vals = tree.predict(Q)
     if task == TASK_CLASSIFICATION:
+        got = tree.scored(Q)[0]
         assert got.dtype == np.int64
         assert np.array_equal(got, want.astype(np.int64))
         # leaf values are the class-proportion vectors
@@ -272,8 +272,7 @@ def test_flat_tree_equals_recursive(task):
         assert np.allclose(vals.sum(axis=1), 1.0, atol=1e-12)
         assert np.array_equal(np.argmax(vals, axis=1), got)
     else:
-        assert np.array_equal(vals, got)
-        assert np.array_equal(got, want)
+        assert np.array_equal(vals, want)
     # the kernel reaches the same leaves as the Python walk, and they are leaves
     slots = tree.route(Q)
     assert slots.tolist() == [tree_leaf(tree, Q[i]) for i in range(300)]
@@ -289,9 +288,9 @@ def test_flat_tree_labels_tied_leaves_to_the_lower_class():
                                          [1 / 3, 1 / 3, 1 / 3], [0.25, 0.5, 0.25]]),
                     n_samples=np.array([8, 2, 6, 3, 3]), task=TASK_CLASSIFICATION)
     Q = np.array([[-1.0, 0.0], [1.0, -1.0], [1.0, 1.0], [0.0, np.nan]])
-    got = tree.predict(Q)
+    got = tree.scored(Q)[0]
     assert got.tolist() == [1, 0, 1, 1]
-    assert np.array_equal(got, np.argmax(tree.predict_value(Q), axis=1))
+    assert np.array_equal(got, np.argmax(tree.predict(Q), axis=1))
 
 
 # -- dataset front end and config --------------------------------------------
