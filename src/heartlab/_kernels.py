@@ -2,11 +2,11 @@
 
 Every kernel `<name>` has a plain loop twin `_<name>_py`, the reference
 that tests/test_kernels.py and `perfbench/kernels.py` compare it with.
-`<name>` is vectorized for splits, routing and kNN. The sequential
-Pegasos epoch is one kernel for both the SVM's hinge and the SVR's tube,
-the same scalar loop on Python floats; svm_epoch and svr_epoch (and
-their oracles) only name its loss. Each kernel accumulates floats in the
-loop's order, so the two agree bit for bit.
+`<name>` is vectorized. The mini-batch Pegasos epoch is one kernel for
+both the SVM's hinge and the SVR's tube, one numpy step per batch of rows;
+svm_epoch and svr_epoch (and their oracles) only name its loss. Each
+kernel accumulates floats in the loop's order, so the two agree bit for
+bit.
 
 The split kernels read each feature's rows from sorted lists that the
 caller keeps (a forest or boosting run sorts X once; trees.py partitions the
@@ -433,83 +433,81 @@ def knn_search(train, queries, k):
 
 
 # ---------------------------------------------------------------------------
-# One averaged Pegasos epoch (Shalev-Shwartz et al. 2011) for both linear
-# SVM losses; svm_epoch and svr_epoch are its two entry points. The loss
-# only picks the subgradient g: with eps None the hinge on y in {-1, +1}
-# (g = y while y*margin < 1), else the eps-tube (g = +-1 while
-# |y - margin| > eps). A step with g != 0 sets w = scale*w + (eta*g)*x and
-# b += eta*g. Mutates w (and the running averages) in place; returns the
-# step counter.
-# The update is sequential, so pegasos_epoch runs the _py loop's scalar
-# arithmetic, in the same order, on Python floats: IEEE doubles rounded like
-# numpy's float64 scalars, but far cheaper to index. Rows become lists in
-# epoch order, at most _EPOCH_BLOCK at a time; w, b and the averages are
-# written back to the caller's arrays once, at the end.
+# One averaged mini-batch Pegasos epoch (Shalev-Shwartz et al. 2011, section
+# 2.3) for the SVM's hinge (eps None: g = y while y*margin < 1, y in {-1, +1})
+# and the SVR's eps-tube (g = +-1 while |y - margin| > eps). Per batch of
+# pegasos_batch(len(order)) consecutive rows of order, the last maybe short:
+# t += 1, eta = 1/(lam*t), margins are b plus x[j]*w[j] over ascending j,
+# w = (1 - eta*lam)*w + (eta/k)*sum(g*x) and b += (eta/k)*sum(g) over the k
+# rows, then one update of the running averages, all in place; returns t.
+# Sums run left to right from their first term: the kernel takes them from
+# np.add.accumulate (np.cumsum's sequential scan), never from a reduction or
+# BLAS, whose order numpy may choose. Its rows lead with a 1, so b rides with w.
 # ---------------------------------------------------------------------------
 
-_EPOCH_BLOCK = 2 ** 8  # rows of X converted to Python floats at a time
+def pegasos_batch(n_rows):
+    """Rows per Pegasos step in an epoch of n_rows: 1 below 200 rows, then
+    one per hundred rows, at most 32."""
+    return min(max(n_rows // 100, 1), 32)
+
+
+def _in_order(terms):
+    """terms[0] + terms[1] + ..., left to right, as np.add.accumulate adds."""
+    s = terms[0]
+    for x in terms[1:]:
+        s += x
+    return s
 
 
 def _pegasos_epoch_py(X, y, order, w, b, wavg, bavg, lam, eps, t0):
-    n, m = X.shape
+    n, m = order.shape[0], X.shape[1]
+    size = pegasos_batch(n)
     t = t0
-    for s in range(n):
-        i = order[s]
+    for start in range(0, n, size):
+        rows = order[start:start + size]
         t += 1
         eta = 1.0 / (lam * t)
-        margin = b[0]
+        g = []
+        for i in rows:
+            margin = _in_order([b[0]] + [w[j] * X[i, j] for j in range(m)])
+            if eps is None:
+                g.append(y[i] if y[i] * margin < 1.0 else 0.0)
+            else:
+                resid = y[i] - margin
+                g.append(1.0 if resid > eps else -1.0 if resid < -eps else 0.0)
+        step = eta / len(rows)
         for j in range(m):
-            margin += w[j] * X[i, j]
-        if eps is None:
-            g = y[i] if y[i] * margin < 1.0 else 0.0
-        else:
-            resid = y[i] - margin
-            g = 1.0 if resid > eps else -1.0 if resid < -eps else 0.0
-        scale = 1.0 - eta * lam
-        if g != 0.0:
-            for j in range(m):
-                w[j] = scale * w[j] + eta * g * X[i, j]
-            b[0] = b[0] + eta * g
-        else:
-            for j in range(m):
-                w[j] = scale * w[j]
-        for j in range(m):
+            gx = _in_order([gr * X[i, j] for gr, i in zip(g, rows)])
+            w[j] = (1.0 - eta * lam) * w[j] + step * gx
             wavg[j] += (w[j] - wavg[j]) / t
+        b[0] = b[0] + step * _in_order(g)
         bavg[0] += (b[0] - bavg[0]) / t
     return t
 
 
-def _epoch_rows(X, y, order):
-    """(row of X as a list, y value) pairs in epoch order, as Python floats."""
-    for start in range(0, order.shape[0], _EPOCH_BLOCK):
-        o = order[start:start + _EPOCH_BLOCK]
-        yield from zip(X.take(o, axis=0).tolist(), y.take(o).tolist())
-
-
 def pegasos_epoch(X, y, order, w, b, wavg, bavg, lam, eps, t0):
-    w_, wavg_, b_, bavg_ = w.tolist(), wavg.tolist(), float(b[0]), float(bavg[0])
+    n, m = order.shape[0], X.shape[1]
+    size = pegasos_batch(n)
+    A = np.ones((n, m + 1))  # rows in epoch order, led by 1 for the intercept
+    X.take(order, axis=0, out=A[:, 1:])
+    yo = y.take(order)
+    v, vavg = np.concatenate((b, w)), np.concatenate((bavg, wavg))
     t = t0
-    for x, yi in _epoch_rows(X, y, order):
+    for start in range(0, n, size):
+        a, yb = A[start:start + size], yo[start:start + size]
         t += 1
         eta = 1.0 / (lam * t)
-        margin = b_
-        for wj, xj in zip(w_, x):  # not sum(): it must add in this order, uncompensated
-            margin += wj * xj
+        margin = np.add.accumulate(a * v, axis=1)[:, -1]
         if eps is None:
-            g = yi if yi * margin < 1.0 else 0.0
+            g = np.where(yb * margin < 1.0, yb, 0.0)
         else:
-            resid = yi - margin
-            g = 1.0 if resid > eps else -1.0 if resid < -eps else 0.0
-        scale = 1.0 - eta * lam
-        if g != 0.0:
-            c = eta * g  # eta * g * X[i, j] rounds left to right: same floats
-            w_ = [scale * wj + c * xj for wj, xj in zip(w_, x)]
-            b_ = b_ + c
-        else:
-            w_ = [scale * wj for wj in w_]
-        wavg_ = [a + (wj - a) / t for a, wj in zip(wavg_, w_)]
-        bavg_ += (b_ - bavg_) / t
-    w[:], wavg[:], b[0], bavg[0] = w_, wavg_, b_, bavg_
+            resid = yb - margin
+            g = np.subtract(resid > eps, resid < -eps, dtype=np.float64)
+        gx = np.add.accumulate(g[:, None] * a, axis=0)[-1]
+        v[1:] *= 1.0 - eta * lam
+        v += (eta / a.shape[0]) * gx
+        vavg += (v - vavg) / t
+    b[0], w[:], bavg[0], wavg[:] = v[0], v[1:], vavg[0], vavg[1:]
     return t
 
 

@@ -7,9 +7,9 @@ rows to the centered design, so lam=0 reduces to OLS by construction and
 rank-deficient systems fall back to the minimum-norm solution with a
 flag. Lasso minimizes (1/2n)*RSS + lam*||w||_1 by cyclic coordinate
 descent with soft-thresholding. Logistic regression runs damped Newton
-steps to a mean-scaled gradient tolerance. The SVM/SVR use primal
-subgradient epochs with a 1/(lam*t) schedule and averaged iterates,
-shuffled per (seed, epoch).
+steps to a mean-scaled gradient tolerance. The SVM/SVR use averaged
+mini-batch Pegasos epochs (Shalev-Shwartz et al. 2011, section 2.3),
+shuffled per (seed, epoch), one 1/(lam*t) step per pegasos_batch(n) rows.
 """
 
 from __future__ import annotations
@@ -282,10 +282,10 @@ def fit_logistic(X, labels, config: PenaltyConfig = PenaltyConfig(lam=0.0)) -> L
 
 
 def _pegasos(X, y, config: PenaltyConfig, family: str, epoch, loss, *eps) -> LinearModel:
-    """Averaged primal subgradient epochs on lam/2*||w||^2 + mean(max(0,
+    """Averaged mini-batch subgradient epochs on lam/2*||w||^2 + mean(max(0,
     loss(Xw + b))), shuffled per (seed, epoch); epoch is the SVM or SVR
-    kernel, eps its tube half-width if any. Records the objective of the
-    average after each epoch and returns that average."""
+    kernel, eps its tube half-width if any; t counts batch steps. Records
+    the objective of the average after each epoch and returns that average."""
     n, m = X.shape
     w, b, wavg, bavg = np.zeros(m), np.zeros(1), np.zeros(m), np.zeros(1)
     lam = config.lam_svm

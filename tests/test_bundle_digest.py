@@ -71,10 +71,10 @@ DIGESTS = {
     "confusion_synthetic_logit_c.csv": "d91f773a289c67a699debd9a44d5b4d7c6ab6cf6e325011aaa0f5d32df942086",
     "confusion_synthetic_nb_c.csv": "f8a6e3b42ea3c2a39cf5e82055e221f502412bfa469001748f50fdac53c17e30",
     "confusion_synthetic_rf_c.csv": "7d453d038ffd69e8d932f225997dc6e7d3490e9b3104fbca4c1d3d89fca70c7a",
-    "confusion_synthetic_svm_c.csv": "c20a297258910dec4689713fa49f642158980e710172957026016410c15f7e0b",
+    "confusion_synthetic_svm_c.csv": "967ec1bffe52d6de1416dff5ff57acc44f3aae42adebe4405122f6200fcb0c6f",
     "lime_synthetic_gbt_r_1.csv": "fe6c8dbc9b480af7d5c23f5beb34e78c76383524770b2916f7bba04e41f2cb18",
     "manifest.json": "aecbfafc8c736cbe8d2409ce24e632b7c4617b0fbc7e80e9c9a6802d49d6f6c1",
-    "metrics.csv": "74e88426df86e0248db9f5481cffa97af2ef5a8dd44a684f97fa214edea02189",
+    "metrics.csv": "525a47ba2b36b46b02edf2967b40b552b425cdf5f900bc3fe6dcc0f8e344934c",
     "model_real_cart_c.json": "c605dc007988a034be9e23a070f2e7a59ed3609869064ff95aef4dfb6cfe901a",
     "model_real_cart_r.json": "fd5ab939ec7ae9b03ce78000ccb3ab9821a040a4d4c4dc513258a657b5bbe25e",
     "model_real_gbt_c.json": "4570f46812d065b292dc1113112e599ab112c39b8f78ece50a3628e5cb462ddf",
@@ -88,8 +88,8 @@ DIGESTS = {
     "model_real_rf_c.json": "10aa79ab27f19cffb5f416325a9ce17679c5250adfd7f3afd0b6189de5c47bd6",
     "model_real_rf_r.json": "83b249ed98d7095b7c3ca5ccaaadb86c4ecff02fcc03e0532efe2fa4328d1aeb",
     "model_real_ridge_r.json": "2514bb419c937b652ad0b27b9c461e92a7283f7f5e9ae88bfe3c63e2be680743",
-    "model_real_svm_c.json": "c548d804e5f4fefba7e0fe7db25382f80582319345920f77cdd688ec347afaac",
-    "model_real_svr_r.json": "88462637a2a5361fd9126f4176ac5e9f965f76cda87d9c8ee90cfd565657ee8f",
+    "model_real_svm_c.json": "e33c698407591592a4ce6a3d6604af746ba24700457fda138f814120f6eb643c",
+    "model_real_svr_r.json": "25fd4ff7dabba554969ae8107cb5919e1960d7a6f1fea33218b4c75982c1109d",
     "model_synthetic_cart_c.json": "09dd1f464ae8d4d354889ea2bd7b05a39cfb279796a0453068c664d753e7fd13",
     "model_synthetic_cart_r.json": "06b765ab4f7d19ca03933473fe3709d4f0529182c951cec7a80eafebb0e4bf7d",
     "model_synthetic_gbt_c.json": "933019a40ce03f20408c5fff059b5fcc4a00bc8bedc1b9192376e6a9b1518685",
@@ -103,8 +103,8 @@ DIGESTS = {
     "model_synthetic_rf_c.json": "d32d7b691f466c6ae47d264d0fc6ccc624b812204fb3942bd2112205e62dde84",
     "model_synthetic_rf_r.json": "632b61ac8211bd0ab2a487b0aa9ab8db63f6ea163ab26a9c80ff0e6864cd5f8b",
     "model_synthetic_ridge_r.json": "b68192fc0cadc041397f56888d8f57adf50114f44388403eafa8db58d79463e3",
-    "model_synthetic_svm_c.json": "dbc226d33c8ff0f8c23d8da0d67d3ee4c84aae5961900bc337168d202e9b4f3c",
-    "model_synthetic_svr_r.json": "cee44306045d662c69b7ed6c7613182dfec3f58f6ca6b0f18e812db181ad1766",
+    "model_synthetic_svm_c.json": "806aa5abef2b3ec0a14e1016892612817d5f44825069e2a821642ab283e8486b",
+    "model_synthetic_svr_r.json": "2c558882cd4b7a228602bf582bcaa3d48cb1c2e5332ecc6c3ed4993683c1c6c1",
     "residuals_real_cart_r.csv": "7cb72fe2e2c39a3d9a171f60420881144c25c69837312680d83b9a27c21f3690",
     "residuals_real_gbt_r.csv": "a88086cf3bc9c45f3b004f40717e3d72e241f09ba1da4baaec60a306d44e2093",
     "residuals_real_knn_r.csv": "f62605b82bf9220c5886f3508e6e0f308ab6e6860ab8088f4cb2b393551dba72",
@@ -112,7 +112,7 @@ DIGESTS = {
     "residuals_real_ols_r.csv": "1076a4a5e7fb8659d16a1f905e198178f9cd4b120b75cf13af103e7ecd357c17",
     "residuals_real_rf_r.csv": "f178f123159f1cc9698785c6849339beee1fd442ef91836d11a983cdc8bbdee4",
     "residuals_real_ridge_r.csv": "ad85aa9016abaa68f2cb1aaed4476f334f4e9ddf6e4963175c77daf82f5b2bd1",
-    "residuals_real_svr_r.csv": "f8f698acb9d34188c5dff73f0898cd5812c25ef8ae1a1f423adf5da45f39c807",
+    "residuals_real_svr_r.csv": "df4019fefd05ef6e9ec38afa7c200dc149d12a35ade7b7309b350644903161c3",
     "residuals_synthetic_cart_r.csv": "3772af1613c2c71ab69b964aba806aed36bdfb5c7e7fb9ef0e6fe0fefa57ca97",
     "residuals_synthetic_gbt_r.csv": "72ce19f745341f46987d27d6f90f1fc596ca2582ce23d760c340e36c62605a1d",
     "residuals_synthetic_knn_r.csv": "7120b1aeb218c5fbf2a4e992ac1859d227a0e5ef7bc86ea57000ec75b8d37d7b",
@@ -120,21 +120,21 @@ DIGESTS = {
     "residuals_synthetic_ols_r.csv": "2ca89e139def7e17cd4cbab5c2e7196a8baf3a0e5e7016e1595083984a9b4dff",
     "residuals_synthetic_rf_r.csv": "059bca3277bec0a16548f8bcf99cfe3d392617bbcf07a4a09e6a8136e807e9b9",
     "residuals_synthetic_ridge_r.csv": "b1ccd4fc9de5c9533c1df63b33c6de1154ad65335a99d574868c7c95d80af299",
-    "residuals_synthetic_svr_r.csv": "742afefe44cd773e57ca5c31be6d377854263b3ecd5ef86231996e7d34326783",
+    "residuals_synthetic_svr_r.csv": "8a26b717897ad90b3cf04994e7860192eb40714436685cdb92b77ceec0abfebf",
     "roc_real_cart_c.csv": "ac64e8a5abbcd88b73522be3f6906d1d6a57f7e593e54f9e2307b87a727563dc",
     "roc_real_gbt_c.csv": "6a65d0bc19decc1a57a19d366c1f1fd070832f31cb994a62cad2d16a5d7071ef",
     "roc_real_knn_c.csv": "83f0a5c4ccdd9afbc7214fa8690f5b39fd7dca625dc32133f51c171ce4b1a0bb",
     "roc_real_logit_c.csv": "3c781bf0e524a1d0a205613dac0de8475327fe14749869e63e77e30d2f918c55",
     "roc_real_nb_c.csv": "ebb7d5b6aa219876a5f72e803f58d55726264e343fe1efead192e90b7ad77487",
     "roc_real_rf_c.csv": "f42b78709f0bcd9aae66492785780d666d40fc060620814b7c43fb278e6cfaf2",
-    "roc_real_svm_c.csv": "bccf3ae95fc08f1fa53070f61f37121e276595c09671a1ef72b303a9d8b3d2a8",
+    "roc_real_svm_c.csv": "37674a069fb4ff4674157a2bacf0c12646af548875e2057d1b40d6590e93dc29",
     "roc_synthetic_cart_c.csv": "107b3fb984c2ea9197a0cf3cc1af874ad40705c28d358e2946810ab9dd096997",
     "roc_synthetic_gbt_c.csv": "d10e39c22884d71d2249492100a1c30ab9f886a8d219bd8e5a0f4eb96a12a364",
     "roc_synthetic_knn_c.csv": "caecf023aae300fbc1c1f2bac7d089ff72792f529027f7133975345ebf124a0c",
     "roc_synthetic_logit_c.csv": "a534698967a6ea9bdc77e5dfadabb4182636210bb71e7a1f4d6850abf6237539",
     "roc_synthetic_nb_c.csv": "f4b4784166a9b642e1de21c5520985039b3cd9313226c94eae5e849712dc0ef6",
     "roc_synthetic_rf_c.csv": "c69a7be1b7f40d93b0cd44a43fbe81dc8c1dc4021ffdbb90126a693b28fdd11b",
-    "roc_synthetic_svm_c.csv": "62db43601dea2f43b610534f9d3f6c1de86c4722daae0413b692d683256ac2c1",
+    "roc_synthetic_svm_c.csv": "ba12b3688b7d8b122539b387d743584597104c04cb2fb043146c47c51aacdef5",
     "shap_synthetic_rf_c.csv": "a9a72328393c20e0f4ab327dfc2b1925f58ff6b79f3d82cd28245a433e40393b",
     "shap_synthetic_rf_c_0.csv": "9f4f65e53f2d2c1af7fba1b7a0dac37101c96eac322f157cce2f084bf897d050",
 }

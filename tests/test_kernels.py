@@ -200,9 +200,10 @@ def test_svr_epoch_backends_agree(seed):
 @st.composite
 def _tied_epoch_case(draw):
     """Small-integer rows, lam = 1 and t0 = 0 (so eta = 1/t): margins land
-    exactly on 1 and SVR residuals exactly on +-eps for quarter-valued y."""
+    exactly on 1 and SVR residuals exactly on +-eps for quarter-valued y.
+    Up to 450 rows, so batches of 1 to 4 rows and short last batches."""
     g = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
-    n, m = draw(st.integers(1, 30)), draw(st.integers(1, 4))
+    n, m = draw(st.integers(1, 450)), draw(st.integers(1, 4))
     X = np.ascontiguousarray(g.integers(-2, 3, size=(n, m)).astype(np.float64))
     y_cls = np.where(g.random(n) < 0.5, -1.0, 1.0)
     y_reg = g.integers(-8, 9, size=n) / 4.0
@@ -238,19 +239,50 @@ def test_epoch_kernels_on_exact_branch_edges(x, w0, b0):
         assert b[0] == b0 and not w.any()
 
 
-@pytest.mark.parametrize("block", [1, 7, 50])  # 50 rows: one block
-def test_epoch_kernels_block_size_does_not_matter(block):
+@pytest.mark.parametrize("n, size", [(1, 1), (199, 1), (200, 2), (799, 7),
+                                     (3200, 32), (80000, 32)])
+def test_pegasos_batch_grows_with_the_row_count(n, size):
+    assert K.pegasos_batch(n) == size
+
+
+def test_epoch_kernels_match_python_loop_with_a_one_row_last_batch():
     g = np.random.default_rng(3)
-    n, m = 50, 4
+    n, m = 257, 4  # batches of 2 rows, and 1 row last
     X = np.ascontiguousarray(np.round(g.normal(size=(n, m)), 1))
     y_cls = np.where(g.random(n) < 0.5, -1.0, 1.0)
     y_reg = np.round(g.normal(size=n), 1)
     order = g.permutation(n).astype(np.int64)
-    with mock.patch.object(K, "_EPOCH_BLOCK", block):
-        got = (_run_epoch(K.svm_epoch, X, y_cls, order, 0.05, t0=19),
-               _run_epoch(K.svr_epoch, X, y_reg, order, 0.05, 0.1, t0=19))
+    assert K.pegasos_batch(n) == 2
+    got = (_run_epoch(K.svm_epoch, X, y_cls, order, 0.05, t0=19),
+           _run_epoch(K.svr_epoch, X, y_reg, order, 0.05, 0.1, t0=19))
+    assert got[0][0] == got[1][0] == 19 + 129
     assert _same_epoch(got[0], _run_epoch(K._svm_epoch_py, X, y_cls, order, 0.05, t0=19))
     assert _same_epoch(got[1], _run_epoch(K._svr_epoch_py, X, y_reg, order, 0.05, 0.1, t0=19))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_epoch_below_200_rows_is_the_per_row_pegasos_step(seed):
+    """One row per step: w = (1 - eta*lam)*w + eta*g*x and b += eta*g,
+    row by row, with the margin summed from b over ascending j."""
+    g = np.random.default_rng(seed)
+    n, m, lam, t0 = 199, 14, 0.01, 99
+    X = g.normal(size=(n, m))
+    y = np.where(g.random(n) < 0.5, -1.0, 1.0)
+    order = g.permutation(n).astype(np.int64)
+    w, b, wavg, bavg, t = np.zeros(m), 0.0, np.zeros(m), 0.0, t0
+    for i in order:
+        t += 1
+        eta = 1.0 / (lam * t)
+        margin = b
+        for j in range(m):
+            margin += w[j] * X[i, j]
+        step = eta * y[i] if y[i] * margin < 1.0 else 0.0
+        w = (1.0 - eta * lam) * w + step * X[i]
+        b += step
+        wavg += (w - wavg) / t
+        bavg += (b - bavg) / t
+    got = _run_epoch(K.svm_epoch, X, y, order, lam, t0=t0)
+    assert _same_epoch(got, (t, w, np.array([b]), wavg, np.array([bavg])))
 
 
 @pytest.mark.parametrize("fit_name, kernel", [("fit_linear_svm", "svm_epoch"),
