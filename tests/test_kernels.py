@@ -245,6 +245,25 @@ def test_pegasos_batch_grows_with_the_row_count(n, size):
     assert K.pegasos_batch(n) == size
 
 
+@pytest.mark.parametrize("block", [1, 7, 50])  # 50 rows: one batch; 7: one row last
+def test_epoch_kernels_block_size_does_not_matter(block):
+    """At any batch size the kernel equals the loop oracle at that size."""
+    g = np.random.default_rng(3)
+    n, m = 50, 4
+    X = np.ascontiguousarray(np.round(g.normal(size=(n, m)), 1))
+    y_cls = np.where(g.random(n) < 0.5, -1.0, 1.0)
+    y_reg = np.round(g.normal(size=n), 1)
+    order = g.permutation(n).astype(np.int64)
+    with mock.patch.object(K, "pegasos_batch", lambda n_rows: block):
+        got = (_run_epoch(K.svm_epoch, X, y_cls, order, 0.05, t0=19),
+               _run_epoch(K.svr_epoch, X, y_reg, order, 0.05, 0.1, t0=19))
+        want = (_run_epoch(K._svm_epoch_py, X, y_cls, order, 0.05, t0=19),
+                _run_epoch(K._svr_epoch_py, X, y_reg, order, 0.05, 0.1, t0=19))
+    assert got[0][0] == got[1][0] == 19 + -(-n // block)
+    assert _same_epoch(got[0], want[0])
+    assert _same_epoch(got[1], want[1])
+
+
 def test_epoch_kernels_match_python_loop_with_a_one_row_last_batch():
     g = np.random.default_rng(3)
     n, m = 257, 4  # batches of 2 rows, and 1 row last
