@@ -12,7 +12,8 @@ A bootstrap classification tree grows on its draw's distinct rows weighted
 by their integer counts, from one presort per forest: every gain, leaf and
 node size, and so the tree, equals the draw's. Regression trees grow on the
 draw, as a weighted target sum (c*y) rounds unlike y added c times. Without
-bootstrap, every tree grows on X itself from one presort per forest.
+bootstrap, every tree grows on X itself from one presort per forest. Trees
+grow in batches (trees.grow), which change no tree.
 
 GBT: stagewise additive model F_m = F_{m-1} + eta * tree_m. Squared
 loss fits residuals with mean-residual leaves starting from the target
@@ -38,12 +39,14 @@ from .trees import (
     TASK_REGRESSION,
     by_argmax,
     fit_cart_matrix,
+    grow,
     presort,
 )
 
 LOSS_SQUARED = "squared"
 LOSS_LOGISTIC = "logistic"
 LOSS_OF_TASK = {TASK_CLASSIFICATION: LOSS_LOGISTIC, TASK_REGRESSION: LOSS_SQUARED}
+_BATCH_ENTRIES = 2 ** 16  # sorted-list entries (features x rows) that close a batch of trees
 
 
 def default_jobs() -> int:  # read by perfbench/child.py
@@ -116,30 +119,43 @@ def fit_random_forest(X: np.ndarray, y: np.ndarray, config: ForestConfig = Fores
                       task: str = TASK_CLASSIFICATION) -> Forest:
     """y holds int labels (classification) or float targets (regression)."""
     X = np.ascontiguousarray(X, dtype=np.float64)
-    n = X.shape[0]
+    n, m = X.shape
     n_classes = int(y.max()) + 1 if task == TASK_CLASSIFICATION else 0
-    sub = _resolve_subsample(config.feature_subsample, X.shape[1], task)
+    y = np.asarray(y, dtype=np.int64 if n_classes else np.float64)
+    sub = _resolve_subsample(config.feature_subsample, m, task)
     cart = replace(config.cart, feature_subsample=sub)
     lists = presort(X) if task == TASK_CLASSIFICATION or not config.bootstrap else None
 
-    def train_one(t: int) -> FlatTree:
+    def segment(t: int):
+        """Tree t's key, rows of X, their sorted lists (ids among them) and weights."""
         rng = np.random.default_rng([config.seed, t])
         take = rng.integers(0, n, size=n) if config.bootstrap else None
         key = int(rng.integers(2 ** 64, dtype=np.uint64))
         if take is None:  # every tree grows on all of X
-            return fit_cart_matrix(X, y, cart, task, key=key, n_classes=n_classes or None,
-                                   sorted_rows=lists)
+            return key, np.arange(n), lists, None
         if lists is None:  # a bootstrap regression tree: see the module docstring
-            return fit_cart_matrix(X[take], y[take], cart, task, key=key,
-                                   n_classes=n_classes or None)
+            return key, take, presort(X[take]), None
         counts = np.bincount(take, minlength=n)
         drawn = counts > 0
         local = np.cumsum(drawn, dtype=np.int32) - 1  # row id -> its id among the drawn rows
         rows = local.take(lists.ravel().compress(drawn.take(lists).ravel()))
-        return fit_cart_matrix(X[drawn], y[drawn], cart, task, key=key, n_classes=n_classes,
-                               sorted_rows=rows.reshape(X.shape[1], -1), weights=counts[drawn])
+        return key, np.flatnonzero(drawn), rows.reshape(m, -1), counts[drawn]
 
-    trees = [train_one(t) for t in range(config.n_trees)]
+    def joined(batch):
+        """A batch of segments as grow takes them, emptying the batch."""
+        keys, rows, seg_lists, w = zip(*batch)
+        batch.clear()
+        at = np.cumsum([0] + [r.size for r in rows]).tolist()  # each segment's first row
+        rows = np.concatenate(rows)
+        return (X[rows], y[rows], np.concatenate([a + i for a, i in zip(seg_lists, at)], axis=1),
+                keys, np.diff(at), None if w[0] is None else np.concatenate(w))
+
+    trees, batch = [], []
+    for t in range(config.n_trees):  # in batches, each closed once it holds _BATCH_ENTRIES
+        batch.append(segment(t))
+        if t == config.n_trees - 1 or sum(b[2].size for b in batch) >= _BATCH_ENTRIES:
+            trees += [FlatTree(*arrays, task=task)
+                      for arrays, _ in grow(*joined(batch), cart, task, n_classes)]
     return Forest(trees=tuple(trees), task=task, n_classes=n_classes, config=config)
 
 

@@ -8,11 +8,12 @@ between candidates break toward the highest gain, then the lowest
 feature index, then the lowest threshold. Routing sends x[feature] <=
 threshold to the left child.
 
-Trees grow a level at a time (SLIQ, Mehta et al. 1996) from one presort.
-With a feature subsample, each node draws its candidates from a counter-based
-hash (Salmon et al. 2011) of its key, which hashes the tree key along the
-node's path from the root: a draw depends on the tree key and the path
-alone, not on the order in which nodes are grown.
+Trees grow a level at a time (SLIQ, Mehta et al. 1996) from one presort;
+grow runs one level loop for a batch of independent trees. With a feature
+subsample, each node draws its candidates from a counter-based hash (Salmon
+et al. 2011) of its key, which hashes the tree key along the node's path
+from the root: a draw depends on the tree key and the path alone, not on
+the order in which nodes are grown, nor on the trees grown beside it.
 """
 
 from __future__ import annotations
@@ -150,18 +151,21 @@ def draw_features(keys: np.ndarray, n_features: int, k: int) -> np.ndarray:
     return np.sort(np.argsort(_mix(counters), axis=1, kind="stable")[:, :k], axis=1).T
 
 
-def _grow(X, y, sorted_rows, config, task, n_classes, key, w=None):
-    """Breadth-first growth: the tree's node arrays in preorder, as FlatTree
-    takes them, and each row's leaf. w (classification only) counts each row
-    as that many copies of it.
+def grow(X, y, sorted_rows, keys, sizes, w, config, task, n_classes):
+    """Breadth-first growth of a batch of trees: root i holds the next
+    sizes[i] rows of X, keyed keys[i], with its sorted lists side by side
+    with the others' in sorted_rows. Returns per tree its node arrays in
+    preorder, as FlatTree takes them, and its rows' leaves. w
+    (classification only, or None) counts each row as that many copies.
 
-    A level's open nodes keep their rows (ascending) side by side in idx and
-    their sorted lists side by side in lists, one segment each. All open
-    classification nodes are scored in one kernel call, regression nodes in
-    one call each. A per-row code (left child kept, right child kept,
-    dropped) partitions idx and the lists stably into the next level's
-    segments, left children first, so no node sorts. Nodes are numbered
-    level by level, then renumbered into preorder."""
+    A level's open nodes, of every tree, keep their rows (ascending) side by
+    side in idx and their sorted lists side by side in lists, one segment
+    each. All open classification nodes are scored in one kernel call,
+    regression nodes in one call each. A per-row code (left child kept,
+    right child kept, dropped) partitions idx and the lists stably into the
+    next level's segments, left children first, so no node sorts. Nodes are
+    numbered level by level, then renumbered into their tree's preorder.
+    No node's split, size or value depends on the nodes beside it."""
     n_rows, n_features = X.shape
     classify = task == TASK_CLASSIFICATION
     sub = config.feature_subsample
@@ -185,19 +189,30 @@ def _grow(X, y, sorted_rows, config, task, n_classes, key, w=None):
             pure = np.array([(part == part[0]).all() for part in parts])
         return n, value, ~pure & (n >= min_size) & (depth < config.max_depth)
 
+    n_trees = len(sizes)
     leaf_of = np.zeros(n_rows, dtype=np.int64)  # each row's leaf, numbered level by level
     code = np.empty(n_rows, dtype=np.int8)      # 0 left child kept, 1 right child kept, 2 dropped
-    idx, lists, keys = np.arange(n_rows), sorted_rows, np.array([key], dtype=np.uint64)
-    per_node = np.array([n_rows])               # rows of each open node
-    n, value, may = made(idx, per_node, 0)
+    # the roots are the level-0 nodes, each a left child: s counts the level's left children
+    per_kid = np.array(sizes, dtype=np.int64)   # rows of each node of the level
+    kids, kid_of, s = np.arange(n_rows), np.arange(n_trees).repeat(per_kid), n_trees
+    lists, keys = sorted_rows, np.array(keys, dtype=np.uint64)
     levels, links = [], []  # per level (feature, threshold, n_samples, value); per split level
     base = depth = 0        # number of the level's first node; its depth
     while True:
+        n, value, may = made(kids, per_kid, depth)
         feat, thr = np.full(n.size, -1, dtype=np.int64), np.zeros(n.size)
         levels.append((feat, thr, n, value))
-        open_ = np.flatnonzero(may)
-        if open_.size == 0:
+        kept = may.take(kid_of)
+        leaf_of[kids[~kept]] = base + kid_of[~kept]
+        if not may.any():
             break
+        if depth or not kept.all():  # the roots' lists need none unless a root is a leaf
+            code.fill(2)
+            code[kids] = np.where(kept, kid_of >= s, 2)
+            moves = code.take(lists).ravel()
+            lists = np.concatenate([lists.compress(moves == side).reshape(n_features, -1)
+                                    for side in (0, 1)], axis=1)
+        idx, per_node, keys, open_ = kids.compress(kept), per_kid[may], keys[may], may.nonzero()[0]
         starts = np.concatenate([[0], per_node.cumsum()])
         feats = (np.arange(n_features)[:, None].repeat(open_.size, axis=1) if k == n_features
                  else draw_features(keys, n_features, k))
@@ -226,34 +241,25 @@ def _grow(X, y, sorted_rows, config, task, n_classes, key, w=None):
         base, depth = base + n.size, depth + 1
         links.append((base - n.size + parents, base + np.arange(s), base + s + np.arange(s)))
         per_kid = np.bincount(kid_of, minlength=2 * s)
-        n, value, may = made(kids, per_kid, depth)
-        kept = may.take(kid_of)
-        leaf_of[kids[~kept]] = base + kid_of[~kept]
-        if not may.any():
-            continue
-        code[idx] = 2
-        code[kids] = np.where(kept, kid_of >= s, 2)
-        moves = code.take(lists).ravel()
-        lists = np.concatenate([lists.compress(moves == side).reshape(n_features, -1)
-                                for side in (0, 1)], axis=1)
-        idx, per_node = kids.compress(kept), per_kid[may]
-        if k < n_features:
-            keys = child_keys(keys[split]).T.ravel()[may]
-    # preorder: a node, its left subtree, its right subtree
+        keys = child_keys(keys[split]).T.ravel()
+    # each tree's preorder: a node, its left subtree, its right subtree
     feature, threshold, n_samples, leaf_value = map(np.concatenate, zip(*levels))
     subtree = np.ones(feature.size, dtype=np.int64)
     for parents, lefts, rights in reversed(links):
         subtree[parents] += subtree[lefts] + subtree[rights]
+    tree = np.minimum(np.arange(feature.size), n_trees - 1)  # nodes 0.. are the roots
     pre = np.zeros(feature.size, dtype=np.int64)
     left, right = np.zeros_like(pre), np.zeros_like(pre)
     for parents, lefts, rights in links:
         pre[lefts] = pre[parents] + 1
         pre[rights] = pre[lefts] + subtree[lefts]
-        left[pre[parents]], right[pre[parents]] = pre[lefts], pre[rights]
+        left[parents], right[parents] = pre[lefts], pre[rights]
+        tree[lefts] = tree[rights] = tree[parents]
     leaf_value[feature >= 0] = 0.0
-    order = pre.argsort()
-    return (feature[order], threshold[order], left, right, leaf_value[order],
-            n_samples[order]), pre[leaf_of]
+    order, cuts = np.lexsort((pre, tree)), subtree[:n_trees].cumsum()[:-1]
+    arrays = (np.split(a[order], cuts) for a in (feature, threshold, left, right, leaf_value,
+                                                 n_samples))
+    return list(zip(zip(*arrays), np.split(pre[leaf_of], np.cumsum(sizes)[:-1])))
 
 
 def fit_cart_matrix(X: np.ndarray, y: np.ndarray, config: CartConfig, task: str,
@@ -278,7 +284,8 @@ def fit_cart_matrix(X: np.ndarray, y: np.ndarray, config: CartConfig, task: str,
     else:
         y = np.ascontiguousarray(y, dtype=np.float64)
         n_classes = 0
-    arrays, leaf_of = _grow(X, y, presort(X) if sorted_rows is None else sorted_rows, config,
-                            task, n_classes, config.seed if key is None else key, weights)
+    (arrays, leaf_of), = grow(X, y, presort(X) if sorted_rows is None else sorted_rows,
+                              [config.seed if key is None else key], [X.shape[0]], weights,
+                              config, task, n_classes)
     tree = FlatTree(*arrays, task=task)
     return (tree, leaf_of) if leaves else tree

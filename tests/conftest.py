@@ -152,9 +152,11 @@ def reference_fit_cart_matrix(X, y, config, task, key=None, n_classes=None,
     return (tree, tree.route(X)) if leaves else tree
 
 
-def reference_fit_random_forest(X, y, config, task=TASK_CLASSIFICATION):
-    """ensembles.fit_random_forest as it was before weighted growth: each
-    bootstrap tree grows on its materialized draw X[take], y[take]."""
+def reference_fit_random_forest(X, y, config, task=TASK_CLASSIFICATION,
+                                fit_tree=fit_cart_matrix):
+    """ensembles.fit_random_forest as it was before weighted and batched
+    growth: each tree grows alone, with fit_tree, on its materialized draw
+    X[take], y[take]."""
     n_classes = int(y.max()) + 1 if task == TASK_CLASSIFICATION else 0
     X = np.ascontiguousarray(X, dtype=np.float64)
     n = X.shape[0]
@@ -165,8 +167,8 @@ def reference_fit_random_forest(X, y, config, task=TASK_CLASSIFICATION):
         rng = np.random.default_rng([config.seed, t])
         take = rng.integers(0, n, size=n) if config.bootstrap else np.arange(n)
         key = int(rng.integers(2 ** 64, dtype=np.uint64))
-        trees.append(fit_cart_matrix(X[take], y[take], cart, task, key=key,
-                                     n_classes=n_classes or None))
+        trees.append(fit_tree(X[take], y[take], cart, task, key=key,
+                              n_classes=n_classes or None))
     return Forest(trees=tuple(trees), task=task, n_classes=n_classes, config=config)
 
 

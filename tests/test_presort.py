@@ -1,17 +1,19 @@
 """Level-wise CART growth against the per-node reference.
 
-trees._grow grows a tree a level at a time from one presort, partitioning
-the sorted lists of all open nodes together; conftest.reference_fit_cart_matrix
-grows it depth first, one split call per node, on lists cut for that node
-alone. Both draw each node's candidate features from its path key, and both
-must build the same node arrays, bit for bit, for single trees, forests and
-boosting, on tie-heavy data and on the paper_10k track shapes, with feature
-subsampling and min_samples_leaf > 1.
+trees.grow grows a batch of trees a level at a time from one presort,
+partitioning the sorted lists of all open nodes together;
+conftest.reference_fit_cart_matrix grows one tree depth first, one split
+call per node, on lists cut for that node alone. Both draw each node's
+candidate features from its path key, and both must build the same node
+arrays, bit for bit, for single trees, forests and boosting, on tie-heavy
+data and on the paper_10k track shapes, with feature subsampling and
+min_samples_leaf > 1.
 
-A bootstrap classification forest grows each tree on the distinct rows of
-its draw, weighted by their counts; conftest.reference_fit_random_forest
-grows it on the materialized draw, as the forest did before. Their trees
-must be equal too."""
+A forest grows its trees in batches, and a bootstrap classification tree on
+the distinct rows of its draw, weighted by their counts;
+conftest.reference_fit_random_forest grows each tree alone on the
+materialized draw, as the forest did before. Their trees must be equal too,
+and equal however the forest's trees are cut into batches."""
 
 from dataclasses import replace
 
@@ -90,14 +92,74 @@ def test_presort_orders_ties_by_row():
     {"feature_subsample": "all", "cart": CartConfig(max_depth=5, min_samples_leaf=4)},
     {"feature_subsample": 3, "cart": CartConfig(min_samples_split=9), "bootstrap": False},
 ])
-def test_forest_matches_reference(monkeypatch, task, hp):
+def test_forest_matches_reference(task, hp):
     X, labels, targets = _data(11, n=240)
     y = labels if task == TASK_CLASSIFICATION else targets
     cfg = ForestConfig(n_trees=6, seed=5, **hp)
     got = fit_random_forest(X, y, cfg, task)
-    monkeypatch.setattr(ensembles, "fit_cart_matrix", reference_fit_cart_matrix)
-    want = fit_random_forest(X, y, cfg, task)
+    want = reference_fit_random_forest(X, y, cfg, task, reference_fit_cart_matrix)
     assert_same_trees(got.trees, want.trees)
+
+
+def _batched(monkeypatch, entries, X, y, cfg, task):
+    """The forest's trees with batches closed at entries list entries, and
+    the number of trees in each batch."""
+    sizes, grow = [], ensembles.grow
+
+    def counting(*args):
+        sizes.append(len(args[3]))
+        return grow(*args)
+
+    monkeypatch.setattr(ensembles, "grow", counting)
+    monkeypatch.setattr(ensembles, "_BATCH_ENTRIES", entries)
+    return fit_random_forest(X, y, cfg, task).trees, sizes
+
+
+@pytest.mark.parametrize("task", [TASK_CLASSIFICATION, TASK_REGRESSION])
+@pytest.mark.parametrize("hp", [
+    {"cart": CartConfig(min_samples_leaf=3)},
+    {"cart": CartConfig(max_depth=5, min_samples_split=9), "feature_subsample": 2,
+     "bootstrap": False},
+], ids=["leaf3", "no-bootstrap"])
+def test_forest_batches_grow_the_same_trees(monkeypatch, task, hp):
+    """One tree per batch, batches cut mid-forest and one batch of all
+    trees, on tie-heavy three-class labels or rounded targets."""
+    X, labels, targets = _data(13, n=160)
+    y = labels if task == TASK_CLASSIFICATION else targets
+    cfg = ForestConfig(n_trees=7, seed=3, **hp)
+    alone, sizes = _batched(monkeypatch, 1, X, y, cfg, task)
+    assert sizes == [1] * 7
+    cut, sizes = _batched(monkeypatch, 2 * X.size, X, y, cfg, task)
+    assert len(sizes) > 1 and max(sizes) > 1
+    together, sizes = _batched(monkeypatch, 2 ** 40, X, y, cfg, task)
+    assert sizes == [7]
+    assert_same_trees(cut, alone)
+    assert_same_trees(together, alone)
+
+
+@pytest.mark.parametrize("task", [TASK_CLASSIFICATION, TASK_REGRESSION])
+def test_batch_with_a_leaf_root_grows_each_tree_as_alone(task):
+    """A root that is a leaf (its labels or targets all equal) grown in one
+    batch beside two deep trees, weighted rows for classification."""
+    X, labels, targets = _data(21, n=200)
+    classify = task == TASK_CLASSIFICATION
+    y = (labels if classify else targets).copy()
+    y[90:110] = y[90]
+    w = np.random.default_rng(4).integers(1, 4, size=200) if classify else None
+    parts = [np.arange(0, 90), np.arange(90, 110), np.arange(110, 200)]
+    keys = [11, 12, 2 ** 64 - 1]
+    config = CartConfig(min_samples_leaf=2, feature_subsample=3)
+    lists = np.concatenate([trees.presort(X[p]) + p[0] for p in parts], axis=1)
+    batch = trees.grow(X, y, lists, keys, [p.size for p in parts], w, config, task,
+                       3 if classify else 0)
+    assert batch[1][0][0].tolist() == [-1]
+    assert max(arrays[0].size for arrays, _ in batch) > 15
+    for p, key, (arrays, leaves) in zip(parts, keys, batch):
+        alone, want_leaves = fit_cart_matrix(X[p], y[p], config, task, key=key,
+                                             n_classes=3 if classify else None,
+                                             weights=None if w is None else w[p], leaves=True)
+        assert_same_trees([trees.FlatTree(*arrays, task=task)], [alone])
+        assert leaves.dtype == want_leaves.dtype and np.array_equal(leaves, want_leaves)
 
 
 @pytest.mark.parametrize("loss", ["logistic", "squared"])
@@ -164,13 +226,15 @@ def test_forest_matches_materialized_bootstrap(tracks, track, cart, variant):
 
 def _fit_family(family, ds, cart, fit_tree):
     """What a family fits on ds with cart's limits: its trees, and gbt's
-    losses or a cart's leaves (from fit_tree)."""
-    if family == "rf_c":
-        return fit_random_forest(ds.rows, ds.labels, ForestConfig(n_trees=2, seed=7, cart=cart),
-                                 TASK_CLASSIFICATION).trees, None
-    if family == "rf_r":
-        return fit_random_forest(ds.rows, ds.targets, ForestConfig(n_trees=2, seed=7, cart=cart),
-                                 TASK_REGRESSION).trees, None
+    losses or a cart's leaves (from fit_tree). A forest is heartlab's, or
+    with the reference fit_tree, grown a tree at a time by it."""
+    if family in ("rf_c", "rf_r"):
+        task, y = ((TASK_CLASSIFICATION, ds.labels) if family == "rf_c"
+                   else (TASK_REGRESSION, ds.targets))
+        cfg = ForestConfig(n_trees=2, seed=7, cart=cart)
+        if fit_tree is fit_cart_matrix:
+            return fit_random_forest(ds.rows, y, cfg, task).trees, None
+        return reference_fit_random_forest(ds.rows, y, cfg, task, fit_tree).trees, None
     if family == "cart_c":
         tree, leaves = fit_tree(ds.rows, ds.labels, replace(cart, feature_subsample=4),
                                 TASK_CLASSIFICATION, leaves=True)

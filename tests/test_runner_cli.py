@@ -315,15 +315,16 @@ def test_fit_stage_runs_in_the_calling_thread(tmp_path, monkeypatch, jobs):
 
     def recorded(name, fn):
         def wrapper(*args, **kwargs):
-            calls.append((name, threading.get_ident()))
-            return fn(*args, **kwargs)
+            out = fn(*args, **kwargs)
+            calls.extend([(name, threading.get_ident())] * (len(out) if name == "tree" else 1))
+            return out
         return wrapper
 
     monkeypatch.setattr(runner, "fit", recorded("fit", runner.fit))
-    monkeypatch.setattr(ensembles, "fit_cart_matrix",
-                        recorded("tree", ensembles.fit_cart_matrix))
+    monkeypatch.setattr(ensembles, "grow", recorded("tree", ensembles.grow))
     run_experiment(parse_config(_doc(tmp_path)))
-    # 4 models and a 10-tree forest, on the real and the synthetic track
+    # 4 models and a 10-tree forest, on the real and the synthetic track;
+    # the forest grows its trees in batches, each tree once
     assert sorted(name for name, _ in calls) == ["fit"] * 8 + ["tree"] * 20
     assert {ident for _, ident in calls} == {threading.get_ident()}
 
@@ -431,7 +432,7 @@ def test_cli_non_finite_csv_cell_exits_2_before_any_fit(tmp_path, capsys, monkey
 
 @pytest.mark.parametrize("code", ["7", "4000000000000"])
 def test_cli_class_code_outside_binary_exits_2(tmp_path, capsys, code):
-    # both got past load: 7 failed only at a fit, and 4e12 made trees._grow's
+    # both got past load: 7 failed only at a fit, and 4e12 made trees.grow's
     # bincount ask for terabytes
     path, header, rows = _fixture_cells(tmp_path)
     for row in rows[3:42]:
