@@ -5,11 +5,13 @@ intercept is recovered in closed form.
 OLS and ridge share one least-squares routine: ridge appends sqrt(lam)*I
 rows to the centered design, so lam=0 reduces to OLS by construction and
 rank-deficient systems fall back to the minimum-norm solution with a
-flag. Lasso minimizes (1/2n)*RSS + lam*||w||_1 by cyclic coordinate
-descent with soft-thresholding. Logistic regression runs damped Newton
-steps to a mean-scaled gradient tolerance. The SVM/SVR use averaged
-mini-batch Pegasos epochs (Shalev-Shwartz et al. 2011, section 2.3),
-shuffled per (seed, epoch), one 1/(lam*t) step per pegasos_batch(n) rows.
+flag. Householder reflections (a column at a time, sequential sums, no
+BLAS) reduce the design to the m x m triangle that lstsq solves. Lasso
+minimizes (1/2n)*RSS + lam*||w||_1 by cyclic coordinate descent with
+soft-thresholding. Logistic regression runs damped Newton steps to a
+mean-scaled gradient tolerance. The SVM/SVR use averaged mini-batch
+Pegasos epochs (Shalev-Shwartz et al. 2011, section 2.3), shuffled per
+(seed, epoch), one 1/(lam*t) step per pegasos_batch(n) rows.
 """
 
 from __future__ import annotations
@@ -133,14 +135,19 @@ def fit_ridge(X, targets, lam: float = 1.0) -> LinearModel:
     n, m = X.shape
     xm = X.mean(axis=0)
     ym = float(y.mean())
-    Xc = X - xm
-    yc = y - ym
-    if lam > 0.0:
-        A = np.vstack([Xc, math.sqrt(lam) * np.eye(m)])
-        b = np.concatenate([yc, np.zeros(m)])
-    else:
-        A, b = Xc, yc
-    w, _, rank, _ = np.linalg.lstsq(A, b, rcond=None)
+    rows = n + m if lam > 0.0 else n
+    A = np.zeros((rows, m + 1), order="F")  # the design, its target in the last column
+    A[:n, :m], A[:n, m] = X - xm, y - ym
+    A[range(n, rows), range(rows - n)] = math.sqrt(lam)
+    for j in range(min(rows, m)):  # Householder: reflect column j's tail onto its top
+        v = A[j:, j].copy()
+        norm = math.sqrt(np.add.accumulate(v * v)[-1])
+        if norm > 0.0:
+            v[0] += math.copysign(norm, v[0])  # then v.v = 2 * norm * |v[0]|
+            for c in range(j, m + 1):
+                A[j:, c] -= (np.add.accumulate(v * A[j:, c])[-1] / (norm * abs(v[0]))) * v
+    w, _, rank, _ = np.linalg.lstsq(np.triu(A[:m, :m]), A[:m, m],
+                                    rcond=np.finfo(np.float64).eps * max(rows, m))
     deficient = bool(rank < m)
     if deficient:
         warnings.warn("rank-deficient design; returning the minimum-norm solution")

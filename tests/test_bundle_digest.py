@@ -74,7 +74,7 @@ DIGESTS = {
     "confusion_synthetic_svm_c.csv": "967ec1bffe52d6de1416dff5ff57acc44f3aae42adebe4405122f6200fcb0c6f",
     "lime_synthetic_gbt_r_1.csv": "fe6c8dbc9b480af7d5c23f5beb34e78c76383524770b2916f7bba04e41f2cb18",
     "manifest.json": "aecbfafc8c736cbe8d2409ce24e632b7c4617b0fbc7e80e9c9a6802d49d6f6c1",
-    "metrics.csv": "525a47ba2b36b46b02edf2967b40b552b425cdf5f900bc3fe6dcc0f8e344934c",
+    "metrics.csv": "21eb5e523584e604aeeb4c4c30fc29607a8c309e30867a3a8a299ccd2268ffc5",
     "model_real_cart_c.json": "c605dc007988a034be9e23a070f2e7a59ed3609869064ff95aef4dfb6cfe901a",
     "model_real_cart_r.json": "fd5ab939ec7ae9b03ce78000ccb3ab9821a040a4d4c4dc513258a657b5bbe25e",
     "model_real_gbt_c.json": "4570f46812d065b292dc1113112e599ab112c39b8f78ece50a3628e5cb462ddf",
@@ -84,10 +84,10 @@ DIGESTS = {
     "model_real_lasso_r.json": "1e84a61deef2108e5f69bdf6c094441b7534a26d39ffa21ec3f15f2608e68fd7",
     "model_real_logit_c.json": "167ddcf86dde5553c734730e7320ff2e6a58bd040f2e0874dbb4c7ae33946220",
     "model_real_nb_c.json": "5864d494d1c5a495327ffe7b80e7cad4b4fafe802103c7955b5940e6095d965a",
-    "model_real_ols_r.json": "5be7df9d6a9294de60d90a915f17594e7e1b8ca222b7ec6415d5ab60f21064b0",
+    "model_real_ols_r.json": "8625e4dd27475cddcbc9e1e2a3a0776e67f5982c432563c413ec5d3d271abc15",
     "model_real_rf_c.json": "10aa79ab27f19cffb5f416325a9ce17679c5250adfd7f3afd0b6189de5c47bd6",
     "model_real_rf_r.json": "83b249ed98d7095b7c3ca5ccaaadb86c4ecff02fcc03e0532efe2fa4328d1aeb",
-    "model_real_ridge_r.json": "2514bb419c937b652ad0b27b9c461e92a7283f7f5e9ae88bfe3c63e2be680743",
+    "model_real_ridge_r.json": "d30b316079d394cb9342396b4dc128d6b715eecb930f421bd582b2c378ff5b7d",
     "model_real_svm_c.json": "e33c698407591592a4ce6a3d6604af746ba24700457fda138f814120f6eb643c",
     "model_real_svr_r.json": "25fd4ff7dabba554969ae8107cb5919e1960d7a6f1fea33218b4c75982c1109d",
     "model_synthetic_cart_c.json": "09dd1f464ae8d4d354889ea2bd7b05a39cfb279796a0453068c664d753e7fd13",
@@ -99,27 +99,27 @@ DIGESTS = {
     "model_synthetic_lasso_r.json": "d6619e843a3aa4b1e4557d4a2e45f63061ad951cc6e1a8c0d9f0c22f0d1a7fc4",
     "model_synthetic_logit_c.json": "b8a974d1936166ddced4caa147093f59c6e4b74bd0a965a3c3076f73e0aa6819",
     "model_synthetic_nb_c.json": "1be55a4902fbdf0671796e25596ff76b6fb5676b7c09a6c58f9213a709b1a95c",
-    "model_synthetic_ols_r.json": "29a0e88db05782c2111b5829a740083dd4f1b880d29ab07527beac6121d79f9c",
+    "model_synthetic_ols_r.json": "b170bb4ac0c2aa7c5c7f32b24a7eb6216287d2d089bd6dd80aa32e0b691c315e",
     "model_synthetic_rf_c.json": "d32d7b691f466c6ae47d264d0fc6ccc624b812204fb3942bd2112205e62dde84",
     "model_synthetic_rf_r.json": "632b61ac8211bd0ab2a487b0aa9ab8db63f6ea163ab26a9c80ff0e6864cd5f8b",
-    "model_synthetic_ridge_r.json": "b68192fc0cadc041397f56888d8f57adf50114f44388403eafa8db58d79463e3",
+    "model_synthetic_ridge_r.json": "fb7a317bec1a1b7f2125d64b651478fca4661c585528c380e3b7bbb8b48c3c6d",
     "model_synthetic_svm_c.json": "806aa5abef2b3ec0a14e1016892612817d5f44825069e2a821642ab283e8486b",
     "model_synthetic_svr_r.json": "2c558882cd4b7a228602bf582bcaa3d48cb1c2e5332ecc6c3ed4993683c1c6c1",
     "residuals_real_cart_r.csv": "7cb72fe2e2c39a3d9a171f60420881144c25c69837312680d83b9a27c21f3690",
     "residuals_real_gbt_r.csv": "a88086cf3bc9c45f3b004f40717e3d72e241f09ba1da4baaec60a306d44e2093",
     "residuals_real_knn_r.csv": "f62605b82bf9220c5886f3508e6e0f308ab6e6860ab8088f4cb2b393551dba72",
     "residuals_real_lasso_r.csv": "d94a1c7febfbf4cf64ff8e8402ae97c41f8172eaaa6d7985de9401dcf1ad4ee7",
-    "residuals_real_ols_r.csv": "1076a4a5e7fb8659d16a1f905e198178f9cd4b120b75cf13af103e7ecd357c17",
+    "residuals_real_ols_r.csv": "9ffc37f0101cb8b0565a820de5e19629c5dfa58057957eff52cd408b22085702",
     "residuals_real_rf_r.csv": "f178f123159f1cc9698785c6849339beee1fd442ef91836d11a983cdc8bbdee4",
-    "residuals_real_ridge_r.csv": "ad85aa9016abaa68f2cb1aaed4476f334f4e9ddf6e4963175c77daf82f5b2bd1",
+    "residuals_real_ridge_r.csv": "1e3e3c5149eb6fc717de1319dc37100945fa6713c58a79989aa504b6781051c5",
     "residuals_real_svr_r.csv": "df4019fefd05ef6e9ec38afa7c200dc149d12a35ade7b7309b350644903161c3",
     "residuals_synthetic_cart_r.csv": "3772af1613c2c71ab69b964aba806aed36bdfb5c7e7fb9ef0e6fe0fefa57ca97",
     "residuals_synthetic_gbt_r.csv": "72ce19f745341f46987d27d6f90f1fc596ca2582ce23d760c340e36c62605a1d",
     "residuals_synthetic_knn_r.csv": "7120b1aeb218c5fbf2a4e992ac1859d227a0e5ef7bc86ea57000ec75b8d37d7b",
     "residuals_synthetic_lasso_r.csv": "7d41bda5303d94864663585a5bc4361fd4440b800f26b485b51c67ad2c45fb49",
-    "residuals_synthetic_ols_r.csv": "2ca89e139def7e17cd4cbab5c2e7196a8baf3a0e5e7016e1595083984a9b4dff",
+    "residuals_synthetic_ols_r.csv": "d8428edcb92f304299d1e506e6a1dc681c544b87cc08c5473a20c133d2c054c9",
     "residuals_synthetic_rf_r.csv": "059bca3277bec0a16548f8bcf99cfe3d392617bbcf07a4a09e6a8136e807e9b9",
-    "residuals_synthetic_ridge_r.csv": "b1ccd4fc9de5c9533c1df63b33c6de1154ad65335a99d574868c7c95d80af299",
+    "residuals_synthetic_ridge_r.csv": "efba77409dd1dfa9c3d3670529c2481792f2bd9ab58443c69c9f145c6bf301a2",
     "residuals_synthetic_svr_r.csv": "8a26b717897ad90b3cf04994e7860192eb40714436685cdb92b77ceec0abfebf",
     "roc_real_cart_c.csv": "ac64e8a5abbcd88b73522be3f6906d1d6a57f7e593e54f9e2307b87a727563dc",
     "roc_real_gbt_c.csv": "6a65d0bc19decc1a57a19d366c1f1fd070832f31cb994a62cad2d16a5d7071ef",

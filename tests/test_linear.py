@@ -87,6 +87,29 @@ def test_rank_deficient_warns_and_flags(rng):
     assert abs(m.weights.sum() - 3.0) < 1e-8
 
 
+@pytest.mark.parametrize("n,m,lam,shape", [
+    (60, 4, 0.0, "as-is"), (60, 4, 2.0, "as-is"), (5, 9, 0.0, "as-is"), (5, 9, 0.5, "as-is"),
+    (40, 6, 0.0, "duplicate"), (40, 6, 1.0, "duplicate"), (12, 3, 0.0, "zero-column"),
+    (7, 7, 0.0, "as-is")])
+def test_ridge_matches_lstsq_on_the_stacked_design(rng, n, m, lam, shape):
+    """The Householder triangle keeps lstsq's rank rule and minimum-norm answer
+    on the (n + m) x m design, wide, square and rank-deficient ones included."""
+    X = rng.normal(size=(n, m))
+    if shape == "duplicate":
+        X[:, 1] = X[:, 0]
+    elif shape == "zero-column":
+        X[:, 2] = 1.5  # zero once centered
+    y = rng.normal(size=n)
+    Xc, yc = X - X.mean(axis=0), y - y.mean()
+    A = np.vstack([Xc, math.sqrt(lam) * np.eye(m)]) if lam else Xc
+    want, _, rank, _ = np.linalg.lstsq(A, np.concatenate([yc, np.zeros(len(A) - n)]), rcond=None)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        got = fit_ridge(X, y, lam=lam)
+    assert got.rank_deficient == (rank < m)
+    assert np.allclose(got.weights, want, rtol=0, atol=1e-12 * max(1.0, np.abs(want).max()))
+
+
 def test_negative_lambda_rejected(rng):
     X = rng.normal(size=(10, 2))
     with pytest.raises(ConfigError):
