@@ -265,17 +265,13 @@ def grow(X, y, sorted_rows, keys, sizes, w, config, task, n_classes):
 def fit_cart_matrix(X: np.ndarray, y: np.ndarray, config: CartConfig, task: str,
                     key: int | None = None,
                     n_classes: int | None = None,
-                    sorted_rows: np.ndarray | None = None,
-                    weights: np.ndarray | None = None, leaves: bool = False):
+                    sorted_rows: np.ndarray | None = None, leaves: bool = False):
     """Fit one tree on X and y (int labels or float targets).
     key, an int in [0, 2**64), keys the per-node feature draws (default
     config.seed). sorted_rows is presort(X), passed by callers that fit many
-    trees on one X. weights (classification only) count rows; leaves returns
-    (tree, row -> leaf)."""
+    trees on one X. leaves returns (tree, row -> leaf)."""
     if task not in (TASK_CLASSIFICATION, TASK_REGRESSION):
         raise ConfigError(f"unknown task {task!r}")
-    if weights is not None and task != TASK_CLASSIFICATION:
-        raise ContractError("row weights are for classification trees only")
     X = np.ascontiguousarray(X, dtype=np.float64)
     if task == TASK_CLASSIFICATION:
         y = np.ascontiguousarray(y, dtype=np.int64)
@@ -285,7 +281,7 @@ def fit_cart_matrix(X: np.ndarray, y: np.ndarray, config: CartConfig, task: str,
         y = np.ascontiguousarray(y, dtype=np.float64)
         n_classes = 0
     (arrays, leaf_of), = grow(X, y, presort(X) if sorted_rows is None else sorted_rows,
-                              [config.seed if key is None else key], [X.shape[0]], weights,
+                              [config.seed if key is None else key], [X.shape[0]], None,
                               config, task, n_classes)
     tree = FlatTree(*arrays, task=task)
     return (tree, leaf_of) if leaves else tree
