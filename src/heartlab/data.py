@@ -293,6 +293,9 @@ def train_test_split(ds: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset]:
     n = ds.n_rows
     rng = np.random.default_rng(spec.seed)
     n_train = _round_half_up(spec.train_fraction * n)
+    if not 0 < n_train < n:
+        raise ConfigError(f"split.train_fraction {spec.train_fraction} of {n} rows leaves "
+                          f"{n_train} train and {n - n_train} test rows; both must be non-empty")
 
     if not spec.stratified:
         perm = rng.permutation(n)

@@ -5,7 +5,7 @@ label encoding, then median/mode imputation, then interquartile-range
 row filtering (train rows only), then z-score scaling with population
 (divide-by-n) standard deviations. Quantiles use linear interpolation
 between order statistics. ``transform`` never drops rows; the filter is
-applied to training data via ``transform_filtered`` or ``iqr_filter``.
+applied to training data via ``transform_filtered``.
 """
 
 from __future__ import annotations
@@ -31,26 +31,6 @@ class PreprocessConfig:
     def __post_init__(self):
         if not 0 <= self.iqr_factor < np.inf:
             raise ConfigError(f"iqr_factor must be finite and >= 0, got {self.iqr_factor}")
-
-
-@dataclass(frozen=True)
-class IqrBounds:
-    column: str
-    q1: float
-    q3: float
-    factor: float = 1.5
-
-    def __post_init__(self):
-        if not self.q1 <= self.q3:
-            raise FitError(f"column {self.column!r}: q1 {self.q1} > q3 {self.q3}")
-
-    @property
-    def lower(self) -> float:
-        return self.q1 - self.factor * (self.q3 - self.q1)
-
-    @property
-    def upper(self) -> float:
-        return self.q3 + self.factor * (self.q3 - self.q1)
 
 
 @dataclass(frozen=True)
@@ -95,23 +75,31 @@ def fit_preprocessor(train: Dataset, config: PreprocessConfig = PreprocessConfig
             raise FitError(f"column {col.name!r} has no observed values")
         fills[j] = np.median(present) if col.kind == KIND_CONTINUOUS else _mode(present)
 
-    iqr_names = config.iqr_columns
+    x = np.where(np.isnan(encoded), fills, encoded)
+    lower, upper = np.full(len(feat_cols), -np.inf), np.full(len(feat_cols), np.inf)
+    names = [c.name for c in feat_cols]
+    f, iqr_names = config.iqr_factor, config.iqr_columns
     if iqr_names is None:
         iqr_names = [c.name for c in feat_cols if c.kind == KIND_CONTINUOUS]
-    work = train.with_rows(np.where(np.isnan(encoded), fills, encoded))
-    filtered, bounds = iqr_filter(work, iqr_names, config.iqr_factor)
-    if filtered.n_rows == 0:
+    for name in iqr_names:
+        if name not in names:
+            raise ConfigError(f"unknown column for outlier filter: {name!r}")
+        j = names.index(name)
+        if feat_cols[j].kind != KIND_CONTINUOUS:
+            raise ConfigError(f"outlier filter requires a continuous column, got {name!r}")
+        q1, q3 = np.quantile(x[:, j], [0.25, 0.75])
+        if not q1 <= q3:
+            raise FitError(f"column {name!r}: q1 {q1} > q3 {q3}")
+        lower[j], upper[j] = q1 - f * (q3 - q1), q3 + f * (q3 - q1)
+    kept = x[_inside(x, lower, upper)]
+    if kept.shape[0] == 0:
         raise FitError(f"outlier filter (iqr_factor {config.iqr_factor}) left no training rows")
-    lower, upper = np.full(len(feat_cols), -np.inf), np.full(len(feat_cols), np.inf)
-    for b in bounds:
-        j = work.feature_names().index(b.column)
-        lower[j], upper[j] = b.lower, b.upper
 
-    means = filtered.rows.mean(axis=0)
-    sds = np.sqrt(np.mean((filtered.rows - means) ** 2, axis=0))
+    means = kept.mean(axis=0)
+    sds = np.sqrt(np.mean((kept - means) ** 2, axis=0))
     # constant detection by spread: the mean of n identical floats can carry
     # rounding noise, which would leave sd at ~1e-16 instead of exactly 0
-    spread = filtered.rows.max(axis=0) - filtered.rows.min(axis=0)
+    spread = kept.max(axis=0) - kept.min(axis=0)
     scaled = (sds > 0.0) & (spread > 0.0)
     constant = [c.name for c, ok in zip(feat_cols, scaled) if not ok]
     scaled &= config.scale
@@ -156,6 +144,12 @@ def _encode(label_maps: dict, ds: Dataset) -> np.ndarray:
     return out
 
 
+def _inside(x: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
+    """Rows none of whose cells lie outside [lower, upper]: the outlier
+    rule both fit_preprocessor and transform_filtered apply."""
+    return ~((x < lower) | (x > upper)).any(axis=1)
+
+
 def _apply(state: PreprocessorState, ds: Dataset, filtered: bool) -> Dataset:
     """Encode, fill missing cells, drop rows with a cell outside the fitted
     outlier bounds when filtered (bounds are in pre-scaling units), then
@@ -165,52 +159,13 @@ def _apply(state: PreprocessorState, ds: Dataset, filtered: bool) -> Dataset:
     x = _encode(state.label_maps, ds)
     ds = ds.with_rows(np.where(np.isnan(x), state.fills, x), labels=ds.labels, targets=ds.targets)
     if filtered:
-        x = ds.rows
-        ds = ds.take(np.flatnonzero(~((x < state.lower) | (x > state.upper)).any(axis=1)))
+        ds = ds.take(np.flatnonzero(_inside(ds.rows, state.lower, state.upper)))
     return ds.with_rows((ds.rows - state.means) / state.sds, labels=ds.labels, targets=ds.targets)
 
 
 def transform(state: PreprocessorState, ds: Dataset) -> Dataset:
     """Encode, impute and scale; never removes rows."""
     return _apply(state, ds, filtered=False)
-
-
-def iqr_filter(ds: Dataset, columns: list, factor: float = 1.5,
-               bounds: list | None = None) -> tuple[Dataset, list]:
-    """Drop rows strictly outside [q1 - factor*iqr, q3 + factor*iqr].
-
-    Quantiles are computed on the given data with linear interpolation
-    unless precomputed bounds are supplied (re-applying the same bounds
-    is idempotent). Meant for training rows only.
-    """
-    by_name = {c.name: (j, c) for j, c in enumerate(ds.feature_columns())}
-    for name in columns:
-        if name not in by_name:
-            raise ConfigError(f"unknown column for outlier filter: {name!r}")
-        if by_name[name][1].kind != KIND_CONTINUOUS:
-            raise ConfigError(f"outlier filter requires a continuous column, got {name!r}")
-
-    if bounds is None:
-        bounds = []
-        for name in columns:
-            j = by_name[name][0]
-            col = ds.rows[:, j]
-            col = col[~np.isnan(col)]
-            if col.size == 0:
-                raise FitError(f"column {name!r} has no observed values")
-            q1, q3 = np.quantile(col, [0.25, 0.75])
-            bounds.append(IqrBounds(column=name, q1=float(q1), q3=float(q3), factor=factor))
-    else:
-        missing = [b.column for b in bounds if b.column not in by_name]
-        if missing:
-            raise ConfigError(f"unknown column for outlier filter: {missing[0]!r}")
-
-    keep = np.ones(ds.n_rows, dtype=bool)
-    for b in bounds:
-        col = ds.rows[:, by_name[b.column][0]]
-        with np.errstate(invalid="ignore"):
-            keep &= ~((col < b.lower) | (col > b.upper))
-    return ds.take(np.nonzero(keep)[0]), bounds
 
 
 def transform_filtered(state: PreprocessorState, train: Dataset) -> Dataset:

@@ -49,22 +49,6 @@ class SmoteConfig:
             raise ConfigError("target_total is required by augment mode and unused by balance mode")
 
 
-def nearest_same_class(ds: Dataset, row_index: int, k: int) -> list:
-    """Indices of the k nearest rows sharing row_index's label, by
-    (distance, row index) ascending, the row itself excluded."""
-    if ds.labels is None:
-        raise ContractError("nearest_same_class requires labels")
-    label = ds.labels[row_index]
-    members = np.nonzero(ds.labels == label)[0]
-    if members.size - 1 < k:
-        raise ResamplingError(
-            f"class {int(label)} has {members.size - 1} other rows, need {k}"
-        )
-    table = _class_neighbor_table(ds.rows[members], k)
-    local = int(np.nonzero(members == row_index)[0][0])
-    return [int(members[j]) for j in table[local]]
-
-
 def _class_neighbor_table(points: np.ndarray, k: int) -> np.ndarray:
     """(n, k) local neighbor indices within one class, self excluded.
 

@@ -215,7 +215,8 @@ def test_split_rows_keep_original_order(rng):
 
 def test_split_bad_fraction(rng):
     ds = make_ds(rng.normal(size=(10, 2)), labels=(np.arange(10) % 2))
-    for f in (0.0, 1.0, -0.2, 1.7):
+    # 0.02 and 0.97 of 10 rows round to an empty train or test partition
+    for f in (0.0, 1.0, -0.2, 1.7, 0.02, 0.97):
         with pytest.raises(ConfigError):
             train_test_split(ds, SplitSpec(train_fraction=f))
 

@@ -6,7 +6,6 @@ from heartlab.errors import ConfigError, FitError, TransformError
 from heartlab.preprocess import (
     PreprocessConfig,
     fit_preprocessor,
-    iqr_filter,
     transform,
     transform_filtered,
 )
@@ -20,41 +19,34 @@ from conftest import make_ds
 def test_iqr_bounds_known_values():
     # oracle by hand: q1=2, q3=4, iqr=2 -> keep [2-3, 4+3] = [-1, 7]
     ds = make_ds(np.array([[1.0], [2.0], [3.0], [4.0], [100.0]]))
-    kept, bounds = iqr_filter(ds, ["f0"])
-    assert kept.rows[:, 0].tolist() == [1.0, 2.0, 3.0, 4.0]
-    b = bounds[0]
-    assert b.q1 == 2.0 and b.q3 == 4.0
-    assert b.lower == -1.0 and b.upper == 7.0
+    state = fit_preprocessor(ds, PreprocessConfig(scale=False))
+    assert state.lower.tolist() == [-1.0] and state.upper.tolist() == [7.0]
+    assert transform_filtered(state, ds).rows[:, 0].tolist() == [1.0, 2.0, 3.0, 4.0]
 
 
-def test_iqr_filter_boundary_values_kept():
+def test_iqr_boundary_values_kept():
     ds = make_ds(np.array([[-1.0], [7.0], [2.0], [4.0], [3.0]]))
-    kept, _ = iqr_filter(ds, ["f0"])
-    # bounds from these five points contain all of them; exactly-on-bound rows stay
-    assert kept.n_rows == 5
+    state = fit_preprocessor(ds, PreprocessConfig(scale=False))
+    # bounds from these five points are [-1, 7]; exactly-on-bound rows stay
+    assert state.lower.tolist() == [-1.0] and state.upper.tolist() == [7.0]
+    assert transform_filtered(state, ds).n_rows == 5
 
 
-def test_iqr_filter_idempotent(rng):
+def test_transform_filtered_idempotent(rng):
     ds = make_ds(rng.normal(size=(300, 2)) ** 3)  # heavy tails
-    once, bounds = iqr_filter(ds, ["f0", "f1"])
-    twice, _ = iqr_filter(once, ["f0", "f1"], bounds=bounds)
-    assert twice.n_rows == once.n_rows
+    state = fit_preprocessor(ds, PreprocessConfig(scale=False))
+    once = transform_filtered(state, ds)
+    twice = transform_filtered(state, once)
+    assert 0 < once.n_rows < 300
     assert np.array_equal(twice.rows, once.rows)
 
 
-def test_iqr_filter_keeps_nan_rows():
-    ds = make_ds(np.array([[1.0], [2.0], [np.nan], [3.0], [50.0]]))
-    kept, _ = iqr_filter(ds, ["f0"])
-    assert kept.n_rows == 4  # only the 50.0 outlier drops
-    assert np.isnan(kept.rows[:, 0]).sum() == 1
-
-
-def test_iqr_filter_unknown_or_noncontinuous_column():
+def test_iqr_columns_unknown_or_noncontinuous_rejected():
     ds = make_ds(np.array([[1.0, 0.0]]), kinds=["continuous", "binary"])
-    with pytest.raises(ConfigError):
-        iqr_filter(ds, ["nope"])
-    with pytest.raises(ConfigError):
-        iqr_filter(ds, ["f1"])
+    with pytest.raises(ConfigError, match="unknown column for outlier filter: 'nope'"):
+        fit_preprocessor(ds, PreprocessConfig(iqr_columns=["nope"]))
+    with pytest.raises(ConfigError, match="requires a continuous column, got 'f1'"):
+        fit_preprocessor(ds, PreprocessConfig(iqr_columns=["f1"]))
 
 
 # -- scaling -----------------------------------------------------------------
@@ -225,14 +217,19 @@ def test_kind_mismatched_schema_rejected(rng):
         transform(state, other)
 
 
-def test_transform_filtered_keeps_the_rows_iqr_filter_keeps(rng):
+def test_transform_filtered_keeps_the_rows_the_quartile_mask_keeps(rng):
     rows = rng.standard_t(2, size=(300, 3))  # heavy tails
     rows[rng.random(rows.shape) < 0.1] = np.nan
     train = make_ds(rows, labels=np.arange(300) % 2)
     cols = ["f0", "f2", "f0"]
     state = fit_preprocessor(train, PreprocessConfig(iqr_columns=cols, scale=False))
     imputed = transform(state, train)  # scale off: encode and fill only
-    want, _ = iqr_filter(imputed, cols, bounds=iqr_filter(imputed, cols)[1])
+    keep = np.ones(300, dtype=bool)
+    for j in (0, 2):
+        col = imputed.rows[:, j]
+        q1, q3 = np.quantile(col, [0.25, 0.75])
+        keep &= (col >= q1 - 1.5 * (q3 - q1)) & (col <= q3 + 1.5 * (q3 - q1))
+    want = imputed.take(np.flatnonzero(keep))
     got = transform_filtered(state, train)
     assert 0 < got.n_rows < 300
     assert np.array_equal(got.rows, want.rows) and np.array_equal(got.labels, want.labels)

@@ -401,6 +401,23 @@ def test_outlier_filter_that_empties_training_fails_at_preprocess(tmp_path, caps
     assert (man["status"], man["stage"]) == ("failed", "preprocess")
 
 
+@pytest.mark.parametrize("split, sizes", [
+    ({"train_fraction": 0.97}, "10 train and 0 test"),
+    ({"train_fraction": 0.02, "stratified": False}, "0 train and 10 test")],
+    ids=["empty-test", "empty-train-unstratified"])
+def test_split_that_empties_a_partition_fails_at_split_before_any_fit(
+        tmp_path, capsys, monkeypatch, split, sizes):
+    fitted = []
+    monkeypatch.setattr(runner, "fit", lambda *args: fitted.append(args))
+    doc = _doc(tmp_path, dataset={"fixture": {"n": 10}}, split=split)
+    assert main(["run", str(_write_cfg(tmp_path, doc))]) == 2
+    err = capsys.readouterr().err
+    assert f"split.train_fraction {split['train_fraction']} of 10 rows leaves {sizes}" in err
+    assert fitted == []
+    man = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert (man["status"], man["stage"]) == ("failed", "split")
+
+
 def test_cli_non_utf8_csv_exits_2(tmp_path, capsys):
     path = tmp_path / "latin.csv"
     path.write_bytes("age,note\n54,caf\u00e9\n".encode("latin-1"))

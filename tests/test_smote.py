@@ -3,7 +3,7 @@ import pytest
 
 from heartlab.errors import ConfigError, ContractError, ResamplingError
 from heartlab._kernels import knn_search
-from heartlab.smote import SmoteConfig, _class_neighbor_table, nearest_same_class, smote
+from heartlab.smote import SmoteConfig, _class_neighbor_table, smote
 
 from conftest import make_ds
 
@@ -28,20 +28,11 @@ def brute_knn_same_class(ds, i, k):
 # -- neighbor search ---------------------------------------------------------
 
 
-def test_nearest_same_class_matches_brute_force():
-    ds = _blobs(12, 18, seed=3)
-    for i in (0, 5, 11, 12, 29):
-        got = nearest_same_class(ds, i, 4)
-        want = brute_knn_same_class(ds, i, 4)
-        assert list(got) == want
-
-
-def test_nearest_same_class_excludes_self_and_other_class():
-    ds = _blobs(8, 8, seed=1)
-    for i in range(16):
-        got = nearest_same_class(ds, i, 3)
-        assert i not in got
-        assert all(ds.labels[j] == ds.labels[i] for j in got)
+def test_class_neighbor_table_matches_brute_force():
+    ds = _blobs(0, 18, seed=3)  # one class: the table's local indices are row indices
+    table = _class_neighbor_table(ds.rows, 4)
+    for i in range(ds.n_rows):
+        assert table[i].tolist() == brute_knn_same_class(ds, i, 4)
 
 
 def test_class_neighbor_table_matches_the_row_loop():
@@ -58,12 +49,6 @@ def test_class_neighbor_table_matches_the_row_loop():
         self_absent += int((idx != np.arange(n)[:, None]).all(axis=1).sum())
         assert np.array_equal(_class_neighbor_table(points, k), want)
     assert self_absent > 0
-
-
-def test_nearest_same_class_needs_enough_rows():
-    ds = _blobs(4, 10, seed=2)
-    with pytest.raises(ResamplingError):
-        nearest_same_class(ds, 0, 5)  # class 0 has only 3 others
 
 
 # -- balance mode ------------------------------------------------------------
