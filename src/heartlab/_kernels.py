@@ -12,9 +12,9 @@ The split kernels read each feature's rows from sorted lists that the
 caller keeps (a forest or boosting run sorts X once; trees.py partitions the
 lists stably a level at a time), so no node sorts. The classification kernel
 scores every open node of a tree level in one call; its loop oracle runs the
-one-node loop over the level's nodes. Equal feature values are listed in row
-order, so prefix sums over ties visit rows in the same order on both
-implementations and tie-breaking between equal-gain splits cannot diverge.
+one-node loop over the level's nodes. Prefix sums visit every row, equal
+values in row order, as the loops do; gains are scored at candidate positions
+only, in the loops' order, so equal-gain splits break ties alike.
 
 Tree routing is predicated: leaves are their own children, so every routed
 row takes the same step per level; rows are compacted once half sit at leaves.
@@ -45,7 +45,10 @@ def backend_name() -> str:
 # the shared constant, where ssq is sum(c_k^2) resp. s^2. Candidates are
 # midpoints between consecutive distinct sorted values; ties broken by
 # highest gain, then lowest feature index, then lowest threshold (features
-# must be passed in ascending order).
+# must be passed in ascending order). A block's gains are computed only at
+# its candidate positions, those where the sorted value changes inside a
+# node and min_leaf allows a split, found by one flatnonzero; the prefix
+# sums under them still visit every row in order.
 #
 # sorted_rows is an (n_features, n) integer array whose row f lists the rows
 # of idx by ascending X[:, f], equal values in their idx order; only the rows
@@ -217,7 +220,6 @@ def split_classification(X, y, idx, feats, n_classes, min_leaf, sorted_rows=None
         a, b = starts[lo], starts[hi]
         first = starts[lo:hi] - a  # each node's first position in the block
         sizes = starts[lo + 1:hi + 1] - starts[lo:hi]
-        ends = first + sizes - 1
         pos = np.arange(b - a)
 
         def within(v, totals):
@@ -226,53 +228,53 @@ def split_classification(X, y, idx, feats, n_classes, min_leaf, sorted_rows=None
             v[:, first[1:]] -= totals[lo:hi - 1]
             return v.cumsum(axis=1, out=v)
 
-        def spread(v):  # per node -> per position
-            return v[lo:hi].repeat(sizes)
-
-        nb, ps = spread(n), spread(parent_score)
         per = max(1, _SPLIT_BLOCK // (b - a))
         for j0 in range(0, k, per):
             fb = feats[j0:j0 + per, lo:hi]
             fat = fb.repeat(sizes, axis=1)  # (candidates, positions): each position's feature
             rows = sorted_rows.take(fat * sorted_rows.shape[1] + (pos + a))
             vs = X.take(rows * m + fat)
-            ys = y.take(rows)
             ws = None if w is None else w.take(rows)
-            # class counts are exact integers, so their squares add up exactly
-            for c in range(n_classes):
-                if c < n_classes - 1:
-                    lc = within((ys == c).astype(np.int64) if ws is None else (ys == c) * ws,
-                                parent[c])
-                    taken = lc if c == 0 else taken + lc
-                else:  # the last class: what the others leave of nl
-                    nl = pos + 1 - first.repeat(sizes) if ws is None else within(ws, n)
-                    lc = nl - taken
-                rc = spread(parent[c]) - lc
-                lc = lc * lc
-                rc *= rc
-                if c == 0:
-                    ssq_l, ssq_r = lc, rc
-                else:
-                    ssq_l += lc
-                    ssq_r += rc
-            nr = nb - nl
-            nr[..., ends] = 1  # 0 there: no split after a node's last row
-            gains = ssq_l / nl
-            gains += ssq_r / nr
-            gains -= ps
-            gains /= nb
-            gains[:, ends] = -np.inf
-            np.copyto(gains[:, :-1], -np.inf, where=vs[:, :-1] == vs[:, 1:])
+            cut = np.empty(vs.shape, bool)  # a split after the position: its value changes
+            np.not_equal(vs[:, :-1], vs[:, 1:], out=cut[:, :-1])
+            cut[:, first + sizes - 1] = False  # and its node goes on
             if min_leaf > 1:
-                np.copyto(gains, -np.inf, where=(nl < min_leaf) | (nr < min_leaf))
-            tops = np.maximum.reduceat(gains, first, axis=1)
+                nl = pos + 1 - first.repeat(sizes) if ws is None else within(ws.copy(), n)
+                cut &= (nl >= min_leaf) & (n[lo:hi].repeat(sizes) - nl >= min_leaf)
+            at = np.flatnonzero(cut)
+            if not at.size:
+                continue
+            # segment (j, s), candidate j's split points in node s, is contiguous in at
+            seg_first = np.arange(fb.shape[0])[:, None] * (b - a) + starts[lo:hi + 1] - a
+            bounds = np.searchsorted(at, seg_first)
+            count = (bounds[:, 1:] - bounds[:, :-1]).ravel()
+            bounds, seg_first = bounds[:, :-1].ravel(), seg_first[:, :-1].ravel()
+            node = np.arange(lo, hi)[None].repeat(fb.shape[0], axis=0).repeat(count)
+            nb = n.take(node)
+            ys = y.take(rows)
+            # class counts are exact integers, so their squares add up exactly
+            taken = rtaken = ssq_l = ssq_r = 0  # over the classes before the last
+            for c in range(n_classes - 1):
+                lc = within((ys == c).astype(np.int64) if ws is None else (ys == c) * ws,
+                            parent[c]).take(at)
+                rc = parent[c].take(node) - lc
+                taken, rtaken = taken + lc, rtaken + rc
+                ssq_l, ssq_r = ssq_l + lc * lc, ssq_r + rc * rc
+            nl = at - np.repeat(seg_first - 1, count) if ws is None else within(ws, n).take(at)
+            lc, rc = nl - taken, nb - nl - rtaken  # the last class: what the others leave
+            gains = (ssq_l + lc * lc) / nl
+            gains += (ssq_r + rc * rc) / (nb - nl)
+            gains -= parent_score.take(node)
+            gains /= nb
+            tops = np.full((fb.shape[0], hi - lo), -np.inf)  # per segment
+            tops.flat[count > 0] = np.maximum.reduceat(gains, bounds[count > 0])
             j = tops.argmax(axis=0)  # each node's first candidate with its top gain
             top = tops[j, np.arange(hi - lo)]
             better = np.flatnonzero(top > best_gain[lo:hi])
-            if better.size:
-                hit = gains[j.repeat(sizes), pos] == top.repeat(sizes)
-                p = np.minimum.reduceat(np.where(hit, pos, b - a), first)[better]
+            if better.size:  # the first split point of segment (j, s) with the top gain
+                hits = np.flatnonzero(gains == tops.ravel().repeat(count))
                 jb = j[better]
+                p = at.take(hits.take(hits.searchsorted(bounds[jb * (hi - lo) + better]))) % (b - a)
                 best_feat[lo + better] = fb[jb, better]
                 best_thr[lo + better] = 0.5 * (vs[jb, p] + vs[jb, p + 1])
                 best_gain[lo + better] = top[better]
@@ -292,24 +294,28 @@ def split_regression(X, y, idx, feats, min_leaf, sorted_rows=None):
         sorted_rows = _node_lists(X, idx, feats)
     total = float(np.cumsum(y[idx])[-1])
     parent_score = total * total / m
-    nl = np.arange(1, m, dtype=np.int64)
-    nr = m - nl
     best_feat, best_thr, best_gain = -1, 0.0, 0.0
     per = max(1, _SPLIT_BLOCK // (m - 1))
+    nl = np.arange(1, m)[None].repeat(min(per, feats.shape[0]), axis=0).ravel()  # left of a split
     for start in range(0, feats.shape[0], per):
         fb = feats[start:start + per]
         rows = sorted_rows[fb]
         vs = X.take(rows * np.int64(X.shape[1]) + fb[:, None])
-        sl = np.cumsum(y.take(rows[:, :-1]), axis=1)
+        cut = vs[:, :-1] != vs[:, 1:]
+        if min_leaf > 1:  # positions with fewer than min_leaf rows on a side
+            cut[:, :min_leaf - 1] = cut[:, max(0, m - min_leaf):] = False
+        at = np.flatnonzero(cut)
+        if not at.size:
+            continue
+        sl = np.cumsum(y.take(rows[:, :-1]), axis=1).take(at)
         sr = total - sl
-        gains = (sl * sl / nl + sr * sr / nr - parent_score) / m
-        gains[vs[:, :-1] == vs[:, 1:]] = -np.inf
-        if min_leaf > 1:
-            np.copyto(gains, -np.inf, where=(nl < min_leaf) | (nr < min_leaf))
-        i, pos = divmod(int(gains.argmax()), m - 1)
-        if gains[i, pos] > best_gain:
-            best_feat, best_gain = int(fb[i]), float(gains[i, pos])
-            best_thr = 0.5 * (vs[i, pos] + vs[i, pos + 1])
+        nl_at = nl.take(at)
+        gains = (sl * sl / nl_at + sr * sr / (m - nl_at) - parent_score) / m
+        i = int(gains.argmax())
+        if gains[i] > best_gain:
+            r, pos = divmod(int(at[i]), m - 1)
+            best_feat, best_gain = int(fb[r]), float(gains[i])
+            best_thr = 0.5 * (vs[r, pos] + vs[r, pos + 1])
     return best_feat, best_thr, best_gain
 
 # ---------------------------------------------------------------------------

@@ -88,11 +88,11 @@ class Forest:
 
     def scored(self, X: np.ndarray) -> tuple:
         """Each tree votes its leaf's majority class; vote fractions are probabilities."""
-        votes = np.zeros((X.shape[0], self.n_classes), dtype=np.float64)
-        rows = np.arange(X.shape[0])
+        votes = np.zeros((self.n_classes, X.shape[0]), dtype=np.int64)  # per class, per row
+        codes = np.arange(self.n_classes)[:, None]
         for tree in self.trees:
-            votes[rows, by_argmax(tree.leaf_value)[0].take(tree.route(X))] += 1.0
-        return by_argmax(votes / len(self.trees))
+            votes += by_argmax(tree.leaf_value)[0].take(tree.route(X)) == codes
+        return by_argmax(np.divide(votes.T, len(self.trees), order="C"))
 
     def check(self, n_cols: int, task: str, config: ForestConfig) -> None:
         """n_trees `task` trees, each by its own rules, no leaf wider than

@@ -9,8 +9,9 @@ _BLOCK_ROWS rows a call.
 Exact mode tables all 2^M subsets; sampled mode averages marginal
 contributions over antithetic permutation pairs, tabling each distinct
 coalition of their chains once, and distributes the (tiny) efficiency
-residual uniformly. Models are passed either as a TrainedModel or as any
-callable mapping a row matrix to a real vector.
+residual uniformly. Distinct coalitions and spliced rows are found by one
+stable sort of their packed membership bits. Models are passed either as a
+TrainedModel or as any callable mapping a row matrix to a real vector.
 """
 
 from __future__ import annotations
@@ -93,6 +94,17 @@ def coalition_value(model, x, S, background) -> float:
     return float(_coalition_table(fn, x, background, member)[0])
 
 
+def _distinct_rows(packed: np.ndarray) -> tuple:
+    """np.unique(bits, axis=0, return_index=True, return_inverse=True)[1:] of
+    packed = np.packbits(bits, axis=1), by a stable sort of the packed bytes."""
+    order = np.lexsort(packed.T[::-1])
+    ranked = packed[order]
+    new = np.concatenate([[True], (ranked[1:] != ranked[:-1]).any(axis=1)])
+    inverse = np.empty(order.size, np.int32)
+    inverse[order] = new.cumsum() - 1
+    return order[new], inverse
+
+
 def _coalition_table(fn, x, background, member: np.ndarray) -> np.ndarray:
     """v(S) for each row S of a (k, M) boolean membership matrix: the mean
     model output over background rows b with x's values spliced in on S.
@@ -120,10 +132,7 @@ def _coalition_table(fn, x, background, member: np.ndarray) -> np.ndarray:
 
     fill = 0
     for b in range(bg):
-        keys = packed & differs[b]
-        _, first, inv = np.unique(keys.view(f"V{keys.shape[1]}")[:, 0],
-                                  return_index=True, return_inverse=True)
-        inv = inv.astype(np.int32)
+        first, inv = _distinct_rows(packed & differs[b])
         i = 0
         while i < first.size:
             count = min(first.size - i, len(buf) - fill)
@@ -193,12 +202,12 @@ def shap_sampled(model, x, background, config: ShapConfig = ShapConfig(mode="sam
         pair += 1
     perms = np.array(perms)
 
-    # chains[p, s] holds the first s features of permutation p (rank[p, j]
-    # is the step that adds j); each distinct coalition is evaluated once
+    # row p * (M + 1) + s of chains: permutation p's first s features (rank[p,
+    # j] is the step that adds j); each distinct coalition is evaluated once
     rank = np.argsort(perms, axis=1)
-    chains = rank[:, None, :] < np.arange(M + 1)[:, None]
-    distinct, inverse = np.unique(chains.reshape(-1, M), axis=0, return_inverse=True)
-    means = _coalition_table(fn, x, background, distinct)[inverse].reshape(n_perm, M + 1)
+    chains = (rank[:, None, :] < np.arange(M + 1)[:, None]).reshape(-1, M)
+    first, inverse = _distinct_rows(np.packbits(chains, axis=1))
+    means = _coalition_table(fn, x, background, chains[first])[inverse].reshape(n_perm, M + 1)
     base, fx = float(means[0, 0]), float(means[0, -1])
     samples = np.take_along_axis(np.diff(means, axis=1), rank, axis=1)
 

@@ -228,6 +228,8 @@ def parse_config(doc: dict, seed_override: int | None = None) -> RunConfig:
                      for r in _conv(list, e.get("rows", [0]), f"explain[{i}].rows"))
         if not rows:
             raise ConfigError(f"explain[{i}].rows must name at least one row")
+        if len(set(rows)) < len(rows):  # each row writes one file
+            raise ConfigError(f"explain[{i}].rows repeats row {max(rows, key=rows.count)}")
         key = (track or _default_track(smote_cfg), model, method)
         if key in asked:
             raise ConfigError(f"explain[{asked[key]}] and explain[{i}] both ask for {method} "

@@ -212,8 +212,9 @@ def grow(X, y, sorted_rows, keys, sizes, w, config, task, n_classes):
             moves = code.take(lists).ravel()
             lists = np.concatenate([lists.compress(moves == side).reshape(n_features, -1)
                                     for side in (0, 1)], axis=1)
-        idx, per_node, keys, open_ = kids.compress(kept), per_kid[may], keys[may], may.nonzero()[0]
+        idx, per_node, open_ = kids.compress(kept), per_kid[may], may.nonzero()[0]
         starts = np.concatenate([[0], per_node.cumsum()])
+        keys = keys[may] if k < n_features else None  # only the feature draws read keys
         feats = (np.arange(n_features)[:, None].repeat(open_.size, axis=1) if k == n_features
                  else draw_features(keys, n_features, k))
         if classify:
@@ -241,7 +242,7 @@ def grow(X, y, sorted_rows, keys, sizes, w, config, task, n_classes):
         base, depth = base + n.size, depth + 1
         links.append((base - n.size + parents, base + np.arange(s), base + s + np.arange(s)))
         per_kid = np.bincount(kid_of, minlength=2 * s)
-        keys = child_keys(keys[split]).T.ravel()
+        keys = child_keys(keys[split]).T.ravel() if k < n_features else None
     # each tree's preorder: a node, its left subtree, its right subtree
     feature, threshold, n_samples, leaf_value = map(np.concatenate, zip(*levels))
     subtree = np.ones(feature.size, dtype=np.int64)

@@ -18,7 +18,7 @@ from heartlab.explain import (
     shap_values,
 )
 from heartlab.models import EstimatorSpec, fit, scalar_output
-from heartlab.trees import TASK_CLASSIFICATION, TASK_REGRESSION
+from heartlab.trees import TASK_CLASSIFICATION, TASK_REGRESSION, by_argmax
 
 from conftest import make_ds
 
@@ -299,6 +299,46 @@ def test_lime_on_trained_model(two_blob_ds):
     assert len(exp.feature_indices) == 2
     assert 0.0 <= exp.fidelity_r2 <= 1.0
     assert 0.0 <= exp.fx <= 1.0
+
+
+def test_lime_on_a_forest_equals_lime_on_float_votes(oracle_models):
+    """Votes counted as integers give LIME the bytes that votes added up as
+    floats, one scatter per tree, gave."""
+    rows, models = oracle_models
+    forest = models["random_forest"].params
+
+    def float_votes(X):
+        votes = np.zeros((X.shape[0], forest.n_classes), dtype=np.float64)
+        at = np.arange(X.shape[0])
+        for tree in forest.trees:
+            votes[at, by_argmax(tree.leaf_value)[0].take(tree.route(X))] += 1.0
+        return by_argmax(votes / len(forest.trees))[1]
+
+    for i in (0, 7):
+        got = lime_explain(models["random_forest"], rows[i], LimeConfig(seed=i))
+        want = lime_explain(float_votes, rows[i], LimeConfig(seed=i))
+        assert got.coefficients.tobytes() == want.coefficients.tobytes()
+        assert np.array_equal(got.feature_indices, want.feature_indices)
+        assert (got.intercept, got.fidelity_r2, got.fx) == (want.intercept, want.fidelity_r2,
+                                                             want.fx)
+
+
+@pytest.mark.parametrize("M", [1, 7, 8, 9, 16, 17, 64, 65, 70])
+@pytest.mark.parametrize("tied", [False, True], ids=["random", "tied"])
+def test_distinct_rows_is_unique_of_the_unpacked_bits(M, tied):
+    g = np.random.default_rng(M)
+    if tied:  # a few rows that differ in one or two bits, each many times over
+        pool = np.repeat(g.random((1, M)) < 0.5, 6, axis=0)
+        pool[np.arange(6), g.integers(0, M, 6)] ^= True
+        pool[1, -1] ^= True
+        bits = pool[g.integers(0, 6, 300)]
+    else:
+        bits = g.random((300, M)) < 0.5
+    want, first, inverse = np.unique(bits, axis=0, return_index=True, return_inverse=True)
+    got_first, got_inverse = explain._distinct_rows(np.packbits(bits, axis=1))
+    assert np.array_equal(got_first, first)
+    assert np.array_equal(got_inverse, inverse.ravel())
+    assert np.array_equal(bits[got_first], want)
 
 
 # ---------------------------------------------------------------------------

@@ -323,18 +323,29 @@ def test_linear_fits_identical_with_python_loop_kernel(monkeypatch, fit_name, ke
 
 # -- presorted split search and partial-selection kNN ---------------------------
 
+def _with_flat_columns(g, X):
+    """X and two columns with no split point: a constant, and signed zeros,
+    which tie although their bits differ."""
+    n = X.shape[0]
+    return np.ascontiguousarray(np.column_stack([X, np.full(n, 2.5), g.choice([-0.0, 0.0], n)]))
+
+
+_BLOCKS = [1, 7, K._SPLIT_BLOCK, 2 ** 14]
+
+
 @st.composite
 def _tied_split_case(draw):
     seed = draw(st.integers(0, 2 ** 16))
     g = np.random.default_rng(seed)
     n = draw(st.integers(2, 60))
     m = draw(st.integers(1, 5))
-    X = np.ascontiguousarray(np.round(g.normal(size=(n, m)) * draw(st.sampled_from([1, 2, 4]))))
+    X = _with_flat_columns(g, np.round(g.normal(size=(n, m)) * draw(st.sampled_from([1, 2, 4]))))
+    m = X.shape[1]
     idx = np.sort(g.choice(n, size=draw(st.integers(2, n)), replace=False)).astype(np.int64)
     feats = np.sort(g.choice(m, size=draw(st.integers(1, m)), replace=False)).astype(np.int64)
     y_cls = g.integers(0, 3, size=n).astype(np.int64)
     y_reg = np.round(g.normal(size=n), 1)
-    return X, y_cls, y_reg, idx, feats, draw(st.integers(2, 6)), draw(st.sampled_from([1, 7, 2 ** 14]))
+    return X, y_cls, y_reg, idx, feats, draw(st.integers(2, 6)), draw(st.sampled_from(_BLOCKS))
 
 
 @settings(max_examples=150, deadline=None)
@@ -359,14 +370,15 @@ def _weighted_split_case(draw):
     n = draw(st.integers(2, 50))
     m = draw(st.integers(1, 4))
     levels = draw(st.sampled_from([2, 3, 8]))  # few distinct values per column
-    X = np.ascontiguousarray(g.integers(0, levels, size=(n, m)).astype(np.float64))
+    X = _with_flat_columns(g, g.integers(0, levels, size=(n, m)).astype(np.float64))
+    m = X.shape[1]
     n_classes = draw(st.sampled_from([2, 3]))
     y = g.integers(0, n_classes, size=n).astype(np.int64)
     w = g.integers(1, 6, size=n).astype(np.int64)
     idx = np.sort(g.choice(n, size=draw(st.integers(2, n)), replace=False)).astype(np.int64)
     feats = np.sort(g.choice(m, size=draw(st.integers(1, m)), replace=False)).astype(np.int64)
     return (X, y, w, idx, feats, n_classes, draw(st.integers(1, 4)),
-            draw(st.sampled_from([1, 7, 2 ** 14])))
+            draw(st.sampled_from(_BLOCKS)))
 
 
 @settings(max_examples=200, deadline=None)
@@ -403,8 +415,9 @@ def _level_case(draw):
     candidate features; heavy ties; integer weights 1-5 or none."""
     g = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
     n, m = draw(st.integers(2, 60)), draw(st.integers(1, 5))
-    X = np.ascontiguousarray(
-        g.integers(0, draw(st.sampled_from([2, 3, 8, 1000])), size=(n, m)).astype(np.float64))
+    X = _with_flat_columns(
+        g, g.integers(0, draw(st.sampled_from([2, 3, 8, 1000])), size=(n, m)).astype(np.float64))
+    m = X.shape[1]
     n_classes = draw(st.sampled_from([2, 3]))
     y = g.integers(0, n_classes, size=n).astype(np.int64)
     w = g.integers(1, 6, size=n).astype(np.int64) if draw(st.booleans()) else None
@@ -416,7 +429,7 @@ def _level_case(draw):
     feats = np.stack([np.sort(g.choice(m, size=k, replace=False)) for _ in nodes],
                      axis=1).astype(np.int64)
     return (X, y, w, nodes, feats, n_classes, draw(st.integers(1, 4)),
-            draw(st.sampled_from([1, 7, K._SPLIT_BLOCK])))
+            draw(st.sampled_from(_BLOCKS)))
 
 
 @settings(max_examples=200, deadline=None)

@@ -570,6 +570,16 @@ def test_cli_rejects_explain_row_before_fitting(tmp_path, capsys, monkeypatch):
     assert (man["status"], man["stage"]) == ("failed", "explain")
 
 
+def test_cli_rejects_a_repeated_explain_row_before_any_fit(tmp_path, capsys, monkeypatch):
+    fitted = []
+    monkeypatch.setattr(runner, "fit", lambda *args: fitted.append(args))
+    doc = _doc(tmp_path, explain=[{"model": "logit", "method": "lime", "rows": [3, 0, 3]}])
+    assert main(["run", str(_write_cfg(tmp_path, doc))]) == 2
+    assert "explain[0].rows repeats row 3" in capsys.readouterr().err
+    assert fitted == []
+    assert not (tmp_path / "out").exists()  # rejected while parsing the config
+
+
 def test_cli_rejects_exact_shap_above_the_cap_before_fitting(tmp_path, capsys, monkeypatch):
     fitted = []
     monkeypatch.setattr(runner, "fit", lambda *args: fitted.append(args))
