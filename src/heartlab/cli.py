@@ -22,7 +22,7 @@ from .runner import (
     _explain_tracks,
     _rank,
     _run_explain,
-    _write_explanations,
+    _write_tables,
     compare_models,
     parse_config,
     prepare_tracks,
@@ -114,15 +114,20 @@ def _cmd_explain(args) -> int:
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     # Output files carry the loaded model's file stem, not the config's
-    # model names: the requests only specify where and what to explain.
+    # model names: the requests only specify where and what to explain, and
+    # the first request of each method on each track answers for the model.
     stem = Path(args.model_file).stem
-    explanations: dict = {}
-    for req, track in _explain_tracks(cfg, tracks):
+    first, written = {}, []
+    for i, (req, track) in enumerate(_explain_tracks(cfg, tracks)):
+        if (track, req.method) in first:
+            print(f"explain[{i}] skipped: explain[{first[track, req.method]}] already gives "
+                  f"{req.method} on the {track} track")
+            continue
+        first[track, req.method] = i
         _check_fingerprint(model, tracks[track].test)
-        got = _run_explain(cfg, req, model, tracks[track])
-        slot = explanations.setdefault((track, stem, req.method), {"rows": {}})
-        slot["rows"].update(got["rows"])
-    _write_explanations(explanations, tracks, out_dir)
+        written.append((f"_{track}_{stem}", _run_explain(cfg, req, model, tracks[track])))
+    for tag, tables in written:
+        _write_tables(out_dir, tag, tables)
     print(f"explanations written to {cfg.output_dir}")
     return 0
 

@@ -160,9 +160,9 @@ def parse_config(doc: dict, seed_override: int | None = None) -> RunConfig:
                    "seed")
 
     ds = doc.get("dataset")
-    if not isinstance(ds, dict) or not ({"path", "fixture"} & set(ds)):
-        raise ConfigError("dataset section needs a 'path' or a 'fixture'")
-    _want(ds, {"path", "schema", "fixture"}, "dataset")
+    if not isinstance(ds, dict) or len({"path", "fixture"} & set(ds)) != 1:
+        raise ConfigError("dataset section needs a 'path' or a 'fixture', not both")
+    _want(ds, {"path", "schema"} if "path" in ds else {"fixture"}, "dataset")
     if "path" in ds:
         schema = _conv(str, ds.get("schema", "heart16"), "dataset.schema")
         if schema not in SCHEMAS:
@@ -258,9 +258,7 @@ class ModelResult:
     spec: EstimatorSpec
     model: TrainedModel
     metrics: dict
-    cm: object = None
-    roc: object = None
-    residuals: object = None
+    tables: dict                 # see _write_tables
     notes: tuple = ()
 
 
@@ -278,7 +276,7 @@ class ReportBundle:
     tracks: dict                  # name -> TrackData
     results: dict                 # (track, model name) -> ModelResult
     manifest: dict
-    explanations: dict = field(default_factory=dict)
+    explanations: dict = field(default_factory=dict)  # (track, model, method) -> tables
 
 
 def _effective_config_dict(cfg: RunConfig) -> dict:
@@ -307,27 +305,32 @@ def _evaluate(name: str, spec: EstimatorSpec, model: TrainedModel,
               test: Dataset) -> ModelResult:
     notes = []
     values = {k: None for k in METRIC_FIELDS}
-    cm = roc = res = None
+    tables = {}
     if spec.task == TASK_CLASSIFICATION:
         pred, scores = predict_scored(model, test)
         cm = confusion_matrix(test.labels, pred, positive_class=1)
         values.update(classification_metrics(cm))
+        tables["confusion", ""] = (["tp", "fp", "tn", "fn"], [[cm.tp, cm.fp, cm.tn, cm.fn]])
         try:
             roc = roc_curve(test.labels, scores, positive_class=1)
             values["auc"] = roc.auc
+            tables["roc", ""] = (["threshold", "fpr", "tpr"],
+                                 np.column_stack([roc.thresholds, roc.fpr, roc.tpr]))
         except MetricError as exc:
             notes.append(f"roc skipped: {exc}")
     else:
         pairs = EvaluationPairs(y=test.targets, y_hat=predict(model, test))
         values.update(regression_metrics(pairs))
         res = residuals(pairs)
+        tables["residuals", ""] = (["predicted", "residual"],
+                                   np.column_stack([res.predicted, res.residual]))
     inner = model.params
     if getattr(inner, "rank_deficient", False):
         notes.append("rank-deficient design; minimum-norm solution")
     if getattr(inner, "converged", True) is False:
         notes.append("did not converge within the iteration budget")
     return ModelResult(name=name, spec=spec, model=model, metrics=values,
-                       cm=cm, roc=roc, residuals=res, notes=tuple(notes))
+                       tables=tables, notes=tuple(notes))
 
 
 def prepare_tracks(cfg: RunConfig, stage_box: list | None = None):
@@ -437,10 +440,8 @@ def run_experiment(cfg: RunConfig) -> ReportBundle:
                     raise
 
         stage_box[0] = "explain"
-        explanations = {}
-        for req, track_name in requests:
-            explanations[(track_name, req.model, req.method)] = _run_explain(
-                cfg, req, results[(track_name, req.model)].model, tracks[track_name])
+        explanations = {(t, req.model, req.method): _run_explain(
+            cfg, req, results[(t, req.model)].model, tracks[t]) for req, t in requests}
 
         stage_box[0] = "write"
         manifest["status"] = "ok"
@@ -516,16 +517,36 @@ def _explain_tracks(cfg: RunConfig, tracks: dict) -> list:
 
 def _run_explain(cfg: RunConfig, req: ExplainRequest, model: TrainedModel,
                  td: TrackData) -> dict:
-    out = {"rows": {}}
+    """The request's tables (see _write_tables): one per row, plus for SHAP
+    the mean-|phi| ranking, summed over the rows in ascending order."""
+    names = td.test.feature_names()
+    tables = {}
     if req.method == "shap":
         background = sample_background(td.train.rows, req.config.background_size,
                                        seed=derive_seed(cfg.seed, f"shap-bg:{req.model}"))
-        for row in req.rows:
-            out["rows"][row] = shap_values(model, td.test.rows[row], background, req.config)
+        acc = np.zeros(len(names))
+        for row in sorted(req.rows):
+            att = shap_values(model, td.test.rows[row], background, req.config)
+            acc += np.abs(att.phi)
+            header = ["feature", "value", "phi"]
+            cols = [names, td.test.rows[row], att.phi]
+            if att.standard_errors is not None:
+                header.append("standard_error")
+                cols.append(att.standard_errors)
+            tables["shap", f"_{row}"] = (header, [*map(list, zip(*cols)),
+                                                  ["__base_value__", "", att.base_value],
+                                                  ["__model_output__", "", att.fx]])
+        acc /= len(req.rows)
+        tables["shap", ""] = (["feature", "mean_abs_phi"],
+                              [[names[j], acc[j]] for j in np.argsort(-acc, kind="stable")])
     else:
         for row in req.rows:
-            out["rows"][row] = lime_explain(model, td.test.rows[row], req.config)
-    return out
+            le = lime_explain(model, td.test.rows[row], req.config)
+            tables["lime", f"_{row}"] = (["feature", "value", "weight"], [
+                *([names[j], td.test.rows[row][j], c]
+                  for j, c in zip(le.feature_indices, le.coefficients)),
+                ["__intercept__", "", le.intercept], ["__fidelity_r2__", "", le.fidelity_r2]])
+    return tables
 
 
 # ---------------------------------------------------------------------------
@@ -544,13 +565,16 @@ def _fmt(v) -> str:
     return repr(float(v))
 
 
-def _write_csv(path: Path, header: list, rows) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([_fmt(v) if not isinstance(v, str) else v for v in row])
-    path.write_text(buf.getvalue())
+def _write_tables(out_dir: Path, tag: str, tables: dict) -> None:
+    """Write each (kind, suffix) -> (header, rows) table as
+    <kind><tag><suffix>.csv; rows are lists of cells or a 2-D float array."""
+    for (kind, suffix), (header, rows) in tables.items():
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([_fmt(v) if not isinstance(v, str) else v for v in row])
+        (out_dir / f"{kind}{tag}{suffix}.csv").write_text(buf.getvalue())
 
 
 def _write_bundle(bundle: ReportBundle, out_dir: Path) -> None:
@@ -562,59 +586,14 @@ def _write_bundle(bundle: ReportBundle, out_dir: Path) -> None:
             r = bundle.results[(track_name, name)]
             rows.append([track_name, name, spec.family, spec.task]
                         + [r.metrics[k] for k in cfg.metrics])
-    _write_csv(out_dir / "metrics.csv", header, rows)
-
+    _write_tables(out_dir, "", {("metrics", ""): (header, rows)})
     for (track_name, name), r in sorted(bundle.results.items()):
-        tag = f"{track_name}_{name}"
-        if r.cm is not None:
-            _write_csv(out_dir / f"confusion_{tag}.csv", ["tp", "fp", "tn", "fn"],
-                       [[r.cm.tp, r.cm.fp, r.cm.tn, r.cm.fn]])
-        if r.roc is not None:
-            _write_csv(out_dir / f"roc_{tag}.csv", ["threshold", "fpr", "tpr"],
-                       zip(r.roc.thresholds, r.roc.fpr, r.roc.tpr))
-        if r.residuals is not None:
-            _write_csv(out_dir / f"residuals_{tag}.csv", ["predicted", "residual"],
-                       zip(r.residuals.predicted, r.residuals.residual))
-
-    _write_explanations(bundle.explanations, bundle.tracks, out_dir)
+        _write_tables(out_dir, f"_{track_name}_{name}", r.tables)
+    for (track_name, name, _), tables in sorted(bundle.explanations.items()):
+        _write_tables(out_dir, f"_{track_name}_{name}", tables)
 
     (out_dir / "manifest.json").write_text(
         json.dumps(bundle.manifest, sort_keys=True, indent=2) + "\n")
-
-
-def _write_explanations(explanations: dict, tracks: dict, out_dir: Path) -> None:
-    for key in sorted(explanations, key=lambda k: (k[0], k[1], k[2])):
-        track_name, model_name, method = key
-        ex = explanations[key]
-        td = tracks[track_name]
-        feature_names = td.test.feature_names()
-        tag = f"{track_name}_{model_name}"
-        if method == "shap":
-            acc = np.zeros(len(feature_names))
-            for row, att in sorted(ex["rows"].items()):
-                acc += np.abs(att.phi)
-                rows = [[feature_names[j], td.test.rows[row][j], att.phi[j]]
-                        for j in range(len(feature_names))]
-                hdr = ["feature", "value", "phi"]
-                if att.standard_errors is not None:
-                    hdr.append("standard_error")
-                    for j, rw in enumerate(rows):
-                        rw.append(att.standard_errors[j])
-                rows.append(["__base_value__", "", att.base_value])
-                rows.append(["__model_output__", "", att.fx])
-                _write_csv(out_dir / f"shap_{tag}_{row}.csv", hdr, rows)
-            acc /= max(1, len(ex["rows"]))
-            order = np.argsort(-acc, kind="stable")
-            _write_csv(out_dir / f"shap_{tag}.csv", ["feature", "mean_abs_phi"],
-                       [[feature_names[j], acc[j]] for j in order])
-        else:
-            for row, le in sorted(ex["rows"].items()):
-                rows = [[feature_names[j], td.test.rows[row][j], c]
-                        for j, c in zip(le.feature_indices, le.coefficients)]
-                rows.append(["__intercept__", "", le.intercept])
-                rows.append(["__fidelity_r2__", "", le.fidelity_r2])
-                _write_csv(out_dir / f"lime_{tag}_{row}.csv",
-                           ["feature", "value", "weight"], rows)
 
 
 def compare_models(bundle: ReportBundle) -> list:

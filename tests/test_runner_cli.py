@@ -135,6 +135,23 @@ def test_dataset_section_required(tmp_path):
         parse_config(doc)
 
 
+@pytest.mark.parametrize("dataset", [
+    {"path": "heart.csv", "fixture": {"n": 240}},     # which one would be read?
+    {"fixture": {"n": 240}, "schema": "nope"},        # a schema a fixture never reads
+    {"fixture": {"n": 240}, "schema": "heart16"},
+])
+def test_ambiguous_dataset_section_refused_before_any_fit(tmp_path, capsys, monkeypatch, dataset):
+    with pytest.raises(ConfigError, match="dataset"):
+        parse_config(_doc(tmp_path, dataset=dataset))
+    fitted = []
+    monkeypatch.setattr(runner, "fit", lambda *args: fitted.append(args))
+    assert main(["run", str(_write_cfg(tmp_path, _doc(tmp_path, dataset=dataset)))]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("heartlab: error: ") and "dataset" in err
+    assert fitted == []
+    assert not (tmp_path / "out").exists()  # rejected while parsing the config
+
+
 def test_models_required_and_unique(tmp_path):
     doc = _doc(tmp_path, models=[])
     with pytest.raises(ConfigError, match="at least one model"):
@@ -865,6 +882,53 @@ def test_cli_explain_saved_model(tmp_path, capsys):
     assert "explanations written" in capsys.readouterr().out
     for row in (0, 2):
         assert (tmp_path / "exp" / f"lime_synthetic_model_synthetic_logit_{row}.csv").exists()
+
+
+def test_cli_explain_of_a_saved_model_repeats_the_run_byte_for_byte(tmp_path, capsys):
+    # the quick start's shape: explaining the saved rf with the run's own config
+    doc = _doc(tmp_path, explain=[
+        {"model": "rf", "method": "shap", "rows": [0, 1], "mode": "sampled",
+         "n_permutations": 20},
+        {"model": "logit", "method": "shap", "rows": [0], "n_permutations": 30},
+        {"model": "ols", "method": "lime", "rows": [0], "n_samples": 200}])
+    cfg_path = _write_cfg(tmp_path, doc)
+    assert main(["run", str(cfg_path), "--save-models"]) == 0
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main(["explain", str(out / "model_synthetic_rf.json"), str(cfg_path)]) == 0
+    differ = [suffix for suffix in ("", "_0", "_1")
+              if (out / f"shap_synthetic_model_synthetic_rf{suffix}.csv").read_bytes()
+              != (out / f"shap_synthetic_rf{suffix}.csv").read_bytes()]
+    assert differ == []
+    assert ("explain[1] skipped: explain[0] already gives shap on the synthetic track"
+            in capsys.readouterr().out)
+    assert (out / "lime_synthetic_model_synthetic_rf_0.csv").exists()
+    assert not (out / "shap_synthetic_model_synthetic_rf_2.csv").exists()
+
+
+def test_shap_and_lime_on_one_model_both_write(tmp_path):
+    cfg = parse_config(_doc(tmp_path, explain=[
+        {"model": "rf", "method": "shap", "rows": [0, 1], "mode": "sampled",
+         "n_permutations": 20},
+        {"model": "rf", "method": "lime", "rows": [0], "n_samples": 200}]))
+    run_experiment(cfg)
+    written = {p.name for p in Path(cfg.output_dir).iterdir()
+               if p.name.startswith(("shap_", "lime_"))}
+    assert written == {"shap_synthetic_rf.csv", "shap_synthetic_rf_0.csv",
+                       "shap_synthetic_rf_1.csv", "lime_synthetic_rf_0.csv"}
+
+
+def test_shap_files_do_not_depend_on_the_order_rows_are_listed(tmp_path):
+    files = []
+    for rows in ([2, 0, 1], [0, 1, 2]):
+        out = tmp_path / "".join(map(str, rows))
+        run_experiment(parse_config(_doc(tmp_path, output_dir=str(out), explain=[
+            {"model": "cart", "method": "shap", "rows": rows, "mode": "sampled",
+             "n_permutations": 20}])))
+        files.append({p.name: p.read_bytes() for p in out.glob("shap_*")})
+    assert sorted(files[0]) == ["shap_synthetic_cart.csv"] + [
+        f"shap_synthetic_cart_{row}.csv" for row in range(3)]
+    assert files[0] == files[1]
 
 
 def test_cli_explain_refuses_a_non_finite_output(tmp_path, capsys):
