@@ -15,11 +15,13 @@ draw, as a weighted target sum (c*y) rounds unlike y added c times. Without
 bootstrap, every tree grows on X itself from one presort per forest. Trees
 grow in batches (trees.grow), which change no tree.
 
-GBT: stagewise additive model F_m = F_{m-1} + eta * tree_m. Squared
-loss fits residuals with mean-residual leaves starting from the target
-mean. Logistic loss fits gradients y - p with second-order leaf steps
-sum(g) / (sum(p(1-p)) + lambda_leaf) starting from the base-rate
-log-odds. The per-round training loss is recorded.
+GBT: stagewise additive model F_m = F_{m-1} + eta * tree_m. Each round
+fits a tree to the gradients g and sets every leaf to the second-order
+step sum(g) / (sum(h) + lambda_leaf) over its rows (Chen & Guestrin
+2016, eq. 5). Squared loss starts from the target mean, with g = y - F
+and h = 1, so lambda_leaf = 0 gives mean-residual leaves; logistic loss
+starts from the base-rate log-odds, with g = y - p and h = p(1-p). The
+per-round training loss is recorded.
 """
 
 from __future__ import annotations
@@ -227,14 +229,10 @@ def fit_gbt(X: np.ndarray, y: np.ndarray, config: GbtConfig = GbtConfig()) -> Gb
     y = np.asarray(y, dtype=np.float64)
     cart = CartConfig(max_depth=config.max_depth, seed=config.seed)
 
+    base, loss_fn = float(y.mean()), _squared_loss  # the target mean, or the base rate
     if config.loss == LOSS_LOGISTIC:
         check_binary(y, "logistic gbt")
-        base_rate = float(y.mean())
-        base = math.log(base_rate / (1.0 - base_rate))
-        loss_fn = _log_loss
-    else:
-        base = float(y.mean())
-        loss_fn = _squared_loss
+        base, loss_fn = math.log(base / (1.0 - base)), _log_loss
 
     raw = np.full(X.shape[0], base, dtype=np.float64)
     losses = [loss_fn(y, raw)]
@@ -245,22 +243,16 @@ def fit_gbt(X: np.ndarray, y: np.ndarray, config: GbtConfig = GbtConfig()) -> Gb
         g = y - (raw if p is None else p)
         flat, ids = fit_cart_matrix(X, g, cart, TASK_REGRESSION, sorted_rows=sorted_rows,
                                     leaves=True)
-        if p is not None:
-            num = np.zeros(flat.leaf_value.shape[0])
-            den = np.zeros(flat.leaf_value.shape[0])
-            np.add.at(num, ids, g)
-            np.add.at(den, ids, p * (1.0 - p))
-            with np.errstate(divide="ignore", invalid="ignore"):
-                newton = np.divide(num, den + config.lambda_leaf, out=np.zeros_like(num),
-                                   where=flat.feature < 0)  # no row reaches an inner node
-            if not np.isfinite(newton).all():  # p(1 - p) is 0 on every row of a leaf
-                raise FitError(f"gbt round {m + 1}: a Newton leaf step is not finite "
-                               f"at lambda_leaf {config.lambda_leaf}")
-            flat = replace(flat, leaf_value=newton)
-            raw = raw + config.learning_rate * newton[ids]
-        else:
-            raw = raw + config.learning_rate * flat.leaf_value[ids]
-        trees.append(flat)
+        k = flat.leaf_value.shape[0]  # h is p(1 - p), or 1 per row for squared loss
+        h = np.bincount(ids, None if p is None else p * (1.0 - p), k) + config.lambda_leaf
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = np.divide(np.bincount(ids, g, k), h, out=np.zeros(k),
+                             where=flat.feature < 0)  # no row reaches an inner node
+        if not np.isfinite(step).all():  # p(1 - p) is 0 on every row of a leaf
+            raise FitError(f"gbt round {m + 1}: a Newton leaf step is not finite "
+                           f"at lambda_leaf {config.lambda_leaf}")
+        trees.append(replace(flat, leaf_value=step))
+        raw = raw + config.learning_rate * step[ids]
         losses.append(loss_fn(y, raw))
 
     return GbtModel(base_score=base, trees=tuple(trees), config=config,

@@ -181,8 +181,9 @@ def parse_config(doc: dict, seed_override: int | None = None) -> RunConfig:
     raw_models = doc.get("models")
     if not raw_models or not isinstance(raw_models, list):
         raise ConfigError(f"models must be a list of at least one model, got {raw_models!r}")
-    models = []
-    seen = set()
+    models, csvs = [], []  # csvs: (model index, a CSV _evaluate or _run_explain writes for it)
+    seen = {}  # model name -> its index
+    tracks = (TRACK_REAL,) if smote_cfg is None else (TRACK_REAL, TRACK_SYNTHETIC)
     for i, m in enumerate(raw_models):
         m = _conv(dict, m, f"models[{i}]")
         _want(m, {"name", "family", "task", "hyperparams", "seed"}, f"models[{i}]")
@@ -192,7 +193,9 @@ def parse_config(doc: dict, seed_override: int | None = None) -> RunConfig:
         name = _conv(str, m.get("name", family), f"models[{i}].name")
         if name in seen:
             raise ConfigError(f"duplicate model name {name!r}; give explicit names")
-        seen.add(name)
+        if not name or {"/", "\\", "\0"} & set(name):
+            raise ConfigError(f"models[{i}].name {name!r} is empty or holds '/', '\\' or NUL")
+        seen[name] = i
         hyperparams = _conv(dict, m.get("hyperparams", {}), f"models[{i}].hyperparams")
         seed = (_conv(int, m["seed"], f"models[{i}].seed") if "seed" in m
                 else derive_seed(master, f"model:{name}"))
@@ -202,6 +205,8 @@ def parse_config(doc: dict, seed_override: int | None = None) -> RunConfig:
         except HeartlabError as exc:
             raise type(exc)(f"models[{i}]: {exc}") from None
         models.append((name, spec))
+        csvs += [(i, f"{kind}_{t}_{name}.csv") for t in tracks for kind in
+                 (("confusion", "roc") if spec.task == TASK_CLASSIFICATION else ("residuals",))]
 
     metric_sel = tuple(_conv(list, doc.get("metrics", METRIC_FIELDS), "metrics"))
     bad = [x for x in metric_sel if x not in METRIC_FIELDS]
@@ -235,6 +240,8 @@ def parse_config(doc: dict, seed_override: int | None = None) -> RunConfig:
             raise ConfigError(f"explain[{asked[key]}] and explain[{i}] both ask for {method} "
                               f"on {model!r} on the {key[0]} track; merge their rows")
         asked[key] = i
+        csvs += [(seen[model], f"{method}_{key[0]}_{model}{s}.csv")
+                 for s in [""] * (method == "shap") + [f"_{r}" for r in rows]]
         opts = {k: v for k, v in e.items() if k not in ("model", "method", "rows", "track")}
         config = replace(_section(opts, f"explain[{i}]", ShapConfig if method == "shap"
                                   else LimeConfig), seed=derive_seed(master, f"{method}:{model}"))
@@ -242,6 +249,12 @@ def parse_config(doc: dict, seed_override: int | None = None) -> RunConfig:
                                       track=track, options=opts))
         if track == TRACK_SYNTHETIC and smote_cfg is None:
             raise ConfigError(f"explain[{i}] asks for the synthetic track but smote is off")
+
+    writer = {}  # CSV file -> the index of the first model that writes it
+    for i, csv_name in csvs:
+        if writer.setdefault(csv_name, i) != i:
+            raise ConfigError(f"models[{i}].name {models[i][0]!r} writes {csv_name}, as "
+                              f"models[{writer[csv_name]}] does; rename one of them")
 
     out = _conv(str, doc.get("output_dir", ""), "output_dir")
     if not out:
@@ -272,7 +285,6 @@ class TrackData:
 @dataclass
 class ReportBundle:
     config: RunConfig
-    effective_config: dict
     tracks: dict                  # name -> TrackData
     results: dict                 # (track, model name) -> ModelResult
     manifest: dict
@@ -453,8 +465,7 @@ def run_experiment(cfg: RunConfig) -> ReportBundle:
             f"{t}:{n}": list(r.notes) for (t, n), r in sorted(results.items()) if r.notes}
         manifest["seeds"] = {"master": cfg.seed, "split": cfg.split.seed,
                              "resplit": derive_seed(cfg.seed, "resplit")}
-        bundle = ReportBundle(config=cfg, effective_config=manifest["effective_config"],
-                              tracks=tracks, results=results, manifest=manifest,
+        bundle = ReportBundle(config=cfg, tracks=tracks, results=results, manifest=manifest,
                               explanations=explanations)
         _write_bundle(bundle, out_dir)
         for c in caveats:
@@ -465,14 +476,10 @@ def run_experiment(cfg: RunConfig) -> ReportBundle:
 
 
 def _concat(a: Dataset, b: Dataset) -> Dataset:
-    rows = np.vstack([a.rows, b.rows])
-    labels = None
-    if a.labels is not None and b.labels is not None:
-        labels = np.concatenate([a.labels, b.labels])
-    targets = None
-    if a.targets is not None and b.targets is not None:
-        targets = np.concatenate([a.targets, b.targets])
-    return a.with_rows(rows, labels=labels, targets=targets)
+    def joined(x, y):
+        return None if x is None or y is None else np.concatenate([x, y])
+    return a.with_rows(np.vstack([a.rows, b.rows]), labels=joined(a.labels, b.labels),
+                       targets=joined(a.targets, b.targets))
 
 
 def _conventions() -> list:

@@ -72,13 +72,13 @@ DIGESTS = {
     "confusion_synthetic_nb_c.csv": "f8a6e3b42ea3c2a39cf5e82055e221f502412bfa469001748f50fdac53c17e30",
     "confusion_synthetic_rf_c.csv": "7d453d038ffd69e8d932f225997dc6e7d3490e9b3104fbca4c1d3d89fca70c7a",
     "confusion_synthetic_svm_c.csv": "967ec1bffe52d6de1416dff5ff57acc44f3aae42adebe4405122f6200fcb0c6f",
-    "lime_synthetic_gbt_r_1.csv": "fe6c8dbc9b480af7d5c23f5beb34e78c76383524770b2916f7bba04e41f2cb18",
+    "lime_synthetic_gbt_r_1.csv": "64b911f93a6103a05f8d3ab6d6abc754b35b85819a4d4ebf6370cb3881c47184",
     "manifest.json": "aecbfafc8c736cbe8d2409ce24e632b7c4617b0fbc7e80e9c9a6802d49d6f6c1",
-    "metrics.csv": "21eb5e523584e604aeeb4c4c30fc29607a8c309e30867a3a8a299ccd2268ffc5",
+    "metrics.csv": "8e21bd7f5fc50ccfd688cfd19a1ef5e595489ed545fa38f20d2396cedb817b56",
     "model_real_cart_c.json": "c605dc007988a034be9e23a070f2e7a59ed3609869064ff95aef4dfb6cfe901a",
     "model_real_cart_r.json": "fd5ab939ec7ae9b03ce78000ccb3ab9821a040a4d4c4dc513258a657b5bbe25e",
     "model_real_gbt_c.json": "4570f46812d065b292dc1113112e599ab112c39b8f78ece50a3628e5cb462ddf",
-    "model_real_gbt_r.json": "8710a8d69084af96294fefec0e42da004ce2ca5a4739dca143457b54363235bd",
+    "model_real_gbt_r.json": "abd62498f83b1348c00b89800d064002805b29913a5f57bcedc11e26d0fa0df6",
     "model_real_knn_c.json": "f7ec7ba2c88baeffea956a09980ad93ca15d70952022cd8c05a9bc5c420e5a5e",
     "model_real_knn_r.json": "1816fd2413d84cc6cb4dc4b48da93c72720e2c560678326b529ff00bc9ab721c",
     "model_real_lasso_r.json": "1e84a61deef2108e5f69bdf6c094441b7534a26d39ffa21ec3f15f2608e68fd7",
@@ -93,7 +93,7 @@ DIGESTS = {
     "model_synthetic_cart_c.json": "09dd1f464ae8d4d354889ea2bd7b05a39cfb279796a0453068c664d753e7fd13",
     "model_synthetic_cart_r.json": "06b765ab4f7d19ca03933473fe3709d4f0529182c951cec7a80eafebb0e4bf7d",
     "model_synthetic_gbt_c.json": "933019a40ce03f20408c5fff059b5fcc4a00bc8bedc1b9192376e6a9b1518685",
-    "model_synthetic_gbt_r.json": "189b4938ac7a1fec69f79d1a235585ffd36b966267490d89d4903b50850569dd",
+    "model_synthetic_gbt_r.json": "4f65b65d76d6d6efc1f7bb5da96f82edcad5f2c4d3ebb2f576e60fbedaaee3da",
     "model_synthetic_knn_c.json": "bc47a1b5165ea4b7d7f1cc4cf9cf67b4fe22fc63e2789bf2ec3d096cb1634abf",
     "model_synthetic_knn_r.json": "ef62eb2960a44e732352da36a0a7bd1a88425fbb0f017f2a7730912a46f93f91",
     "model_synthetic_lasso_r.json": "d6619e843a3aa4b1e4557d4a2e45f63061ad951cc6e1a8c0d9f0c22f0d1a7fc4",
@@ -106,7 +106,7 @@ DIGESTS = {
     "model_synthetic_svm_c.json": "806aa5abef2b3ec0a14e1016892612817d5f44825069e2a821642ab283e8486b",
     "model_synthetic_svr_r.json": "2c558882cd4b7a228602bf582bcaa3d48cb1c2e5332ecc6c3ed4993683c1c6c1",
     "residuals_real_cart_r.csv": "7cb72fe2e2c39a3d9a171f60420881144c25c69837312680d83b9a27c21f3690",
-    "residuals_real_gbt_r.csv": "a88086cf3bc9c45f3b004f40717e3d72e241f09ba1da4baaec60a306d44e2093",
+    "residuals_real_gbt_r.csv": "a2b00ffe875da3bda4524014ffe9b355a34c747be5c5409e6506bb8952741b22",
     "residuals_real_knn_r.csv": "f62605b82bf9220c5886f3508e6e0f308ab6e6860ab8088f4cb2b393551dba72",
     "residuals_real_lasso_r.csv": "d94a1c7febfbf4cf64ff8e8402ae97c41f8172eaaa6d7985de9401dcf1ad4ee7",
     "residuals_real_ols_r.csv": "9ffc37f0101cb8b0565a820de5e19629c5dfa58057957eff52cd408b22085702",
@@ -114,7 +114,7 @@ DIGESTS = {
     "residuals_real_ridge_r.csv": "1e3e3c5149eb6fc717de1319dc37100945fa6713c58a79989aa504b6781051c5",
     "residuals_real_svr_r.csv": "df4019fefd05ef6e9ec38afa7c200dc149d12a35ade7b7309b350644903161c3",
     "residuals_synthetic_cart_r.csv": "3772af1613c2c71ab69b964aba806aed36bdfb5c7e7fb9ef0e6fe0fefa57ca97",
-    "residuals_synthetic_gbt_r.csv": "72ce19f745341f46987d27d6f90f1fc596ca2582ce23d760c340e36c62605a1d",
+    "residuals_synthetic_gbt_r.csv": "653161a16d1df741c6ebfff5cad518cfeb6a2cee71c0725e3f725c2bf85ef51d",
     "residuals_synthetic_knn_r.csv": "7120b1aeb218c5fbf2a4e992ac1859d227a0e5ef7bc86ea57000ec75b8d37d7b",
     "residuals_synthetic_lasso_r.csv": "7d41bda5303d94864663585a5bc4361fd4440b800f26b485b51c67ad2c45fb49",
     "residuals_synthetic_ols_r.csv": "d8428edcb92f304299d1e506e6a1dc681c544b87cc08c5473a20c133d2c054c9",

@@ -113,7 +113,7 @@ def test_gbt_annihilates_residuals_with_unit_rate(rng):
     rows = np.round(rng.normal(size=(20, 2)), 2)
     targets = rng.normal(size=20)
     ds = make_ds(rows, targets=targets)
-    cfg = GbtConfig(n_rounds=3, learning_rate=1.0, max_depth=6, loss="squared")
+    cfg = GbtConfig(n_rounds=3, learning_rate=1.0, max_depth=6, loss="squared", lambda_leaf=0)
     model = fit_gbt(ds.rows, ds.targets, cfg)
     # depth 6 isolates all 20 distinct rows, so round one already fits exactly
     assert model.train_losses[0] > 1e-3

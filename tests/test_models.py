@@ -20,6 +20,7 @@ from heartlab.models import (
     scalar_output,
 )
 from heartlab.linear import LinearModel
+from heartlab.preprocess import fit_preprocessor, transform
 from heartlab.trees import TASK_CLASSIFICATION, TASK_REGRESSION
 
 from conftest import make_ds
@@ -297,6 +298,32 @@ def test_linear_label_is_the_margin_sign_not_p_above_half():
     labels, proba = params.scored(np.array([[1e-17], [9e-17], [0.0]]))
     assert labels.tolist() == [1, 1, 0]
     assert proba.tolist() == [0.5, 0.5, 0.5]
+
+
+# one value per hyperparameter, each far enough from its default to move outputs
+MOVED = {"max_depth": 2, "min_samples_split": 60, "min_samples_leaf": 25,
+         "feature_subsample": 2, "n_trees": 3, "bootstrap": False, "n_rounds": 3,
+         "learning_rate": 0.9, "lambda_leaf": 50, "lam": 5, "tol": 0.5, "max_iter": 1,
+         "lam_svm": 1, "epochs": 2, "eps": 0.5, "ridge": 5, "k": 25,
+         "weighting": "inverse-distance"}
+
+
+@pytest.fixture(scope="module")
+def scaled_fixture():
+    raw = make_fixture(400, seed=3)
+    return transform(fit_preprocessor(raw), raw)
+
+
+@pytest.mark.parametrize("family, task, key", [
+    (family, task, key) for family, fam in FAMILIES.items() for task in fam.tasks
+    for key in fam.defaults])
+def test_every_hyperparameter_changes_its_models_outputs(scaled_fixture, family, task, key):
+    base = {"n_trees": 5} if family == "random_forest" else {}
+    assert MOVED[key] != {**FAMILIES[family].defaults, **base}[key]
+    default, moved = (
+        scalar_output(fit(EstimatorSpec(family, task, hp), scaled_fixture))(scaled_fixture.rows)
+        for hp in (base, {**base, key: MOVED[key]}))
+    assert not np.array_equal(default, moved), f"{family}/{task}: {key} changes nothing"
 
 
 def test_save_load_round_trip_all_families(two_blob_ds, reg_ds):

@@ -587,6 +587,38 @@ def test_cli_rejects_explain_row_before_fitting(tmp_path, capsys, monkeypatch):
     assert (man["status"], man["stage"]) == ("failed", "explain")
 
 
+@pytest.mark.parametrize("name", ["a/b", "", "a\\b", "a\0b"])
+def test_cli_rejects_a_model_name_that_is_no_file_name_part(tmp_path, capsys, monkeypatch, name):
+    fitted = []
+    monkeypatch.setattr(runner, "fit", lambda *args: fitted.append(args))
+    doc = _doc(tmp_path)
+    doc["models"][1]["name"] = name
+    assert main(["run", str(_write_cfg(tmp_path, doc))]) == 2
+    assert f"models[1].name {name!r} is empty or holds" in capsys.readouterr().err
+    assert fitted == []
+    assert not (tmp_path / "out").exists()  # rejected while parsing the config
+
+
+def test_cli_rejects_model_names_whose_files_clash_before_any_fit(tmp_path, capsys, monkeypatch):
+    fitted = []
+    monkeypatch.setattr(runner, "fit", lambda *args: fitted.append(args))
+    # m's row-0 SHAP file and m_0's SHAP summary are both shap_real_m_0.csv
+    doc = _doc(tmp_path, smote=None, models=[
+        {"name": "m", "family": "ols", "task": "regression"},
+        {"name": "m_0", "family": "ridge", "task": "regression"}], explain=[
+        {"model": "m", "method": "shap", "mode": "sampled", "rows": [0]},
+        {"model": "m_0", "method": "shap", "mode": "sampled", "rows": [1]}])
+    assert main(["run", str(_write_cfg(tmp_path, doc))]) == 2
+    assert ("models[1].name 'm_0' writes shap_real_m_0.csv, as models[0] does"
+            in capsys.readouterr().err)
+    assert fitted == []
+    assert not (tmp_path / "out").exists()  # rejected while parsing the config
+    doc["explain"][1]["rows"] = [0]  # m_0's row-0 file is m_0_0's summary
+    doc["models"][0]["name"] = doc["explain"][0]["model"] = "m_0_0"
+    with pytest.raises(ConfigError, match="models\\[1\\].name 'm_0' writes shap_real_m_0_0.csv"):
+        parse_config(doc)
+
+
 def test_cli_rejects_a_repeated_explain_row_before_any_fit(tmp_path, capsys, monkeypatch):
     fitted = []
     monkeypatch.setattr(runner, "fit", lambda *args: fitted.append(args))
